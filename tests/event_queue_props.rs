@@ -1,5 +1,5 @@
 //! Property-style tests for the arena-backed event queue, plus pinned
-//! recordings of the scheduled engine.
+//! recordings of the serial and scheduled engine.
 //!
 //! The PR 7 queue swap (binary heap → arena 4-ary heap) must be
 //! unobservable: pop order is a pure function of the `(at, seq)` keys,
@@ -8,11 +8,15 @@
 //! schedules from the repo's own deterministic [`Rng`] (the proptest
 //! crate is unvendored), and the pinned tests freeze a digest of a
 //! closed-loop and an open-loop recording so any future scheduler or
-//! queue change that perturbs the simulated schedule fails loudly.
+//! queue change that perturbs the simulated schedule fails loudly. Two
+//! more pins freeze the serial engine, healthy and under a fault plan
+//! with retries and a crash, so the serial side of every difference
+//! between the serial and scheduled pacings stays as it is.
 
 use rocketbench::core::sched::Arrival;
 use rocketbench::core::testbed;
 use rocketbench::core::workload::{personalities, Engine, EngineConfig, Recording};
+use rocketbench::faults::{FaultSpec, RetryPolicy};
 use rocketbench::obs::ObsConfig;
 use rocketbench::simcore::events::EventQueue;
 use rocketbench::simcore::rng::Rng;
@@ -192,6 +196,31 @@ fn digest(rec: &Recording) -> String {
             let _ = writeln!(out, "depth {}ns {depth}", at.as_nanos());
         }
     }
+    if let Some(l) = &rec.ledger {
+        let _ = writeln!(
+            out,
+            "ledger attempted={} succeeded={} retried_ok={} gave_up={} dropped={} \
+             retries={} degraded={}ns",
+            l.attempted,
+            l.succeeded,
+            l.retried_ok,
+            l.gave_up,
+            l.dropped,
+            l.retries,
+            l.degraded.as_nanos()
+        );
+        if let Some(c) = &l.crash {
+            let _ = writeln!(
+                out,
+                "crash at={}ns mechanism={} recovery={}ns lost_dirty_pages={} consistent={}",
+                c.at.as_nanos(),
+                c.mechanism,
+                c.recovery.as_nanos(),
+                c.lost_dirty_pages,
+                c.consistent
+            );
+        }
+    }
     out
 }
 
@@ -223,7 +252,7 @@ fn pinned_config(arrival: Arrival) -> EngineConfig {
         arrival,
         obs: ObsConfig::default(),
         faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        retry: RetryPolicy::None,
     }
 }
 
@@ -256,5 +285,49 @@ fn open_loop_recording_is_pinned() {
         &digest(&rec),
         "open-loop recording drifted; the scheduler or queue changed \
          simulated behaviour",
+    );
+}
+
+/// The serial engine on the same testbed and workload as the scheduled
+/// pins. Its per-op histograms include `create`, whose serial latency
+/// feeds the nano suite's `create-p50`.
+#[test]
+fn serial_recording_is_pinned() {
+    let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::mib(512), 11);
+    let workload = personalities::fileserver(25);
+    let config = EngineConfig {
+        processes: 1,
+        ..pinned_config(Arrival::Closed)
+    };
+    let rec = Engine::run(&mut target, &workload, &config).expect("serial run");
+    check_golden(
+        "serial_loop.txt",
+        &digest(&rec),
+        "serial recording drifted; the engine changed simulated behaviour",
+    );
+}
+
+/// The serial engine under a fault plan: slow media, transient EIO
+/// retried with backoff (some retries succeed, some give up, some
+/// whole-file reads fail part-way) and a crash whose fsck-scan recovery
+/// lands mid-run. The ledger is part of the digest.
+#[test]
+fn faulted_serial_recording_is_pinned() {
+    let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::mib(512), 11);
+    let workload = personalities::fileserver(400);
+    let config = EngineConfig {
+        duration: Nanos::from_secs(2),
+        cold_start: true,
+        processes: 1,
+        faults: Some(FaultSpec::parse("slow-disk:4x,eio:0.05,crash:1000ms").expect("fault spec")),
+        retry: RetryPolicy::parse("bounded:3").expect("retry policy"),
+        ..pinned_config(Arrival::Closed)
+    };
+    let rec = Engine::run(&mut target, &workload, &config).expect("faulted serial run");
+    check_golden(
+        "serial_faulted.txt",
+        &digest(&rec),
+        "faulted serial recording drifted; the engine changed retry, backoff \
+         or crash accounting",
     );
 }
