@@ -17,7 +17,7 @@
 
 use rb_bench::{quick_requested, write_results};
 use rb_core::prelude::*;
-use rb_core::trace::{replay_with, ReplayConfig};
+use rb_replay::{replay_with, ReplayConfig};
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
 use std::fmt::Write as _;

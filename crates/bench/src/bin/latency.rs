@@ -147,10 +147,10 @@ fn main() {
     println!();
 
     // The shape that justifies the whole dimension: flat below the
-    // knee, explosive past it.
+    // knee, explosive past it. A NaN on either side is a violation too.
     let below = p99_curve[1].1; // 50 %
     let above = p99_curve[5].1; // 150 %
-    if !(above > below * 5.0) {
+    if above.partial_cmp(&(below * 5.0)) != Some(std::cmp::Ordering::Greater) {
         violations.push(format!(
             "no hockey stick: p99 {below:.3} ms at 50% vs {above:.3} ms at 150% of capacity"
         ));

@@ -46,9 +46,9 @@ use rb_core::report::Json;
 use rb_core::runner::RunPlan;
 use rb_core::sched::Arrival;
 use rb_core::testbed;
-use rb_core::trace::{apply, replay_with, ReplayConfig, Timing, Trace, Transform};
 use rb_core::workload::{personalities, Engine, EngineConfig};
 use rb_obs::ObsConfig;
+use rb_replay::{apply, replay_with, ReplayConfig, Timing, Trace, Transform};
 use rb_simcore::events::EventQueue;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;

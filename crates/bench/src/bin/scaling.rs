@@ -43,7 +43,9 @@ fn validate(label: &str, curve: &ScalingCurve) -> Option<String> {
             curve.points[0].speedup
         ));
     }
-    if let Some(p) = curve.points.iter().find(|p| !(p.ops_per_sec > 0.0)) {
+    // A NaN throughput fails this check too.
+    let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+    if let Some(p) = curve.points.iter().find(|p| !positive(p.ops_per_sec)) {
         return Some(format!(
             "{label}: {} processes produced {} ops/s",
             p.processes, p.ops_per_sec

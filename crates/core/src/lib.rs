@@ -59,7 +59,6 @@ pub mod store;
 pub mod survey;
 pub mod target;
 pub mod testbed;
-pub mod trace;
 pub mod workload;
 
 /// Commonly used items, for glob import.
@@ -90,14 +89,14 @@ pub mod prelude {
     pub use crate::survey::{render_table1, table1, SurveyRow};
     pub use crate::target::{RealFsTarget, SimTarget, Target};
     pub use crate::testbed::{FsKind, Testbed};
-    pub use crate::trace::{
-        characterize, replay, replay_with, Recorder, ReplayConfig, ReplayResult, Timing, Trace,
-        TraceOp, TraceProfile,
-    };
     pub use crate::workload::{
         personalities, Engine, EngineConfig, FileSet, FlowOp, OpenLoopReport, Recording, Workload,
     };
     pub use rb_faults;
     pub use rb_faults::{FaultSpec, OutcomeLedger, RetryPolicy};
     pub use rb_obs::{MetricsSnapshot, ObsConfig, SpanTrace, TraceConfig};
+    pub use rb_replay::{
+        characterize, replay, replay_with, Recorder, ReplayConfig, ReplayResult, Timing, Trace,
+        TraceOp, TraceProfile,
+    };
 }

@@ -8,7 +8,7 @@
 //! the other classic personalities (web server, file server, varmail,
 //! postmark) are provided for the broader suite.
 
-use crate::sched::{Arrival, Completion, OpenLoopConfig, SchedDriver};
+use crate::sched::{Arrival, Completion, OpenLoopConfig, OpenOutcome, SchedConfig, SchedDriver};
 use crate::target::Target;
 use rb_simcore::dist::{Dist, Zipf};
 use rb_simcore::error::{SimError, SimResult};
@@ -169,8 +169,9 @@ pub struct EngineConfig {
     /// serial loop (byte-identical to the pre-concurrency engine);
     /// `N > 1` drives N workers through the [`crate::sched`]
     /// discrete-event scheduler, contending for [`EngineConfig::cores`]
-    /// and the shared device. Requires a target that supports
-    /// time-parameterized operations (the simulated stack does).
+    /// and the shared device. Requires a target whose ops may be issued
+    /// at instants other than its clock's now
+    /// ([`Target::supports_timed`]; the simulated stack's can).
     pub processes: u32,
     /// CPU cores the scheduler hands out to processes (ignored when
     /// `processes == 1`).
@@ -341,6 +342,10 @@ pub struct LiveFile {
 /// The workload executor.
 pub struct Engine;
 
+/// Background-flusher cadence (Linux: every ~5 s), the same for every
+/// pacing.
+const TICK_EVERY: Nanos = Nanos::from_secs(5);
+
 impl Engine {
     /// Creates the file sets (directories, files, preallocation).
     ///
@@ -418,11 +423,14 @@ impl Engine {
 
     /// Runs the measured phase against already-set-up file sets.
     ///
-    /// With [`EngineConfig::processes`] `== 1` this is the classic
-    /// serial loop, byte-identical to the pre-concurrency engine. With
-    /// `processes > 1` the same flowop mix drives N closed-loop workers
-    /// through the [`crate::sched`] discrete-event scheduler, contending
-    /// for cores and the shared device.
+    /// One run core serves every pacing. With
+    /// [`EngineConfig::processes`] `== 1` and closed arrivals, the one
+    /// worker issues on the target's own clock, byte-identical to the
+    /// pre-concurrency engine. With `processes > 1` the same flowop mix
+    /// drives N closed-loop workers through the [`crate::sched`]
+    /// discrete-event scheduler, contending for cores and the shared
+    /// device; an open [`EngineConfig::arrival`] feeds the workers from
+    /// an arrival process instead.
     pub fn run_prepared(
         target: &mut dyn Target,
         workload: &Workload,
@@ -432,169 +440,24 @@ impl Engine {
         if workload.ops.is_empty() {
             return Err(SimError::BadConfig("workload has no ops".into()));
         }
-        if config.arrival.is_open() {
-            return Self::run_open(target, workload, config, sets);
-        }
-        if config.processes > 1 {
-            return Self::run_scheduled(target, workload, config, sets);
-        }
-        if config.prewarm {
-            Self::prewarm(target, sets)?;
-        }
-        if let Some(spec) = config.faults {
-            target.install_faults(spec, config.seed)?;
-        }
-        let stats_before = target.cache_stats();
-        let mut rng = Rng::new(config.seed).fork("run");
-        let op_overhead = Self::effective_op_overhead(workload, config);
-        let mut obs = ObsState::begin(config, target, op_overhead, 1, 1);
-        let program = OpProgram::new(workload)?;
-        let mut zipfs = Self::build_zipfs(sets, workload);
-        let mut series = WindowedSeries::new(config.window);
-        let mut histogram = Log2Histogram::new();
-        let mut per_op_slots = vec![Log2Histogram::new(); program.labels.len()];
-        let mut ops = 0u64;
-        let mut errors = 0u64;
-        let mut consecutive_errors = 0u64;
-        let mut created_serial = 1_000_000u64;
-        let mut ledger = config.faults.map(|_| rb_faults::OutcomeLedger::default());
-
-        let start = target.now();
-        let end = start + config.duration;
-        let mut crash_at = config.faults.and_then(|s| s.crash_at()).map(|d| start + d);
-        // Background flusher cadence (Linux: every ~5 s).
-        let tick_every = Nanos::from_secs(5);
-        let mut next_tick = start + tick_every;
-        while target.now() < end {
-            // Catch up on missed cadences: an op longer than the tick
-            // interval (a disk-bound whole-file read, say) used to slip
-            // the flusher by one period per op, unboundedly.
-            while target.now() >= next_tick {
-                target.background_tick();
-                next_tick += tick_every;
-            }
-            if let Some(at) = crash_at {
-                if target.now() >= at {
-                    // The instant of loss: dirty pages vanish, the file
-                    // system replays its recovery plan, and the run
-                    // continues on the recovered (still degraded) state.
-                    crash_at = None;
-                    let report = target.crash_recover(target.now())?;
-                    target.advance(report.recovery);
-                    if let Some(l) = &mut ledger {
-                        l.crash = Some(report);
-                        l.degraded += report.recovery;
-                    }
-                }
-            }
-            let (op_idx, chosen) = program.pick(workload, &mut rng);
-            if let Some(l) = &mut ledger {
-                l.attempted += 1;
-            }
-            let mut attempts = 0u32;
-            let result = loop {
-                let r = Self::execute(
-                    target,
-                    chosen,
-                    sets,
-                    &mut zipfs,
-                    workload,
-                    &mut rng,
-                    &mut created_serial,
-                );
-                match r {
-                    Err(e) if Self::is_fault_error(&e) && attempts < config.retry.retries() => {
-                        // Deterministic virtual-time backoff, then the
-                        // op re-executes in full (fresh draws, same
-                        // stream — a redrive, not a replay).
-                        attempts += 1;
-                        let backoff = rb_faults::RetryPolicy::backoff(attempts);
-                        target.advance(backoff);
-                        if let Some(l) = &mut ledger {
-                            l.degraded += backoff;
-                        }
-                    }
-                    other => break other,
-                }
+        let pacing = Pacing::of(config);
+        if pacing != Pacing::Serial && !target.supports_timed() {
+            let (who, fix) = match pacing {
+                Pacing::Open => ("open-loop arrivals".to_string(), "--arrival closed"),
+                _ => (format!("{} processes", config.processes), "processes=1"),
             };
-            match result {
-                Ok(lat) => {
-                    consecutive_errors = 0;
-                    if let Some(l) = &mut ledger {
-                        if attempts > 0 {
-                            l.retried_ok += 1;
-                            l.retries += attempts as u64;
-                        } else {
-                            l.succeeded += 1;
-                        }
-                    }
-                    let when = target.now() - start;
-                    // An operation that completes past the deadline belongs
-                    // to the next (unreported) window; recording it would
-                    // fabricate a nearly-empty trailing sample.
-                    if when <= config.duration {
-                        ops += 1;
-                        series.record(when, lat);
-                        histogram.record(lat);
-                        per_op_slots[program.slot_of_op[op_idx] as usize].record(lat);
-                        if let Some(obs) = &mut obs {
-                            let label = program.labels[program.slot_of_op[op_idx] as usize];
-                            obs.on_serial_op(label, start + when, lat);
-                            obs.maybe_sample(when, target);
-                        }
-                    }
-                    target.advance(op_overhead);
-                }
-                Err(e) => {
-                    errors += 1;
-                    if let Some(l) = &mut ledger {
-                        l.gave_up += 1;
-                        l.retries += attempts as u64;
-                    }
-                    // Under a fault-tolerant policy, giving up on an
-                    // injected fault is an accounted outcome, not a step
-                    // toward the consecutive-failure abort.
-                    let tolerated =
-                        config.retry != rb_faults::RetryPolicy::None && Self::is_fault_error(&e);
-                    if tolerated {
-                        consecutive_errors = 0;
-                    } else {
-                        consecutive_errors += 1;
-                        if consecutive_errors >= config.max_errors {
-                            return Err(SimError::InvalidOperation(format!(
-                                "aborting: {consecutive_errors} consecutive op failures"
-                            )));
-                        }
-                    }
-                    // Errors still cost framework time; avoids a spin.
-                    target.advance(op_overhead);
-                }
-            }
+            return Err(SimError::BadConfig(format!(
+                "{who} need a time-parameterized target, and {} cannot \
+                 decouple execution from its clock; run with {fix}",
+                target.name()
+            )));
         }
-        if let Some(l) = &mut ledger {
-            if let Some(fs) = target.fault_stats() {
-                l.degraded += fs.slow_extra + fs.stall_extra;
-            }
+        let run = Run::begin(target, workload, config, sets, pacing)?;
+        match pacing {
+            Pacing::Serial => run.serial(),
+            Pacing::Closed => run.closed(),
+            Pacing::Open => run.open(),
         }
-        let hit_ratio = Self::hit_ratio_delta(stats_before, target);
-        let (mut metrics, trace) = match obs {
-            Some(o) => o.finish(target, target.now() - start),
-            None => (None, None),
-        };
-        Self::patch_fault_metrics(&mut metrics, &ledger);
-        Ok(Recording {
-            windows: series.finish(),
-            histogram,
-            per_op: Self::fold_per_op(&program, per_op_slots),
-            ops,
-            errors,
-            duration: target.now() - start,
-            hit_ratio,
-            open_loop: None,
-            metrics,
-            trace,
-            ledger,
-        })
     }
 
     /// Whether an error is fault-class — injected (or mechanical)
@@ -607,8 +470,7 @@ impl Engine {
 
     /// The run's per-op framework overhead: one CPU-speed factor drawn
     /// per run (within-run jitter would average out over millions of
-    /// operations, but run-to-run wobble does not). Shared verbatim by
-    /// the serial and scheduled paths so they can never drift.
+    /// operations, but run-to-run wobble does not).
     fn effective_op_overhead(workload: &Workload, config: &EngineConfig) -> Nanos {
         if config.cpu_jitter_sigma > 0.0 {
             let factor = Rng::new(config.seed)
@@ -688,375 +550,11 @@ impl Engine {
         }
     }
 
-    /// Runs the measured phase with `processes > 1` workers through the
-    /// discrete-event scheduler. The flowop mix, file sets, Zipf
-    /// samplers and created-file serial are shared state (mutated in
-    /// deterministic event order); each worker draws from its own
-    /// forked RNG stream, so the interleaving is a pure function of
-    /// (workload, config, seed).
-    fn run_scheduled(
-        target: &mut dyn Target,
-        workload: &Workload,
-        config: &EngineConfig,
-        sets: &mut [Vec<LiveFile>],
-    ) -> SimResult<Recording> {
-        if !target.supports_timed() {
-            return Err(SimError::BadConfig(format!(
-                "{} processes need a time-parameterized target, and {} cannot \
-                 decouple execution from its clock; run with processes=1",
-                config.processes,
-                target.name()
-            )));
-        }
-        if config.prewarm {
-            Self::prewarm(target, sets)?;
-        }
-        if let Some(spec) = config.faults {
-            target.install_faults(spec, config.seed)?;
-        }
-        let stats_before = target.cache_stats();
-        let op_overhead = Self::effective_op_overhead(workload, config);
-        let program = OpProgram::new(workload)?;
-        let zipfs = Self::build_zipfs(sets, workload);
-        // One independent stream per worker: adding draws in one
-        // process never perturbs another.
-        let base_rng = Rng::new(config.seed).fork("run");
-        let rngs: Vec<Rng> = (0..config.processes)
-            .map(|p| base_rng.fork(&format!("proc{p}")))
-            .collect();
-        let start = target.now();
-        let sched_config = crate::sched::SchedConfig {
-            processes: config.processes,
-            cores: config.cores,
-            start,
-            duration: config.duration,
-            think: op_overhead,
-            tick_every: Nanos::from_secs(5),
-        };
-        let per_op_slots = vec![Log2Histogram::new(); program.labels.len()];
-        let obs = ObsState::begin(config, target, op_overhead, config.processes, config.cores);
-        let mut driver = EngineDriver {
-            target: &mut *target,
-            workload,
-            config,
-            sets,
-            zipfs,
-            rngs,
-            program,
-            created_serial: 1_000_000,
-            current_slot: vec![0; config.processes as usize],
-            start,
-            series: WindowedSeries::new(config.window),
-            histogram: Log2Histogram::new(),
-            per_op_slots,
-            ops: 0,
-            errors: 0,
-            consecutive_errors: 0,
-            obs,
-            ledger: config.faults.map(|_| rb_faults::OutcomeLedger::default()),
-            crash_at: config.faults.and_then(|s| s.crash_at()).map(|d| start + d),
-        };
-        let outcome = crate::sched::run_closed_loop(&sched_config, &mut driver)?;
-        let EngineDriver {
-            series,
-            histogram,
-            per_op_slots,
-            program,
-            ops,
-            errors,
-            obs,
-            mut ledger,
-            ..
-        } = driver;
-        // Release the queue-aware service floor the pump has been
-        // publishing; post-run surgery issues at the target's own clock.
-        target.set_device_floor(Nanos::ZERO);
-        if let Some(l) = &mut ledger {
-            if let Some(fs) = target.fault_stats() {
-                l.degraded += fs.slow_extra + fs.stall_extra;
-            }
-        }
-        // The timed ops never moved the target clock; walk it to the
-        // final completion so post-run surgery sees a consistent
-        // timeline (and duration matches the serial convention of
-        // "first instant at or past the deadline").
-        target.advance(outcome.finished - start);
-        let hit_ratio = Self::hit_ratio_delta(stats_before, target);
-        let (mut metrics, trace) = match obs {
-            Some(o) => o.finish(target, outcome.finished - start),
-            None => (None, None),
-        };
-        Self::patch_fault_metrics(&mut metrics, &ledger);
-        Ok(Recording {
-            windows: series.finish(),
-            histogram,
-            per_op: Self::fold_per_op(&program, per_op_slots),
-            ops,
-            errors,
-            duration: outcome.finished - start,
-            hit_ratio,
-            open_loop: None,
-            metrics,
-            trace,
-            ledger,
-        })
-    }
-
     /// Admission-queue bound for open-loop runs: past this many waiting
     /// requests, new arrivals are dropped and counted. Large enough
     /// that transient bursts survive, small enough that a saturated run
     /// produces honest backpressure instead of an unbounded backlog.
     const OPEN_QUEUE_CAP: u32 = 1024;
-
-    /// Runs the measured phase open loop: the configured arrival
-    /// process feeds a bounded queue in front of
-    /// [`EngineConfig::processes`] service workers (any count ≥ 1),
-    /// each executing the same flowop mix through the discrete-event
-    /// scheduler. Recorded latencies span arrival to completion, so
-    /// they include the queue wait a closed loop structurally hides;
-    /// [`Recording::open_loop`] carries the offered/dropped ledger,
-    /// p50/p99/p999 and the queue-depth timeline.
-    fn run_open(
-        target: &mut dyn Target,
-        workload: &Workload,
-        config: &EngineConfig,
-        sets: &mut [Vec<LiveFile>],
-    ) -> SimResult<Recording> {
-        if !target.supports_timed() {
-            return Err(SimError::BadConfig(format!(
-                "open-loop arrivals need a time-parameterized target, and {} cannot \
-                 decouple execution from its clock; run with --arrival closed",
-                target.name()
-            )));
-        }
-        if config.prewarm {
-            Self::prewarm(target, sets)?;
-        }
-        if let Some(spec) = config.faults {
-            target.install_faults(spec, config.seed)?;
-        }
-        let stats_before = target.cache_stats();
-        let op_overhead = Self::effective_op_overhead(workload, config);
-        let program = OpProgram::new(workload)?;
-        let zipfs = Self::build_zipfs(sets, workload);
-        let workers = config.processes.max(1);
-        let base_rng = Rng::new(config.seed).fork("run");
-        let rngs: Vec<Rng> = (0..workers)
-            .map(|p| base_rng.fork(&format!("proc{p}")))
-            .collect();
-        // The arrival stream is its own fork: adding workers never
-        // perturbs when requests arrive, and vice versa.
-        let arrival_rng = Rng::new(config.seed).fork("arrivals");
-        let start = target.now();
-        let open_config = OpenLoopConfig {
-            sched: crate::sched::SchedConfig {
-                processes: workers,
-                cores: config.cores,
-                start,
-                duration: config.duration,
-                think: op_overhead,
-                tick_every: Nanos::from_secs(5),
-            },
-            arrival: config.arrival,
-            queue_cap: Self::OPEN_QUEUE_CAP,
-            sample_every: config.window,
-        };
-        let per_op_slots = vec![Log2Histogram::new(); program.labels.len()];
-        let obs = ObsState::begin(config, target, op_overhead, workers, config.cores);
-        let mut driver = EngineDriver {
-            target: &mut *target,
-            workload,
-            config,
-            sets,
-            zipfs,
-            rngs,
-            program,
-            created_serial: 1_000_000,
-            current_slot: vec![0; workers as usize],
-            start,
-            series: WindowedSeries::new(config.window),
-            histogram: Log2Histogram::new(),
-            per_op_slots,
-            ops: 0,
-            errors: 0,
-            consecutive_errors: 0,
-            obs,
-            ledger: config.faults.map(|_| rb_faults::OutcomeLedger::default()),
-            crash_at: config.faults.and_then(|s| s.crash_at()).map(|d| start + d),
-        };
-        let outcome = crate::sched::run_open_loop(&open_config, arrival_rng, &mut driver)?;
-        let EngineDriver {
-            series,
-            histogram,
-            per_op_slots,
-            program,
-            ops,
-            errors,
-            obs,
-            mut ledger,
-            ..
-        } = driver;
-        target.set_device_floor(Nanos::ZERO);
-        if let Some(l) = &mut ledger {
-            // Queue-rejected requests never reached the target: they
-            // enter the ledger as attempted-and-dropped, keeping the
-            // conservation identity over the *offered* load.
-            l.attempted += outcome.dropped;
-            l.dropped += outcome.dropped;
-            if let Some(fs) = target.fault_stats() {
-                l.degraded += fs.slow_extra + fs.stall_extra;
-            }
-        }
-        target.advance(outcome.finished - start);
-        let hit_ratio = Self::hit_ratio_delta(stats_before, target);
-        let open_loop = OpenLoopReport {
-            arrival: config.arrival,
-            offered: outcome.offered,
-            completed: outcome.completed,
-            failed: outcome.failed,
-            dropped: outcome.dropped,
-            p50: histogram.quantile(0.5),
-            p99: histogram.quantile(0.99),
-            p999: histogram.quantile(0.999),
-            max_queue_depth: outcome.max_queue_depth,
-            depth_timeline: outcome.depth_timeline,
-        };
-        let (mut metrics, trace) = match obs {
-            Some(o) => o.finish(target, outcome.finished - start),
-            None => (None, None),
-        };
-        Self::patch_fault_metrics(&mut metrics, &ledger);
-        Ok(Recording {
-            windows: series.finish(),
-            histogram,
-            per_op: Self::fold_per_op(&program, per_op_slots),
-            ops,
-            errors,
-            duration: outcome.finished - start,
-            hit_ratio,
-            open_loop: Some(open_loop),
-            metrics,
-            trace,
-            ledger,
-        })
-    }
-
-    /// Executes one flowop at instant `issue` through the target's
-    /// time-parameterized interface, returning the decomposed cost.
-    /// State effects (cache contents, namespace, live-file tables) are
-    /// identical to [`Engine::execute`]; only the clock discipline
-    /// differs. Multi-step flowops (whole-file reads, create-then-open)
-    /// stagger their sub-operations by each step's serialized latency.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_timed(
-        target: &mut dyn Target,
-        op: FlowOp,
-        sets: &mut [Vec<LiveFile>],
-        zipfs: &mut [Zipf],
-        workload: &Workload,
-        rng: &mut Rng,
-        created_serial: &mut u64,
-        issue: Nanos,
-    ) -> SimResult<OpCost> {
-        match op {
-            FlowOp::ReadRandom { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
-                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
-                target.read_at(f.fd, offset, iosize, issue)
-            }
-            FlowOp::ReadSequential { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                if f.cursor >= f.size {
-                    f.cursor = Bytes::ZERO;
-                }
-                let off = f.cursor;
-                f.cursor += iosize;
-                target.read_at(f.fd, off, iosize, issue)
-            }
-            FlowOp::ReadWholeFile { set, iosize } => {
-                let (fd, size) = {
-                    let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                    (f.fd, f.size)
-                };
-                let mut cost = OpCost::default();
-                let mut t = issue;
-                let mut off = Bytes::ZERO;
-                while off < size {
-                    let c = target.read_at(fd, off, iosize, t)?;
-                    cost.cpu += c.cpu;
-                    cost.device += c.device;
-                    t += c.total();
-                    off += iosize;
-                }
-                Ok(cost)
-            }
-            FlowOp::WriteRandom { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
-                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
-                target.write_at(f.fd, offset, iosize, issue)
-            }
-            FlowOp::Append { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let off = f.size;
-                f.size += iosize;
-                target.write_at(f.fd, off, iosize, issue)
-            }
-            FlowOp::CreateFile { set } => {
-                let dir = &workload
-                    .filesets
-                    .get(set)
-                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?
-                    .dir;
-                let path = Self::create_path(dir, *created_serial);
-                *created_serial += 1;
-                let pid = target.prepare_path(&path);
-                let created = target.create_at(pid, &path, issue)?;
-                let (fd, opened) = target.open_at(pid, &path, issue + created.total())?;
-                sets[set].push(LiveFile {
-                    path,
-                    pid,
-                    fd,
-                    size: Bytes::ZERO,
-                    cursor: Bytes::ZERO,
-                });
-                Ok(OpCost {
-                    cpu: created.cpu + opened.cpu,
-                    device: created.device + opened.device,
-                })
-            }
-            FlowOp::DeleteFile { set } => {
-                let live = sets
-                    .get_mut(set)
-                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?;
-                if live.len() <= 1 {
-                    return Err(SimError::NotFound("set nearly empty".into()));
-                }
-                let idx = rng.below(live.len() as u64) as usize;
-                let f = live.swap_remove(idx);
-                let _ = target.close(f.fd);
-                target.unlink_at(f.pid, &f.path, issue)
-            }
-            FlowOp::StatFile { set } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                target.stat_at(f.pid, &f.path, issue)
-            }
-            FlowOp::OpenClose { set } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let (fd, cost) = target.open_at(f.pid, &f.path, issue)?;
-                target.close(fd)?;
-                Ok(cost)
-            }
-            FlowOp::Fsync { set } => {
-                let fd = {
-                    let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                    f.fd
-                };
-                target.fsync_at(fd, issue)
-            }
-        }
-    }
 
     /// Path for the `serial`-th created file in `dir` — byte-identical
     /// to `format!("{dir}/c{serial:08}")`, built by hand so the create
@@ -1102,125 +600,6 @@ impl Engine {
         }
         let idx = zipfs[set].sample(rng).min(live.len() - 1);
         Ok(&mut live[idx])
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        target: &mut dyn Target,
-        op: FlowOp,
-        sets: &mut [Vec<LiveFile>],
-        zipfs: &mut [Zipf],
-        workload: &Workload,
-        rng: &mut Rng,
-        created_serial: &mut u64,
-    ) -> SimResult<Nanos> {
-        match op {
-            FlowOp::ReadRandom { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
-                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
-                target.read(f.fd, offset, iosize)
-            }
-            FlowOp::ReadSequential { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                if f.cursor >= f.size {
-                    f.cursor = Bytes::ZERO;
-                }
-                let off = f.cursor;
-                f.cursor += iosize;
-                target.read(f.fd, off, iosize)
-            }
-            FlowOp::ReadWholeFile { set, iosize } => {
-                let (fd, size) = {
-                    let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                    (f.fd, f.size)
-                };
-                let mut total = Nanos::ZERO;
-                let mut off = Bytes::ZERO;
-                while off < size {
-                    total += target.read(fd, off, iosize)?;
-                    off += iosize;
-                }
-                Ok(total)
-            }
-            FlowOp::WriteRandom { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
-                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
-                target.write(f.fd, offset, iosize)
-            }
-            FlowOp::Append { set, iosize } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let off = f.size;
-                f.size += iosize;
-                target.write(f.fd, off, iosize)
-            }
-            FlowOp::CreateFile { set } => {
-                let dir = &workload
-                    .filesets
-                    .get(set)
-                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?
-                    .dir;
-                let path = Self::create_path(dir, *created_serial);
-                *created_serial += 1;
-                let pid = target.prepare_path(&path);
-                let lat = match pid {
-                    Some(id) => target.create_id(id, &path)?,
-                    None => target.create(&path)?,
-                };
-                let fd = match pid {
-                    Some(id) => target.open_id(id, &path)?,
-                    None => target.open(&path)?,
-                };
-                sets[set].push(LiveFile {
-                    path,
-                    pid,
-                    fd,
-                    size: Bytes::ZERO,
-                    cursor: Bytes::ZERO,
-                });
-                Ok(lat)
-            }
-            FlowOp::DeleteFile { set } => {
-                let live = sets
-                    .get_mut(set)
-                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?;
-                if live.len() <= 1 {
-                    return Err(SimError::NotFound("set nearly empty".into()));
-                }
-                let idx = rng.below(live.len() as u64) as usize;
-                let f = live.swap_remove(idx);
-                let _ = target.close(f.fd);
-                match f.pid {
-                    Some(id) => target.unlink_id(id, &f.path),
-                    None => target.unlink(&f.path),
-                }
-            }
-            FlowOp::StatFile { set } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                match f.pid {
-                    Some(id) => target.stat_id(id, &f.path),
-                    None => target.stat(&f.path),
-                }
-            }
-            FlowOp::OpenClose { set } => {
-                let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                let t0 = target.now();
-                let fd = match f.pid {
-                    Some(id) => target.open_id(id, &f.path)?,
-                    None => target.open(&f.path)?,
-                };
-                target.close(fd)?;
-                Ok(target.now() - t0)
-            }
-            FlowOp::Fsync { set } => {
-                let fd = {
-                    let f = Self::pick_file(sets, zipfs, set, workload.zipf_theta, rng)?;
-                    f.fd
-                };
-                target.fsync(fd)
-            }
-        }
     }
 }
 
@@ -1474,22 +853,89 @@ impl OpProgram {
     }
 }
 
-/// The engine's [`SchedDriver`]: owns the target borrow and all shared
-/// run state, so the scheduler's event pump works through one object.
-struct EngineDriver<'a> {
+/// How a run issues its ops and where it charges their time. One run
+/// core ([`Run`]) serves all three pacings:
+///
+/// * `Serial` — one worker on the target's own clock: each op issues at
+///   `now()`, and the clock advances by what the op spent and then by
+///   the per-op framework overhead.
+/// * `Closed` — [`EngineConfig::processes`] closed-loop workers through
+///   [`crate::sched::run_closed_loop`], contending for cores and the
+///   shared device.
+/// * `Open` — an arrival process feeding a bounded queue in front of the
+///   workers, through [`crate::sched::run_open_loop`].
+///
+/// Beyond the clock, the serial pacing keeps five conventions of the
+/// engine that predates the scheduler. Each is written once, at the
+/// site that names it:
+///
+/// 1. a `create` records only the create's latency, not the open that
+///    follows it;
+/// 2. retry backoff moves the clock but stays out of the recorded
+///    latency, where a scheduled worker folds it into the op's CPU time;
+/// 3. a failed attempt keeps the clock time of the steps it finished (a
+///    whole-file read failing mid-file keeps its chunks), where a
+///    scheduled worker charges a failed attempt nothing;
+/// 4. the one worker draws from `fork("run")`; scheduled workers draw
+///    from `fork("run").fork("proc<i>")`;
+/// 5. crash recovery advances the clock, where in a scheduled run it
+///    rides on the next op's device time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pacing {
+    Serial,
+    Closed,
+    Open,
+}
+
+impl Pacing {
+    fn of(config: &EngineConfig) -> Pacing {
+        if config.arrival.is_open() {
+            Pacing::Open
+        } else if config.processes > 1 {
+            Pacing::Closed
+        } else {
+            Pacing::Serial
+        }
+    }
+}
+
+/// What one flowop attempt spent, accumulated step by step so that a
+/// failed attempt still reports the time it took before failing.
+#[derive(Debug, Default, Clone, Copy)]
+struct Spent {
+    /// CPU and device time of every completed step.
+    cost: OpCost,
+    /// The part of `cost` the serial pacing leaves out of the recorded
+    /// latency: the open that follows a `create`.
+    unrecorded: Nanos,
+}
+
+/// The run core: everything one measured phase owns, whatever its
+/// [`Pacing`] — set-up (prewarm, fault plan, RNG streams, op program,
+/// flight recorder), the per-op attempt (pick, retry and backoff,
+/// ledger), the crash check, completion and error bookkeeping, and the
+/// [`Recording`]. As the scheduler's [`SchedDriver`] it serves the
+/// closed and open pumps, whose workers share the file sets, Zipf
+/// samplers and created-file serial in deterministic event order.
+struct Run<'a> {
     target: &'a mut dyn Target,
     workload: &'a Workload,
     config: &'a EngineConfig,
+    pacing: Pacing,
     sets: &'a mut [Vec<LiveFile>],
     zipfs: Vec<Zipf>,
-    /// One RNG stream per process, indexed by process id.
+    /// One RNG stream per worker, indexed by process id: adding draws
+    /// in one worker never perturbs another.
     rngs: Vec<Rng>,
     program: OpProgram,
     created_serial: u64,
-    /// The histogram slot of each process's in-flight operation (closed
-    /// loop: at most one per process), for per-op stats at completion.
+    /// The histogram slot of each worker's in-flight op (at most one
+    /// per worker), for per-op stats at completion.
     current_slot: Vec<u32>,
+    /// Per-op framework overhead, CPU-jittered once per run.
+    think: Nanos,
     start: Nanos,
+    cache_before: Option<rb_simcache::page::CacheStats>,
     series: WindowedSeries,
     histogram: Log2Histogram,
     per_op_slots: Vec<Log2Histogram>,
@@ -1504,118 +950,386 @@ struct EngineDriver<'a> {
     crash_at: Option<Nanos>,
 }
 
-impl EngineDriver<'_> {
-    /// One scheduled operation: the weighted draw, the (possibly
-    /// retried) execution, and the ledger accounting. Backoff between
-    /// attempts folds into the op's CPU charge, so the scheduler sees
-    /// one longer operation rather than N short ones — the worker
-    /// holds its core through the retry storm, like a thread spinning
-    /// in the kernel's resubmit path.
-    fn exec_once(&mut self, process: u32, now: Nanos) -> SimResult<OpCost> {
-        let rng = &mut self.rngs[process as usize];
-        // The same weighted draw as the serial loop, from this
-        // process's own stream, dispatched through the flat table.
-        let (op_idx, chosen) = self.program.pick(self.workload, rng);
+impl<'a> Run<'a> {
+    /// Set-up shared by every pacing. The fault plan installs after the
+    /// prewarm, so preallocation and warming are never error-gated.
+    fn begin(
+        target: &'a mut dyn Target,
+        workload: &'a Workload,
+        config: &'a EngineConfig,
+        sets: &'a mut [Vec<LiveFile>],
+        pacing: Pacing,
+    ) -> SimResult<Run<'a>> {
+        if config.prewarm {
+            Engine::prewarm(target, sets)?;
+        }
+        if let Some(spec) = config.faults {
+            target.install_faults(spec, config.seed)?;
+        }
+        let cache_before = target.cache_stats();
+        let think = Engine::effective_op_overhead(workload, config);
+        let program = OpProgram::new(workload)?;
+        let zipfs = Engine::build_zipfs(sets, workload);
+        let run_rng = Rng::new(config.seed).fork("run");
+        let (rngs, cores): (Vec<Rng>, u32) = if pacing == Pacing::Serial {
+            // Pacing convention 4: the one worker draws from the run
+            // stream itself.
+            (vec![run_rng], 1)
+        } else {
+            let rngs = (0..config.processes.max(1))
+                .map(|p| run_rng.fork(&format!("proc{p}")))
+                .collect();
+            (rngs, config.cores)
+        };
+        let workers = rngs.len() as u32;
+        let start = target.now();
+        let obs = ObsState::begin(config, target, think, workers, cores);
+        Ok(Run {
+            per_op_slots: vec![Log2Histogram::new(); program.labels.len()],
+            current_slot: vec![0; workers as usize],
+            series: WindowedSeries::new(config.window),
+            histogram: Log2Histogram::new(),
+            ledger: config.faults.map(|_| rb_faults::OutcomeLedger::default()),
+            crash_at: config.faults.and_then(|s| s.crash_at()).map(|d| start + d),
+            target,
+            workload,
+            config,
+            pacing,
+            sets,
+            zipfs,
+            rngs,
+            program,
+            created_serial: 1_000_000,
+            think,
+            start,
+            cache_before,
+            ops: 0,
+            errors: 0,
+            consecutive_errors: 0,
+            obs,
+        })
+    }
+
+    /// The serial pacing: one worker issuing on the target's own clock.
+    fn serial(mut self) -> SimResult<Recording> {
+        let end = self.start + self.config.duration;
+        let mut next_tick = self.start + TICK_EVERY;
+        loop {
+            let mut now = self.target.now();
+            if now >= end {
+                break;
+            }
+            // Catch up on missed cadences: an op longer than the tick
+            // interval (a disk-bound whole-file read, say) must not slip
+            // the flusher by one period per op.
+            while now >= next_tick {
+                self.target.background_tick();
+                next_tick += TICK_EVERY;
+                now = self.target.now();
+            }
+            if let Some(recovery) = self.crash_due(now)? {
+                // Pacing convention 5: the run waits out the recovery.
+                self.target.advance(recovery);
+                now = self.target.now();
+            }
+            match self.attempt(0, now) {
+                Ok(spent) => {
+                    // Pacing convention 1: `unrecorded` is a create's open.
+                    let latency = spent.cost.total() - spent.unrecorded;
+                    let done = self.target.now();
+                    self.complete(0, done, latency, None);
+                }
+                Err(e) => self.fail(e)?,
+            }
+            // Every op costs framework time, a failed one too (no spin).
+            self.target.advance(self.think);
+        }
+        let end = self.target.now();
+        Ok(self.finish(end, None))
+    }
+
+    /// The closed pacing: N workers through the closed-loop pump.
+    fn closed(mut self) -> SimResult<Recording> {
+        let sched = self.sched_config();
+        let outcome = crate::sched::run_closed_loop(&sched, &mut self)?;
+        self.settle(outcome.finished);
+        Ok(self.finish(outcome.finished, None))
+    }
+
+    /// The open pacing: an arrival process feeding N workers through
+    /// the open-loop pump.
+    fn open(mut self) -> SimResult<Recording> {
+        let open = OpenLoopConfig {
+            sched: self.sched_config(),
+            arrival: self.config.arrival,
+            queue_cap: Engine::OPEN_QUEUE_CAP,
+            sample_every: self.config.window,
+        };
+        // The arrival stream is its own fork: adding workers never
+        // perturbs when requests arrive, and vice versa.
+        let arrivals = Rng::new(self.config.seed).fork("arrivals");
+        let outcome = crate::sched::run_open_loop(&open, arrivals, &mut self)?;
+        self.settle(outcome.finished);
+        Ok(self.finish(outcome.finished, Some(outcome)))
+    }
+
+    /// The scheduler substrate for this run's workers.
+    fn sched_config(&self) -> SchedConfig {
+        SchedConfig {
+            processes: self.rngs.len() as u32,
+            cores: self.config.cores,
+            start: self.start,
+            duration: self.config.duration,
+            think: self.think,
+            tick_every: TICK_EVERY,
+        }
+    }
+
+    /// Hands the target back after a scheduled pump. The queue-aware
+    /// service floor is released (post-run surgery issues at the
+    /// target's own clock), and the clock, which timed ops never move,
+    /// walks to the final completion — so `duration` matches the serial
+    /// convention of "first instant at or past the deadline".
+    fn settle(&mut self, finished: Nanos) {
+        self.target.set_device_floor(Nanos::ZERO);
+        self.target.advance(finished - self.start);
+    }
+
+    /// Fires the pending crash once `now` reaches it: the target loses
+    /// its dirty pages and replays its recovery plan, and the ledger
+    /// records the verdict. Returns the recovery time for the pacing to
+    /// charge.
+    fn crash_due(&mut self, now: Nanos) -> SimResult<Option<Nanos>> {
+        match self.crash_at {
+            Some(at) if now >= at => self.crash_at = None,
+            _ => return Ok(None),
+        }
+        let report = self.target.crash_recover(now)?;
+        if let Some(l) = &mut self.ledger {
+            l.crash = Some(report);
+            l.degraded += report.recovery;
+        }
+        Ok(Some(report.recovery))
+    }
+
+    /// One op of `process`, issued at `now`: the weighted pick from the
+    /// worker's stream, the execution retried under the policy, and the
+    /// ledger's accounting.
+    fn attempt(&mut self, process: u32, now: Nanos) -> SimResult<Spent> {
+        let (op_idx, op) = self
+            .program
+            .pick(self.workload, &mut self.rngs[process as usize]);
         self.current_slot[process as usize] = self.program.slot_of_op[op_idx];
         if let Some(l) = &mut self.ledger {
             l.attempted += 1;
         }
-        let mut attempts = 0u32;
-        let mut backoff = Nanos::ZERO;
+        let serial = self.pacing == Pacing::Serial;
+        let mut retries = 0u32;
+        let mut issue = now;
         loop {
-            let result = Engine::execute_timed(
-                self.target,
-                chosen,
-                self.sets,
-                &mut self.zipfs,
-                self.workload,
-                &mut self.rngs[process as usize],
-                &mut self.created_serial,
-                now + backoff,
-            );
+            let mut spent = Spent::default();
+            let result = self.execute_timed(process, op, issue, &mut spent);
+            if serial {
+                // Pacing convention 3: the clock keeps what the attempt
+                // spent, whether or not it failed.
+                self.target.advance(spent.cost.total());
+            }
             match result {
-                Ok(mut cost) => {
+                Ok(()) => {
                     if let Some(l) = &mut self.ledger {
-                        if attempts > 0 {
+                        if retries > 0 {
                             l.retried_ok += 1;
-                            l.retries += attempts as u64;
+                            l.retries += retries as u64;
                         } else {
                             l.succeeded += 1;
                         }
                     }
-                    cost.cpu += backoff;
-                    return Ok(cost);
+                    if !serial {
+                        // Pacing convention 2: a scheduled worker holds
+                        // its core through the retry storm, like a thread
+                        // spinning in the kernel's resubmit path, so the
+                        // scheduler sees one longer op.
+                        spent.cost.cpu += issue - now;
+                    }
+                    return Ok(spent);
                 }
-                Err(e) if Engine::is_fault_error(&e) && attempts < self.config.retry.retries() => {
-                    attempts += 1;
-                    let wait = rb_faults::RetryPolicy::backoff(attempts);
-                    backoff += wait;
+                Err(e) if Engine::is_fault_error(&e) && retries < self.config.retry.retries() => {
+                    // Deterministic virtual-time backoff, then the op
+                    // re-executes in full (fresh draws, same stream — a
+                    // redrive, not a replay).
+                    retries += 1;
+                    let backoff = rb_faults::RetryPolicy::backoff(retries);
                     if let Some(l) = &mut self.ledger {
-                        l.degraded += wait;
+                        l.degraded += backoff;
+                    }
+                    if serial {
+                        // Pacing convention 2: the backoff moves the clock
+                        // and nothing else.
+                        self.target.advance(backoff);
+                        issue = self.target.now();
+                    } else {
+                        issue += backoff;
                     }
                 }
                 Err(e) => {
                     if let Some(l) = &mut self.ledger {
                         l.gave_up += 1;
-                        l.retries += attempts as u64;
+                        l.retries += retries as u64;
                     }
                     return Err(e);
                 }
             }
         }
     }
-}
 
-impl SchedDriver for EngineDriver<'_> {
-    fn exec(&mut self, process: u32, now: Nanos) -> SimResult<OpCost> {
-        if let Some(at) = self.crash_at {
-            if now >= at {
-                // First issue past the crash instant pays for recovery:
-                // its device charge carries the replay I/O, so every
-                // later op queues behind the recovering device exactly
-                // as processes stall behind a remounting file system.
-                self.crash_at = None;
-                let report = self.target.crash_recover(now)?;
-                if let Some(l) = &mut self.ledger {
-                    l.crash = Some(report);
-                    l.degraded += report.recovery;
+    /// Executes one flowop at instant `issue` through the target's
+    /// `*_at` surface. Multi-step flowops (whole-file reads,
+    /// create-then-open) issue each step once the previous step's cost
+    /// has elapsed, and every completed step adds its cost to `spent`,
+    /// on failure too.
+    fn execute_timed(
+        &mut self,
+        process: u32,
+        op: FlowOp,
+        issue: Nanos,
+        spent: &mut Spent,
+    ) -> SimResult<()> {
+        let Run {
+            target,
+            workload,
+            sets,
+            zipfs,
+            rngs,
+            created_serial,
+            ..
+        } = self;
+        let rng = &mut rngs[process as usize];
+        let theta = workload.zipf_theta;
+        let cost = match op {
+            FlowOp::ReadRandom { set, iosize } => {
+                let f = Engine::pick_file(sets, zipfs, set, theta, rng)?;
+                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
+                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
+                target.read_at(f.fd, offset, iosize, issue)?
+            }
+            FlowOp::ReadSequential { set, iosize } => {
+                let f = Engine::pick_file(sets, zipfs, set, theta, rng)?;
+                if f.cursor >= f.size {
+                    f.cursor = Bytes::ZERO;
                 }
-                let mut cost = self.exec_once(process, now)?;
-                cost.device += report.recovery;
-                return Ok(cost);
+                let off = f.cursor;
+                f.cursor += iosize;
+                target.read_at(f.fd, off, iosize, issue)?
             }
-        }
-        self.exec_once(process, now)
-    }
-
-    fn tick(&mut self, start: Nanos) -> Nanos {
-        self.target.tick_at(start)
-    }
-
-    fn on_complete(&mut self, completion: &Completion) -> SimResult<()> {
-        self.consecutive_errors = 0;
-        let when = completion.completed - self.start;
-        // Same deadline discipline as the serial loop: an operation
-        // completing past the deadline belongs to an unreported window.
-        if when <= self.config.duration {
-            self.ops += 1;
-            let latency = completion.completed - completion.arrived;
-            self.series.record(when, latency);
-            self.histogram.record(latency);
-            let slot = self.current_slot[completion.process as usize] as usize;
-            self.per_op_slots[slot].record(latency);
-            if let Some(obs) = &mut self.obs {
-                obs.on_sched_op(completion, self.program.labels[slot]);
-                obs.maybe_sample(when, self.target);
+            FlowOp::ReadWholeFile { set, iosize } => {
+                let f = Engine::pick_file(sets, zipfs, set, theta, rng)?;
+                let (fd, size) = (f.fd, f.size);
+                let mut off = Bytes::ZERO;
+                while off < size {
+                    spent.cost += target.read_at(fd, off, iosize, issue + spent.cost.total())?;
+                    off += iosize;
+                }
+                return Ok(());
             }
-        }
+            FlowOp::WriteRandom { set, iosize } => {
+                let f = Engine::pick_file(sets, zipfs, set, theta, rng)?;
+                let slots = (f.size.as_u64() / iosize.as_u64().max(1)).max(1);
+                let offset = Bytes::new(rng.below(slots) * iosize.as_u64());
+                target.write_at(f.fd, offset, iosize, issue)?
+            }
+            FlowOp::Append { set, iosize } => {
+                let f = Engine::pick_file(sets, zipfs, set, theta, rng)?;
+                let off = f.size;
+                f.size += iosize;
+                target.write_at(f.fd, off, iosize, issue)?
+            }
+            FlowOp::CreateFile { set } => {
+                let dir = &workload
+                    .filesets
+                    .get(set)
+                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?
+                    .dir;
+                let path = Engine::create_path(dir, *created_serial);
+                *created_serial += 1;
+                let pid = target.prepare_path(&path);
+                spent.cost += target.create_at(pid, &path, issue)?;
+                let (fd, opened) = target.open_at(pid, &path, issue + spent.cost.total())?;
+                spent.cost += opened;
+                // Pacing convention 1: the serial pacing leaves the open
+                // out of the create's recorded latency.
+                spent.unrecorded = opened.total();
+                sets[set].push(LiveFile {
+                    path,
+                    pid,
+                    fd,
+                    size: Bytes::ZERO,
+                    cursor: Bytes::ZERO,
+                });
+                return Ok(());
+            }
+            FlowOp::DeleteFile { set } => {
+                let live = sets
+                    .get_mut(set)
+                    .ok_or_else(|| SimError::BadConfig(format!("no file set {set}")))?;
+                if live.len() <= 1 {
+                    return Err(SimError::NotFound("set nearly empty".into()));
+                }
+                let idx = rng.below(live.len() as u64) as usize;
+                let f = live.swap_remove(idx);
+                let _ = target.close(f.fd);
+                target.unlink_at(f.pid, &f.path, issue)?
+            }
+            FlowOp::StatFile { set } => {
+                let f = Engine::pick_file(sets, zipfs, set, theta, rng)?;
+                target.stat_at(f.pid, &f.path, issue)?
+            }
+            FlowOp::OpenClose { set } => {
+                let f = Engine::pick_file(sets, zipfs, set, theta, rng)?;
+                let (fd, opened) = target.open_at(f.pid, &f.path, issue)?;
+                spent.cost += opened;
+                target.close(fd)?;
+                return Ok(());
+            }
+            FlowOp::Fsync { set } => {
+                let fd = Engine::pick_file(sets, zipfs, set, theta, rng)?.fd;
+                target.fsync_at(fd, issue)?
+            }
+        };
+        spent.cost += cost;
         Ok(())
     }
 
-    fn on_error(&mut self, _process: u32, _now: Nanos, error: SimError) -> SimResult<()> {
+    /// Books one op of `process` that completed at `done` after
+    /// `latency`. An op completing past the deadline belongs to the next
+    /// (unreported) window; recording it would fabricate a nearly-empty
+    /// trailing sample. `sched` is a scheduled op's lifecycle, for the
+    /// flight recorder's latency decomposition.
+    fn complete(&mut self, process: u32, done: Nanos, latency: Nanos, sched: Option<&Completion>) {
+        self.consecutive_errors = 0;
+        let when = done - self.start;
+        if when > self.config.duration {
+            return;
+        }
+        let slot = self.current_slot[process as usize] as usize;
+        self.ops += 1;
+        self.series.record(when, latency);
+        self.histogram.record(latency);
+        self.per_op_slots[slot].record(latency);
+        if let Some(obs) = &mut self.obs {
+            let label = self.program.labels[slot];
+            match sched {
+                Some(c) => obs.on_sched_op(c, label),
+                None => obs.on_serial_op(label, done, latency),
+            }
+            obs.maybe_sample(when, self.target);
+        }
+    }
+
+    /// Books one failed op. Fault-class errors under a tolerant retry
+    /// policy are accounted outcomes (the ledger's `gave_up`), not steps
+    /// toward the consecutive-failure abort.
+    fn fail(&mut self, error: SimError) -> SimResult<()> {
         self.errors += 1;
-        // Fault-class errors under a tolerant policy are accounted
-        // outcomes (the ledger's gave_up), not steps toward the abort.
         if self.config.retry != rb_faults::RetryPolicy::None && Engine::is_fault_error(&error) {
             self.consecutive_errors = 0;
             return Ok(());
@@ -1628,6 +1342,103 @@ impl SchedDriver for EngineDriver<'_> {
             )));
         }
         Ok(())
+    }
+
+    /// Assembles the [`Recording`] of a run whose clock stands at `end`;
+    /// `open` is the open pump's outcome, when the run had one.
+    fn finish(self, end: Nanos, open: Option<OpenOutcome>) -> Recording {
+        let Run {
+            target,
+            config,
+            program,
+            start,
+            cache_before,
+            series,
+            histogram,
+            per_op_slots,
+            ops,
+            errors,
+            obs,
+            mut ledger,
+            ..
+        } = self;
+        let open_loop = open.map(|o| OpenLoopReport {
+            arrival: config.arrival,
+            offered: o.offered,
+            completed: o.completed,
+            failed: o.failed,
+            dropped: o.dropped,
+            p50: histogram.quantile(0.5),
+            p99: histogram.quantile(0.99),
+            p999: histogram.quantile(0.999),
+            max_queue_depth: o.max_queue_depth,
+            depth_timeline: o.depth_timeline,
+        });
+        if let Some(l) = &mut ledger {
+            if let Some(o) = &open_loop {
+                // Queue-rejected requests never reached the target: they
+                // enter the ledger as attempted-and-dropped, keeping the
+                // conservation identity over the *offered* load.
+                l.attempted += o.dropped;
+                l.dropped += o.dropped;
+            }
+            if let Some(fs) = target.fault_stats() {
+                l.degraded += fs.slow_extra + fs.stall_extra;
+            }
+        }
+        let hit_ratio = Engine::hit_ratio_delta(cache_before, target);
+        let (mut metrics, trace) = match obs {
+            Some(o) => o.finish(target, end - start),
+            None => (None, None),
+        };
+        Engine::patch_fault_metrics(&mut metrics, &ledger);
+        Recording {
+            windows: series.finish(),
+            histogram,
+            per_op: Engine::fold_per_op(&program, per_op_slots),
+            ops,
+            errors,
+            duration: end - start,
+            hit_ratio,
+            open_loop,
+            metrics,
+            trace,
+            ledger,
+        }
+    }
+}
+
+impl SchedDriver for Run<'_> {
+    fn exec(&mut self, process: u32, now: Nanos) -> SimResult<OpCost> {
+        let recovery = self.crash_due(now)?;
+        let mut cost = self.attempt(process, now)?.cost;
+        if let Some(recovery) = recovery {
+            // Pacing convention 5: the first issue past the crash
+            // instant pays for recovery. Its device charge carries the
+            // replay I/O, so every later op queues behind the recovering
+            // device, as processes stall behind a remounting file system.
+            cost.device += recovery;
+        }
+        Ok(cost)
+    }
+
+    fn tick(&mut self, start: Nanos) -> Nanos {
+        self.target.tick_at(start)
+    }
+
+    fn on_complete(&mut self, completion: &Completion) -> SimResult<()> {
+        let latency = completion.completed - completion.arrived;
+        self.complete(
+            completion.process,
+            completion.completed,
+            latency,
+            Some(completion),
+        );
+        Ok(())
+    }
+
+    fn on_error(&mut self, _process: u32, _now: Nanos, error: SimError) -> SimResult<()> {
+        self.fail(error)
     }
 
     fn set_device_floor(&mut self, floor: Nanos) {

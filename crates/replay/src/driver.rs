@@ -36,8 +36,10 @@
 //! completion, happens-before completions)` while media phases
 //! serialize on the shared device — the streams genuinely proceed in
 //! parallel instead of taking turns through one serialized clock.
-//! Timed single-stream traces (and untimed targets) keep the
-//! serialized path, waiting via [`Target::advance`]. Under
+//! Timed single-stream traces (and targets that only run ops at their
+//! own `now()`) keep the serialized path, which issues every op at the
+//! target clock, advances it by the op's cost, and waits via
+//! [`Target::advance`]. Under
 //! [`Timing::Afap`] no waiting, no overlap and no extra ticks happen:
 //! a single-stream afap replay is byte-identical to the pre-v2 replay
 //! loop, and multi-stream afap keeps the seeded serialized merge.
@@ -156,81 +158,83 @@ impl FdTable {
             None => self.by_path.remove(path),
         }
     }
+
+    /// The handle for `path`, opened at `issue` when the trace omitted
+    /// its `open` (the open's cost then joins `spent`).
+    fn ensure_open(
+        &mut self,
+        target: &mut dyn Target,
+        id: Option<PathId>,
+        path: &str,
+        issue: Nanos,
+        spent: &mut OpCost,
+    ) -> SimResult<Fd> {
+        if let Some(fd) = self.get(id, path) {
+            return Ok(fd);
+        }
+        let (fd, cost) = target.open_at(id, path, issue)?;
+        *spent += cost;
+        self.insert(id, path, fd);
+        Ok(fd)
+    }
 }
 
-/// Executes one operation against the target, resolving handles by path
-/// (opening on demand if the trace omitted the `open`). `id` is the
-/// entry's pre-resolved path, when the target resolves paths.
-fn apply_op(
+/// Executes one trace entry at instant `issue` through the target's
+/// `*_at` surface, resolving handles by path (opening on demand if the
+/// trace omitted the `open`). `id` is the entry's pre-resolved path,
+/// when the target resolves paths.
+///
+/// Every completed step adds its cost to `spent`, on failure too: a
+/// data op whose lazy open succeeded still spent the open's time, which
+/// the serialized replay keeps on its clock.
+fn apply_op_timed(
     target: &mut dyn Target,
     fds: &mut FdTable,
     op: &TraceOp,
     id: Option<PathId>,
+    issue: Nanos,
+    spent: &mut OpCost,
 ) -> SimResult<()> {
-    let ensure_open = |target: &mut dyn Target, fds: &mut FdTable, path: &str| -> SimResult<Fd> {
-        if let Some(fd) = fds.get(id, path) {
-            return Ok(fd);
-        }
-        let fd = match id {
-            Some(i) => target.open_id(i, path)?,
-            None => target.open(path)?,
-        };
-        fds.insert(id, path, fd);
-        Ok(fd)
-    };
-    match op {
-        TraceOp::Create(p) => {
-            match id {
-                Some(i) => target.create_id(i, p)?,
-                None => target.create(p)?,
-            };
-        }
-        TraceOp::Mkdir(p) => {
-            match id {
-                Some(i) => target.mkdir_id(i, p)?,
-                None => target.mkdir(p)?,
-            };
-        }
+    let cost = match op {
+        TraceOp::Create(p) => target.create_at(id, p, issue)?,
+        TraceOp::Mkdir(p) => target.mkdir_at(id, p, issue)?,
         TraceOp::Open(p) => {
-            ensure_open(target, fds, p)?;
+            fds.ensure_open(target, id, p, issue, spent)?;
+            return Ok(());
         }
         TraceOp::Close(p) => {
             if let Some(fd) = fds.remove(id, p) {
                 target.close(fd)?;
             }
+            return Ok(());
         }
         TraceOp::Read { path, offset, len } => {
-            let fd = ensure_open(target, fds, path)?;
-            target.read(fd, Bytes::new(*offset), Bytes::new(*len))?;
+            let fd = fds.ensure_open(target, id, path, issue, spent)?;
+            let at = issue + spent.total();
+            target.read_at(fd, Bytes::new(*offset), Bytes::new(*len), at)?
         }
         TraceOp::Write { path, offset, len } => {
-            let fd = ensure_open(target, fds, path)?;
-            target.write(fd, Bytes::new(*offset), Bytes::new(*len))?;
+            let fd = fds.ensure_open(target, id, path, issue, spent)?;
+            let at = issue + spent.total();
+            target.write_at(fd, Bytes::new(*offset), Bytes::new(*len), at)?
         }
         TraceOp::SetSize { path, size } => {
-            let fd = ensure_open(target, fds, path)?;
-            target.set_size(fd, Bytes::new(*size))?;
+            let fd = fds.ensure_open(target, id, path, issue, spent)?;
+            target.set_size_at(fd, Bytes::new(*size), issue + spent.total())?
         }
         TraceOp::Fsync(p) => {
-            let fd = ensure_open(target, fds, p)?;
-            target.fsync(fd)?;
+            let fd = fds.ensure_open(target, id, p, issue, spent)?;
+            target.fsync_at(fd, issue + spent.total())?
         }
-        TraceOp::Stat(p) => {
-            match id {
-                Some(i) => target.stat_id(i, p)?,
-                None => target.stat(p)?,
-            };
-        }
+        TraceOp::Stat(p) => target.stat_at(id, p, issue)?,
         TraceOp::Unlink(p) => {
             if let Some(fd) = fds.remove(id, p) {
                 let _ = target.close(fd);
             }
-            match id {
-                Some(i) => target.unlink_id(i, p)?,
-                None => target.unlink(p)?,
-            };
+            target.unlink_at(id, p, issue)?
         }
-    }
+    };
+    *spent += cost;
     Ok(())
 }
 
@@ -293,7 +297,8 @@ fn resolve_paths(target: &mut dyn Target, trace: &Trace) -> Vec<Option<PathId>> 
 /// execution order, a pure function of (trace, timing, seed).
 ///
 /// Exposed for tests and analysis; [`replay_with`] consumes it on the
-/// serialized path (afap, single-stream, or untimed targets). The
+/// serialized path (afap, single-stream, or targets without
+/// [`Target::supports_timed`]). The
 /// schedule preserves per-stream program order and per-path trace
 /// order, and resolves the remaining freedom with the seeded merge
 /// described in the [module docs](self).
@@ -411,11 +416,16 @@ pub fn replay_with(target: &mut dyn Target, trace: &Trace, config: &ReplayConfig
                 target.advance(due_abs - now);
             }
         }
-        let before = target.now();
-        match apply_op(target, &mut fds, &entry.op, path_ids[i]) {
+        // Issue on the target's clock, then advance it by what the op
+        // spent — a lazy open before a failed data op included.
+        let issue = target.now();
+        let mut spent = OpCost::default();
+        let result = apply_op_timed(target, &mut fds, &entry.op, path_ids[i], issue, &mut spent);
+        target.advance(spent.total());
+        match result {
             Ok(()) => {
                 ops += 1;
-                histogram.record(target.now() - before);
+                histogram.record(spent.total());
             }
             Err(e) => {
                 errors += 1;
@@ -435,91 +445,6 @@ pub fn replay_with(target: &mut dyn Target, trace: &Trace, config: &ReplayConfig
         duration: target.now() - start,
         histogram,
         first_error,
-    }
-}
-
-/// Executes one operation at instant `issue` through the target's
-/// time-parameterized interface, returning its decomposed cost. State
-/// effects (handle table, namespace, cache) match [`apply_op`]; only
-/// the clock discipline differs.
-fn apply_op_timed(
-    target: &mut dyn Target,
-    fds: &mut FdTable,
-    op: &TraceOp,
-    id: Option<PathId>,
-    issue: Nanos,
-) -> SimResult<OpCost> {
-    let ensure_open = |target: &mut dyn Target,
-                       fds: &mut FdTable,
-                       path: &str,
-                       at: Nanos|
-     -> SimResult<(Fd, OpCost)> {
-        if let Some(fd) = fds.get(id, path) {
-            return Ok((fd, OpCost::default()));
-        }
-        let (fd, cost) = target.open_at(id, path, at)?;
-        fds.insert(id, path, fd);
-        Ok((fd, cost))
-    };
-    match op {
-        TraceOp::Create(p) => target.create_at(id, p, issue),
-        TraceOp::Mkdir(p) => target.mkdir_at(id, p, issue),
-        TraceOp::Open(p) => ensure_open(target, fds, p, issue).map(|(_, c)| c),
-        TraceOp::Close(p) => {
-            if let Some(fd) = fds.remove(id, p) {
-                target.close(fd)?;
-            }
-            Ok(OpCost::default())
-        }
-        TraceOp::Read { path, offset, len } => {
-            let (fd, open_cost) = ensure_open(target, fds, path, issue)?;
-            let c = target.read_at(
-                fd,
-                Bytes::new(*offset),
-                Bytes::new(*len),
-                issue + open_cost.total(),
-            )?;
-            Ok(OpCost {
-                cpu: open_cost.cpu + c.cpu,
-                device: open_cost.device + c.device,
-            })
-        }
-        TraceOp::Write { path, offset, len } => {
-            let (fd, open_cost) = ensure_open(target, fds, path, issue)?;
-            let c = target.write_at(
-                fd,
-                Bytes::new(*offset),
-                Bytes::new(*len),
-                issue + open_cost.total(),
-            )?;
-            Ok(OpCost {
-                cpu: open_cost.cpu + c.cpu,
-                device: open_cost.device + c.device,
-            })
-        }
-        TraceOp::SetSize { path, size } => {
-            let (fd, open_cost) = ensure_open(target, fds, path, issue)?;
-            let c = target.set_size_at(fd, Bytes::new(*size), issue + open_cost.total())?;
-            Ok(OpCost {
-                cpu: open_cost.cpu + c.cpu,
-                device: open_cost.device + c.device,
-            })
-        }
-        TraceOp::Fsync(p) => {
-            let (fd, open_cost) = ensure_open(target, fds, p, issue)?;
-            let c = target.fsync_at(fd, issue + open_cost.total())?;
-            Ok(OpCost {
-                cpu: open_cost.cpu + c.cpu,
-                device: open_cost.device + c.device,
-            })
-        }
-        TraceOp::Stat(p) => target.stat_at(id, p, issue),
-        TraceOp::Unlink(p) => {
-            if let Some(fd) = fds.remove(id, p) {
-                let _ = target.close(fd);
-            }
-            target.unlink_at(id, p, issue)
-        }
     }
 }
 
@@ -612,31 +537,40 @@ fn replay_overlapped(
                     queue.schedule(ready, ReplayEvent::TryIssue(s));
                     continue;
                 }
-                let completed =
-                    match apply_op_timed(target, &mut fds, &entries[i].op, path_ids[i], now) {
-                        Ok(cost) => {
-                            ops += 1;
-                            let after_cpu = now + cost.cpu;
-                            let completed = if cost.device.is_zero() {
-                                after_cpu
-                            } else {
-                                device.serve(after_cpu, cost.device)
-                            };
-                            histogram.record(completed - now);
-                            completed
+                // A failed op charges nothing: its stream moves on at
+                // `now`.
+                let mut cost = OpCost::default();
+                let completed = match apply_op_timed(
+                    target,
+                    &mut fds,
+                    &entries[i].op,
+                    path_ids[i],
+                    now,
+                    &mut cost,
+                ) {
+                    Ok(()) => {
+                        ops += 1;
+                        let after_cpu = now + cost.cpu;
+                        let completed = if cost.device.is_zero() {
+                            after_cpu
+                        } else {
+                            device.serve(after_cpu, cost.device)
+                        };
+                        histogram.record(completed - now);
+                        completed
+                    }
+                    Err(e) => {
+                        errors += 1;
+                        if first_error.is_none() {
+                            first_error = Some(ReplayError {
+                                index: i,
+                                op: entries[i].op.to_line(),
+                                message: e.to_string(),
+                            });
                         }
-                        Err(e) => {
-                            errors += 1;
-                            if first_error.is_none() {
-                                first_error = Some(ReplayError {
-                                    index: i,
-                                    op: entries[i].op.to_line(),
-                                    message: e.to_string(),
-                                });
-                            }
-                            now
-                        }
-                    };
+                        now
+                    }
+                };
                 done[i] = true;
                 completion[i] = completed;
                 stream_last[s] = completed;

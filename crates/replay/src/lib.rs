@@ -71,7 +71,8 @@ pub(crate) mod testutil {
     use rb_simcore::error::{SimError, SimResult};
     use rb_simcore::time::Nanos;
     use rb_simcore::units::Bytes;
-    use rb_simfs::stack::Fd;
+    use rb_simfs::intern::PathId;
+    use rb_simfs::stack::{Fd, OpCost};
     use std::collections::{HashMap, HashSet};
 
     pub struct MemTarget {
@@ -100,10 +101,10 @@ pub(crate) mod testutil {
             }
         }
 
-        fn op(&mut self, verb: &str, path: &str) -> Nanos {
-            self.now += Self::OP_LATENCY;
+        /// Logs one executed operation and returns its cost.
+        fn op(&mut self, verb: &str, path: &str) -> OpCost {
             self.log.push((verb.to_string(), path.to_string()));
-            Self::OP_LATENCY
+            OpCost::cpu_only(Self::OP_LATENCY)
         }
 
         fn path_of(&self, fd: Fd) -> SimResult<String> {
@@ -127,60 +128,57 @@ pub(crate) mod testutil {
             self.now += d;
         }
 
-        fn create(&mut self, path: &str) -> SimResult<Nanos> {
+        fn create_at(&mut self, _id: Option<PathId>, path: &str, _: Nanos) -> SimResult<OpCost> {
             self.files.insert(path.to_string(), 0);
             Ok(self.op("create", path))
         }
 
-        fn mkdir(&mut self, path: &str) -> SimResult<Nanos> {
+        fn mkdir_at(&mut self, _id: Option<PathId>, path: &str, _: Nanos) -> SimResult<OpCost> {
             self.dirs.insert(path.to_string());
             Ok(self.op("mkdir", path))
         }
 
-        fn unlink(&mut self, path: &str) -> SimResult<Nanos> {
+        fn unlink_at(&mut self, _id: Option<PathId>, path: &str, _: Nanos) -> SimResult<OpCost> {
             self.files
                 .remove(path)
                 .ok_or_else(|| SimError::NotFound(path.into()))?;
             Ok(self.op("unlink", path))
         }
 
-        fn stat(&mut self, path: &str) -> SimResult<Nanos> {
+        fn stat_at(&mut self, _id: Option<PathId>, path: &str, _: Nanos) -> SimResult<OpCost> {
             if !self.files.contains_key(path) && !self.dirs.contains(path) {
                 return Err(SimError::NotFound(path.into()));
             }
             Ok(self.op("stat", path))
         }
 
-        fn open(&mut self, path: &str) -> SimResult<Fd> {
+        fn open_at(
+            &mut self,
+            _id: Option<PathId>,
+            path: &str,
+            _: Nanos,
+        ) -> SimResult<(Fd, OpCost)> {
             if !self.files.contains_key(path) {
                 return Err(SimError::NotFound(path.into()));
             }
             let fd = self.next_fd;
             self.next_fd += 1;
             self.open.insert(fd, path.to_string());
-            self.op("open", path);
-            Ok(fd)
+            Ok((fd, self.op("open", path)))
         }
 
-        fn close(&mut self, fd: Fd) -> SimResult<()> {
-            let path = self.path_of(fd)?;
-            self.open.remove(&fd);
-            self.op("close", &path);
-            Ok(())
-        }
-
-        fn set_size(&mut self, fd: Fd, size: Bytes) -> SimResult<Nanos> {
+        fn set_size_at(&mut self, fd: Fd, size: Bytes, _: Nanos) -> SimResult<OpCost> {
             let path = self.path_of(fd)?;
             *self.files.get_mut(&path).expect("open file exists") = size.as_u64();
             Ok(self.op("setsize", &path))
         }
 
-        fn read(&mut self, fd: Fd, _offset: Bytes, _len: Bytes) -> SimResult<Nanos> {
+        fn read_at(&mut self, fd: Fd, _offset: Bytes, _len: Bytes, _: Nanos) -> SimResult<OpCost> {
             let path = self.path_of(fd)?;
             Ok(self.op("read", &path))
         }
 
-        fn write(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
+        fn write_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, _: Nanos) -> SimResult<OpCost> {
             let path = self.path_of(fd)?;
             let end = offset.as_u64() + len.as_u64();
             let size = self.files.get_mut(&path).expect("open file exists");
@@ -188,17 +186,28 @@ pub(crate) mod testutil {
             Ok(self.op("write", &path))
         }
 
-        fn fsync(&mut self, fd: Fd) -> SimResult<Nanos> {
+        fn fsync_at(&mut self, fd: Fd, _: Nanos) -> SimResult<OpCost> {
             let path = self.path_of(fd)?;
             Ok(self.op("fsync", &path))
         }
 
-        fn drop_caches(&mut self) -> bool {
-            false
+        fn tick_at(&mut self, _: Nanos) -> Nanos {
+            self.ticks += 1;
+            Nanos::ZERO
         }
 
-        fn background_tick(&mut self) {
-            self.ticks += 1;
+        fn close(&mut self, fd: Fd) -> SimResult<()> {
+            let path = self.path_of(fd)?;
+            self.open.remove(&fd);
+            // Close has no `*_at` form to return a cost through, so its
+            // latency goes straight onto the clock.
+            let cost = self.op("close", &path);
+            self.advance(cost.total());
+            Ok(())
+        }
+
+        fn drop_caches(&mut self) -> bool {
+            false
         }
     }
 }

@@ -2,12 +2,11 @@
 //! while appending them to a [`Trace`].
 //!
 //! The recorder emits v2 traces: every operation is stamped with its
-//! arrival time (the target clock when the operation was issued,
-//! relative to when recording started) and the recorder's current
-//! stream id. A harness driving several logical threads through one
-//! recorder calls [`Recorder::set_stream`] at context switches so the
-//! trace keeps the per-thread structure that dependency-aware replay
-//! needs.
+//! arrival time (the instant the operation was issued, relative to when
+//! recording started) and the recorder's current stream id. A harness
+//! driving several logical threads through one recorder calls
+//! [`Recorder::set_stream`] at context switches so the trace keeps the
+//! per-thread structure that dependency-aware replay needs.
 
 use crate::model::{Trace, TraceEntry, TraceOp, TraceVersion};
 use crate::target::Target;
@@ -15,7 +14,8 @@ use rb_simcore::error::SimResult;
 use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
-use rb_simfs::stack::Fd;
+use rb_simfs::intern::PathId;
+use rb_simfs::stack::{Fd, OpCost};
 
 /// A recording proxy: wraps a target, passing operations through while
 /// appending them to a trace.
@@ -66,14 +66,10 @@ impl<'t, T: Target> Recorder<'t, T> {
             .unwrap_or_else(|| format!("<fd{fd}>"))
     }
 
-    /// Arrival timestamp for an operation issued now.
-    fn at(&self) -> Nanos {
-        self.inner.now() - self.start
-    }
-
-    fn push(&mut self, at: Nanos, op: TraceOp) {
+    /// Appends an operation issued at instant `issue`.
+    fn push(&mut self, issue: Nanos, op: TraceOp) {
         self.trace.entries.push(TraceEntry {
-            at,
+            at: issue - self.start,
             stream: self.stream,
             op,
         });
@@ -93,92 +89,87 @@ impl<T: Target> Target for Recorder<'_, T> {
         self.inner.advance(d);
     }
 
-    fn create(&mut self, path: &str) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.create(path)?;
-        self.push(at, TraceOp::Create(path.to_string()));
-        Ok(r)
+    fn create_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.create_at(id, path, issue)?;
+        self.push(issue, TraceOp::Create(path.to_string()));
+        Ok(cost)
     }
 
-    fn mkdir(&mut self, path: &str) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.mkdir(path)?;
-        self.push(at, TraceOp::Mkdir(path.to_string()));
-        Ok(r)
+    fn mkdir_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.mkdir_at(id, path, issue)?;
+        self.push(issue, TraceOp::Mkdir(path.to_string()));
+        Ok(cost)
     }
 
-    fn unlink(&mut self, path: &str) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.unlink(path)?;
-        self.push(at, TraceOp::Unlink(path.to_string()));
-        Ok(r)
+    fn unlink_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.unlink_at(id, path, issue)?;
+        self.push(issue, TraceOp::Unlink(path.to_string()));
+        Ok(cost)
     }
 
-    fn stat(&mut self, path: &str) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.stat(path)?;
-        self.push(at, TraceOp::Stat(path.to_string()));
-        Ok(r)
+    fn stat_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.stat_at(id, path, issue)?;
+        self.push(issue, TraceOp::Stat(path.to_string()));
+        Ok(cost)
     }
 
-    fn open(&mut self, path: &str) -> SimResult<Fd> {
-        let at = self.at();
-        let fd = self.inner.open(path)?;
+    fn open_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<(Fd, OpCost)> {
+        let (fd, cost) = self.inner.open_at(id, path, issue)?;
         self.paths.insert(fd, path.to_string());
-        self.push(at, TraceOp::Open(path.to_string()));
-        Ok(fd)
+        self.push(issue, TraceOp::Open(path.to_string()));
+        Ok((fd, cost))
     }
 
-    fn close(&mut self, fd: Fd) -> SimResult<()> {
-        let at = self.at();
-        let path = self.path_of(fd);
-        self.inner.close(fd)?;
-        self.paths.remove(&fd);
-        self.push(at, TraceOp::Close(path));
-        Ok(())
-    }
-
-    fn set_size(&mut self, fd: Fd, size: Bytes) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.set_size(fd, size)?;
+    fn set_size_at(&mut self, fd: Fd, size: Bytes, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.set_size_at(fd, size, issue)?;
         let op = TraceOp::SetSize {
             path: self.path_of(fd),
             size: size.as_u64(),
         };
-        self.push(at, op);
-        Ok(r)
+        self.push(issue, op);
+        Ok(cost)
     }
 
-    fn read(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.read(fd, offset, len)?;
+    fn read_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.read_at(fd, offset, len, issue)?;
         let op = TraceOp::Read {
             path: self.path_of(fd),
             offset: offset.as_u64(),
             len: len.as_u64(),
         };
-        self.push(at, op);
-        Ok(r)
+        self.push(issue, op);
+        Ok(cost)
     }
 
-    fn write(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.write(fd, offset, len)?;
+    fn write_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.write_at(fd, offset, len, issue)?;
         let op = TraceOp::Write {
             path: self.path_of(fd),
             offset: offset.as_u64(),
             len: len.as_u64(),
         };
-        self.push(at, op);
-        Ok(r)
+        self.push(issue, op);
+        Ok(cost)
     }
 
-    fn fsync(&mut self, fd: Fd) -> SimResult<Nanos> {
-        let at = self.at();
-        let r = self.inner.fsync(fd)?;
+    fn fsync_at(&mut self, fd: Fd, issue: Nanos) -> SimResult<OpCost> {
+        let cost = self.inner.fsync_at(fd, issue)?;
         let op = TraceOp::Fsync(self.path_of(fd));
-        self.push(at, op);
-        Ok(r)
+        self.push(issue, op);
+        Ok(cost)
+    }
+
+    fn tick_at(&mut self, issue: Nanos) -> Nanos {
+        self.inner.tick_at(issue)
+    }
+
+    fn close(&mut self, fd: Fd) -> SimResult<()> {
+        let issue = self.inner.now();
+        let path = self.path_of(fd);
+        self.inner.close(fd)?;
+        self.paths.remove(&fd);
+        self.push(issue, TraceOp::Close(path));
+        Ok(())
     }
 
     fn drop_caches(&mut self) -> bool {
@@ -195,9 +186,5 @@ impl<T: Target> Target for Recorder<'_, T> {
 
     fn cache_stats(&self) -> Option<rb_simcache::page::CacheStats> {
         self.inner.cache_stats()
-    }
-
-    fn background_tick(&mut self) {
-        self.inner.background_tick();
     }
 }

@@ -16,12 +16,22 @@ use rb_simcore::units::Bytes;
 use rb_simfs::intern::PathId;
 use rb_simfs::stack::{Fd, OpCost};
 
-/// The error every untimed target returns from the `*_at` family.
-fn untimed() -> SimError {
-    SimError::InvalidOperation("target cannot execute time-parameterized operations".into())
-}
-
 /// A system under test.
+///
+/// An implementor writes one op surface: the `*_at` family. Each form
+/// executes an operation at an explicit `issue` instant, mutates target
+/// state, and returns the cost split into CPU and device time
+/// ([`OpCost`]) without advancing the target clock. Every driver runs
+/// on it: the serial engine issues at [`Target::now`] and then advances
+/// the clock by the returned cost; the discrete-event scheduler issues
+/// at its own instants and charges the cost to cores and the shared
+/// device.
+///
+/// The untimed forms (`create`, `read`, …) and the `*_id` forms are
+/// derived: each is one `*_at` call at `now()` followed by
+/// `advance(cost.total())`. A target that caches path resolutions
+/// overrides [`Target::prepare_path`] and receives the id through the
+/// `*_at` forms' `id` argument.
 pub trait Target {
     /// Short name for reports, e.g. `"sim:ext2"`.
     fn name(&self) -> String;
@@ -34,81 +44,165 @@ pub trait Target {
     /// no-op: their overhead is already real.
     fn advance(&mut self, d: Nanos);
 
-    /// Creates a regular file.
-    fn create(&mut self, path: &str) -> SimResult<Nanos>;
+    // ------------------------------------------------------------------
+    // The op surface: operations at an explicit instant.
+    //
+    // Each form executes at `issue`, mutates target state, and returns
+    // what the operation cost without touching the target clock. `id`
+    // is the path pre-resolved by [`Target::prepare_path`] when the
+    // driver has one; `path` is always the same path.
+    // ------------------------------------------------------------------
 
-    /// Creates a directory.
-    fn mkdir(&mut self, path: &str) -> SimResult<Nanos>;
-
-    /// Removes a file.
-    fn unlink(&mut self, path: &str) -> SimResult<Nanos>;
-
-    /// Stats a path.
-    fn stat(&mut self, path: &str) -> SimResult<Nanos>;
-
-    /// Opens a file.
-    fn open(&mut self, path: &str) -> SimResult<Fd>;
-
-    /// Pre-resolves a path for repeated use, if the target caches path
-    /// resolutions. Pure bookkeeping (no simulated cost, no namespace
-    /// effect): drivers call it at workload-build or trace-load time so
-    /// per-op path work drops to an index. Targets without a resolution
-    /// cache return `None`, and drivers fall back to the string forms.
-    fn prepare_path(&mut self, path: &str) -> Option<PathId> {
-        let _ = path;
-        None
+    /// Whether operations may be issued at an instant other than
+    /// [`Target::now`]. A discrete-event driver (scheduled processes,
+    /// overlapped replay) decides *when* each op lands and needs the
+    /// target to honour `issue`. Virtual-clock targets can; a
+    /// wall-clock target runs every op when it is called and ignores
+    /// `issue`, so it keeps the default `false` and those drivers
+    /// refuse it.
+    fn supports_timed(&self) -> bool {
+        false
     }
 
-    /// [`Target::create`] for a path pre-resolved by
-    /// [`Target::prepare_path`]. `path` is the same path, for targets
-    /// that ignore ids. Implementations must behave identically to the
-    /// string form.
-    fn create_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
-        let _ = id;
-        self.create(path)
-    }
+    /// Creates a regular file at instant `issue`.
+    fn create_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost>;
 
-    /// [`Target::mkdir`] for a pre-resolved path.
-    fn mkdir_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
-        let _ = id;
-        self.mkdir(path)
-    }
+    /// Creates a directory at instant `issue`.
+    fn mkdir_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost>;
 
-    /// [`Target::unlink`] for a pre-resolved path.
-    fn unlink_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
-        let _ = id;
-        self.unlink(path)
-    }
+    /// Removes a file at instant `issue`.
+    fn unlink_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost>;
 
-    /// [`Target::stat`] for a pre-resolved path.
-    fn stat_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
-        let _ = id;
-        self.stat(path)
-    }
+    /// Stats a path at instant `issue`.
+    fn stat_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost>;
 
-    /// [`Target::open`] for a pre-resolved path.
-    fn open_id(&mut self, id: PathId, path: &str) -> SimResult<Fd> {
-        let _ = id;
-        self.open(path)
+    /// Opens a file at instant `issue`.
+    fn open_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<(Fd, OpCost)>;
+
+    /// Sets a file's size (pre-allocation) at instant `issue`.
+    fn set_size_at(&mut self, fd: Fd, size: Bytes, issue: Nanos) -> SimResult<OpCost>;
+
+    /// Reads `len` bytes at `offset`, at instant `issue`.
+    fn read_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost>;
+
+    /// Writes `len` bytes at `offset`, at instant `issue`.
+    fn write_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost>;
+
+    /// Flushes a file to stable storage at instant `issue`.
+    fn fsync_at(&mut self, fd: Fd, issue: Nanos) -> SimResult<OpCost>;
+
+    /// Runs the background flusher pass (the kernel flusher thread) as
+    /// of `issue` and returns the device time it consumed. Targets
+    /// without a flusher of their own (a real host relies on its
+    /// kernel) keep the default, which does nothing.
+    fn tick_at(&mut self, issue: Nanos) -> Nanos {
+        let _ = issue;
+        Nanos::ZERO
     }
 
     /// Closes a handle.
     fn close(&mut self, fd: Fd) -> SimResult<()>;
 
-    /// Sets a file's size (pre-allocation).
-    fn set_size(&mut self, fd: Fd, size: Bytes) -> SimResult<Nanos>;
-
-    /// Reads `len` bytes at `offset`; returns service latency.
-    fn read(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos>;
-
-    /// Writes `len` bytes at `offset`; returns service latency.
-    fn write(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos>;
-
-    /// Flushes a file to stable storage.
-    fn fsync(&mut self, fd: Fd) -> SimResult<Nanos>;
-
     /// Empties the page cache if the target can; returns whether it did.
     fn drop_caches(&mut self) -> bool;
+
+    // ------------------------------------------------------------------
+    // Derived forms: one `*_at` call at `now()`, then the clock advances
+    // by the whole cost.
+    // ------------------------------------------------------------------
+
+    /// Pre-resolves a path for repeated use, if the target caches path
+    /// resolutions. Pure bookkeeping (no simulated cost, no namespace
+    /// effect): drivers call it at workload-build or trace-load time so
+    /// per-op path work drops to an index. Targets without a resolution
+    /// cache return `None`, and drivers pass `None` as the `id`.
+    fn prepare_path(&mut self, path: &str) -> Option<PathId> {
+        let _ = path;
+        None
+    }
+
+    /// Creates a regular file now; returns its latency.
+    fn create(&mut self, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.create_at(None, path, now))
+    }
+
+    /// Creates a directory now.
+    fn mkdir(&mut self, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.mkdir_at(None, path, now))
+    }
+
+    /// Removes a file now.
+    fn unlink(&mut self, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.unlink_at(None, path, now))
+    }
+
+    /// Stats a path now.
+    fn stat(&mut self, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.stat_at(None, path, now))
+    }
+
+    /// Opens a file now.
+    fn open(&mut self, path: &str) -> SimResult<Fd> {
+        open_now(self, None, path)
+    }
+
+    /// [`Target::create`] for a path pre-resolved by
+    /// [`Target::prepare_path`].
+    fn create_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.create_at(Some(id), path, now))
+    }
+
+    /// [`Target::mkdir`] for a pre-resolved path.
+    fn mkdir_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.mkdir_at(Some(id), path, now))
+    }
+
+    /// [`Target::unlink`] for a pre-resolved path.
+    fn unlink_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.unlink_at(Some(id), path, now))
+    }
+
+    /// [`Target::stat`] for a pre-resolved path.
+    fn stat_id(&mut self, id: PathId, path: &str) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.stat_at(Some(id), path, now))
+    }
+
+    /// [`Target::open`] for a pre-resolved path.
+    fn open_id(&mut self, id: PathId, path: &str) -> SimResult<Fd> {
+        open_now(self, Some(id), path)
+    }
+
+    /// Sets a file's size now.
+    fn set_size(&mut self, fd: Fd, size: Bytes) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.set_size_at(fd, size, now))
+    }
+
+    /// Reads `len` bytes at `offset` now; returns the latency.
+    fn read(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.read_at(fd, offset, len, now))
+    }
+
+    /// Writes `len` bytes at `offset` now; returns the latency.
+    fn write(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.write_at(fd, offset, len, now))
+    }
+
+    /// Flushes a file to stable storage now.
+    fn fsync(&mut self, fd: Fd) -> SimResult<Nanos> {
+        at_now(self, |t, now| t.fsync_at(fd, now))
+    }
+
+    /// Runs the background flusher now and charges its device time to
+    /// the clock: the serial engine and timed replay call it on the
+    /// 5 s flusher cadence.
+    fn background_tick(&mut self) {
+        let spent = self.tick_at(self.now());
+        self.advance(spent);
+    }
+
+    // ------------------------------------------------------------------
+    // Cache control and observation.
+    // ------------------------------------------------------------------
 
     /// Adjusts cache capacity in pages (memory-pressure modelling).
     /// Targets without a controllable cache ignore this.
@@ -141,95 +235,6 @@ pub trait Target {
     /// Cumulative device counters, if the target is simulated.
     fn disk_stats(&self) -> Option<rb_simdisk::device::DeviceStats> {
         None
-    }
-
-    /// Background maintenance hook (the kernel flusher thread): called
-    /// periodically by the engine and by timed replay. Real targets rely
-    /// on the host kernel.
-    fn background_tick(&mut self) {}
-
-    // ------------------------------------------------------------------
-    // Time-parameterized operations (the discrete-event interface).
-    //
-    // A multi-process driver cannot let the target advance its own
-    // clock: N simulated processes contend for cores and the device, so
-    // *when* an operation's cost lands is the scheduler's decision. The
-    // `*_at` family executes an operation at an explicit `issue`
-    // instant, mutates target state exactly as the untimed form would,
-    // and returns the cost decomposed into CPU and device components
-    // ([`OpCost`]) without touching the target clock. Only targets with
-    // a virtual clock can support this; everything else keeps the
-    // default "unsupported" behaviour and multi-process drivers must
-    // check [`Target::supports_timed`] first.
-    // ------------------------------------------------------------------
-
-    /// Whether the `*_at` operations are implemented. Drivers must not
-    /// call them when this is `false`.
-    fn supports_timed(&self) -> bool {
-        false
-    }
-
-    /// [`Target::create`] at instant `issue`, without moving the clock.
-    /// `id` is the path pre-resolved by [`Target::prepare_path`], when
-    /// the driver has one.
-    fn create_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::mkdir`] at instant `issue`.
-    fn mkdir_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::unlink`] at instant `issue`.
-    fn unlink_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::stat`] at instant `issue`.
-    fn stat_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (id, path, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::open`] at instant `issue`.
-    fn open_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<(Fd, OpCost)> {
-        let _ = (id, path, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::set_size`] at instant `issue`.
-    fn set_size_at(&mut self, fd: Fd, size: Bytes, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, size, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::read`] at instant `issue`.
-    fn read_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, offset, len, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::write`] at instant `issue`.
-    fn write_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, offset, len, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::fsync`] at instant `issue`.
-    fn fsync_at(&mut self, fd: Fd, issue: Nanos) -> SimResult<OpCost> {
-        let _ = (fd, issue);
-        Err(untimed())
-    }
-
-    /// [`Target::background_tick`] at instant `issue`: runs the flusher
-    /// pass as of `issue` and returns the device time it consumed.
-    fn tick_at(&mut self, issue: Nanos) -> Nanos {
-        let _ = issue;
-        Nanos::ZERO
     }
 
     // ------------------------------------------------------------------
@@ -272,4 +277,23 @@ pub trait Target {
     /// frees up), so seek distances are evaluated at true service start
     /// rather than at issue. Targets without a device queue ignore it.
     fn set_device_floor(&mut self, _floor: Nanos) {}
+}
+
+/// The body of every derived form: issues a `*_at` op at the target's
+/// `now()`, advances the clock by its cost, and returns that latency.
+fn at_now<T: Target + ?Sized>(
+    target: &mut T,
+    op: impl FnOnce(&mut T, Nanos) -> SimResult<OpCost>,
+) -> SimResult<Nanos> {
+    let now = target.now();
+    let latency = op(target, now)?.total();
+    target.advance(latency);
+    Ok(latency)
+}
+
+/// [`at_now`] for `open`, which returns the handle instead.
+fn open_now<T: Target + ?Sized>(target: &mut T, id: Option<PathId>, path: &str) -> SimResult<Fd> {
+    let (fd, cost) = target.open_at(id, path, target.now())?;
+    target.advance(cost.total());
+    Ok(fd)
 }

@@ -135,54 +135,28 @@ proptest! {
         // A minimal always-failing target: replay must absorb the
         // failures as counted errors rather than dying.
         struct NullTarget(Nanos);
+        type R<T> = rb_simcore::error::SimResult<T>;
+        type Fd = rb_simfs::stack::Fd;
+        type Id = Option<rb_simfs::intern::PathId>;
+        type Cost = rb_simfs::stack::OpCost;
+        type B = rb_simcore::units::Bytes;
+        fn fail<T>() -> R<T> {
+            Err(rb_simcore::error::SimError::NoSpace)
+        }
         impl Target for NullTarget {
             fn name(&self) -> String { "null".into() }
             fn now(&self) -> Nanos { self.0 }
             fn advance(&mut self, d: Nanos) { self.0 += d; }
-            fn create(&mut self, _: &str) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn mkdir(&mut self, _: &str) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn unlink(&mut self, _: &str) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn stat(&mut self, _: &str) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn open(&mut self, _: &str) -> rb_simcore::error::SimResult<rb_simfs::stack::Fd> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn close(&mut self, _: rb_simfs::stack::Fd) -> rb_simcore::error::SimResult<()> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn set_size(
-                &mut self,
-                _: rb_simfs::stack::Fd,
-                _: rb_simcore::units::Bytes,
-            ) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn read(
-                &mut self,
-                _: rb_simfs::stack::Fd,
-                _: rb_simcore::units::Bytes,
-                _: rb_simcore::units::Bytes,
-            ) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn write(
-                &mut self,
-                _: rb_simfs::stack::Fd,
-                _: rb_simcore::units::Bytes,
-                _: rb_simcore::units::Bytes,
-            ) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
-            fn fsync(&mut self, _: rb_simfs::stack::Fd) -> rb_simcore::error::SimResult<Nanos> {
-                Err(rb_simcore::error::SimError::NoSpace)
-            }
+            fn create_at(&mut self, _: Id, _: &str, _: Nanos) -> R<Cost> { fail() }
+            fn mkdir_at(&mut self, _: Id, _: &str, _: Nanos) -> R<Cost> { fail() }
+            fn unlink_at(&mut self, _: Id, _: &str, _: Nanos) -> R<Cost> { fail() }
+            fn stat_at(&mut self, _: Id, _: &str, _: Nanos) -> R<Cost> { fail() }
+            fn open_at(&mut self, _: Id, _: &str, _: Nanos) -> R<(Fd, Cost)> { fail() }
+            fn set_size_at(&mut self, _: Fd, _: B, _: Nanos) -> R<Cost> { fail() }
+            fn read_at(&mut self, _: Fd, _: B, _: B, _: Nanos) -> R<Cost> { fail() }
+            fn write_at(&mut self, _: Fd, _: B, _: B, _: Nanos) -> R<Cost> { fail() }
+            fn fsync_at(&mut self, _: Fd, _: Nanos) -> R<Cost> { fail() }
+            fn close(&mut self, _: Fd) -> R<()> { fail() }
             fn drop_caches(&mut self) -> bool { false }
         }
         let mut target = NullTarget(Nanos::ZERO);

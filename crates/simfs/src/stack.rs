@@ -85,6 +85,14 @@ impl OpCost {
     }
 }
 
+impl std::ops::AddAssign for OpCost {
+    /// Accumulates a multi-step operation's cost, component by component.
+    fn add_assign(&mut self, other: OpCost) {
+        self.cpu += other.cpu;
+        self.device += other.device;
+    }
+}
+
 /// Cumulative stack-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StackStats {

@@ -8,7 +8,7 @@
 //! ```
 
 use rb_core::prelude::*;
-use rb_core::trace::{replay_with, Recorder, ReplayConfig, Transform};
+use rb_replay::{replay_with, Recorder, ReplayConfig, Transform};
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
 
@@ -42,7 +42,7 @@ fn main() {
     }
 
     // 2. The text round-trips: this is what you would deposit publicly.
-    let parsed = rb_core::trace::Trace::from_text(&text).expect("parse");
+    let parsed = rb_replay::Trace::from_text(&text).expect("parse");
     assert_eq!(parsed, trace);
 
     // 3. What did we actually capture? Characterize before replaying.

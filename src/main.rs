@@ -8,10 +8,10 @@
 use rb_core::analysis::Regime;
 use rb_core::campaign::{Personality, SweepSpec, TraceSource};
 use rb_core::prelude::*;
-use rb_core::trace::{
+use rb_obs::{ObsConfig, TraceConfig};
+use rb_replay::{
     characterize, merge, replay_with, Recorder, ReplayConfig, Timing, Trace, Transform,
 };
-use rb_obs::{ObsConfig, TraceConfig};
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
 use std::process::ExitCode;
@@ -730,8 +730,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("bad --scale: {e}"))?;
                 pipeline.push(Transform::Scale { clones });
             }
-            let transformed =
-                rb_core::trace::apply(&trace, &pipeline).map_err(|e| e.to_string())?;
+            let transformed = rb_replay::apply(&trace, &pipeline).map_err(|e| e.to_string())?;
             let text = transformed.to_text().map_err(|e| e.to_string())?;
             std::fs::write(out, text).map_err(|e| e.to_string())?;
             println!(

@@ -13,7 +13,7 @@
 use rocketbench::core::campaign::{run_campaign, Personality, SweepSpec};
 use rocketbench::core::prelude::*;
 use rocketbench::core::testbed;
-use rocketbench::core::trace::{replay_with, ReplayConfig};
+use rocketbench::replay::{replay_with, ReplayConfig};
 use rocketbench::simcore::time::Nanos;
 use rocketbench::simcore::units::Bytes;
 

@@ -13,7 +13,7 @@ use rocketbench::core::campaign::{run_campaign, Personality, SweepSpec};
 use rocketbench::core::figures::{fig1_campaign, render_fig1, Fig1Config};
 use rocketbench::core::prelude::*;
 use rocketbench::core::testbed;
-use rocketbench::core::trace::{apply, replay_with, ReplayConfig, Transform};
+use rocketbench::replay::{apply, replay_with, ReplayConfig, Transform};
 use rocketbench::simcore::time::Nanos;
 use rocketbench::simcore::units::Bytes;
 use std::fmt::Write as _;
@@ -60,7 +60,7 @@ fn figreplay_quick_is_byte_identical() {
     };
     Engine::run(&mut recorder, &workload, &config).expect("record");
     let trace = recorder.finish();
-    let profile = rocketbench::core::trace::characterize(&trace);
+    let profile = rocketbench::replay::characterize(&trace);
 
     let mut out = String::new();
     let _ = writeln!(

@@ -3,7 +3,7 @@
 //! index (E1, E1z, E2, E3, E4).
 
 use rocketbench::core::figures::{
-    fig1, fig1_zoom, fig2, fig3, fig4, Fig1Config, Fig1ZoomConfig, Fig2Config, Fig3Config,
+    fig1, fig1_zoom_campaign, fig2, fig3, fig4, Fig1Config, Fig1ZoomConfig, Fig2Config, Fig3Config,
     Fig4Config,
 };
 use rocketbench::core::runner::{Protocol, RunPlan};
@@ -102,7 +102,11 @@ fn e1z_zoom_drop_is_narrow() {
         plan,
         device: Bytes::gib(2),
     };
-    let data = fig1_zoom(&config).unwrap();
+    // The 15 zoom points are independent cells: shard them over the
+    // host's cores (the campaign's per-cell seeds make the data the
+    // same at any job count).
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let data = fig1_zoom_campaign(&config, jobs).unwrap();
     let halving = data
         .fragility
         .halving_distance()
