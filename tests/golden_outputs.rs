@@ -2,8 +2,9 @@
 //!
 //! The interned-path + FNV-hashing refactor (PR 4) must not change a
 //! single output byte: these tests regenerate the quick Figure 1
-//! campaign, the figreplay table, a small sweep campaign and an afap
-//! replay, and diff them against snapshots captured from the
+//! campaign, the figreplay table, a small sweep campaign and afap
+//! replays of the golden v2 trace at x32 and x1024 (with the x1024
+//! merge order), and diff them against snapshots captured from the
 //! pre-refactor binaries (committed under `tests/golden/`). Any change
 //! to simulated timing, scheduling, seeding or rendering shows up here
 //! as a diff — the same discipline PRs 2 and 3 used for their
@@ -13,7 +14,8 @@ use rocketbench::core::campaign::{run_campaign, Personality, SweepSpec};
 use rocketbench::core::figures::{fig1_campaign, render_fig1, Fig1Config};
 use rocketbench::core::prelude::*;
 use rocketbench::core::testbed;
-use rocketbench::replay::{apply, replay_with, ReplayConfig, Transform};
+use rocketbench::replay::{apply, replay_with, schedule, ReplayConfig, Transform};
+use rocketbench::simcore::fnv::{fnv1a, FNV_OFFSET};
 use rocketbench::simcore::time::Nanos;
 use rocketbench::simcore::units::Bytes;
 use std::fmt::Write as _;
@@ -186,4 +188,47 @@ fn afap_replay_of_scaled_golden_trace_is_byte_identical() {
         target.name()
     );
     assert_eq!(line, golden("replay_x32.txt"), "replay outcome drifted");
+}
+
+/// FNV-1a over a schedule's entry indices, as little-endian u64 words.
+fn order_digest(order: &[usize]) -> u64 {
+    order
+        .iter()
+        .fold(FNV_OFFSET, |h, &i| fnv1a(h, &(i as u64).to_le_bytes()))
+}
+
+#[test]
+fn wide_replay_merge_of_golden_trace_x1024_is_byte_identical() {
+    // The same replay as above at x1024: 21,503 entries on 2,048
+    // streams, where the seeded merge picks among thousands of runnable
+    // streams per entry. The summary line pins the afap replay; the
+    // digests pin the merge order itself under afap and faithful.
+    let trace = Trace::from_text(&repo_file("golden_v2.trace")).expect("parses");
+    let scaled = apply(&trace, &[Transform::Scale { clones: 1024 }]).expect("scale");
+    let mut target = testbed::paper_fs(FsKind::Ext2, Bytes::gib(1), 0);
+    let result = replay_with(
+        &mut target,
+        &scaled,
+        &ReplayConfig {
+            timing: Timing::Afap,
+            seed: 0,
+        },
+    );
+    let mut out = format!(
+        "replayed {} ops ({} errors) in {} on {}\n",
+        result.ops,
+        result.errors,
+        result.duration,
+        target.name()
+    );
+    for timing in [Timing::Afap, Timing::Faithful] {
+        let order = schedule(&scaled, timing, 0);
+        let _ = writeln!(
+            out,
+            "schedule {timing} seed 0: {} entries, fnv {:#018x}",
+            order.len(),
+            order_digest(&order)
+        );
+    }
+    assert_eq!(out, golden("replay_x1024.txt"), "wide replay merge drifted");
 }
