@@ -2,22 +2,23 @@
 //!
 //! The paper's complaint is that benchmarks report unqualified numbers;
 //! the harness should hold itself to the same bar. `perfgate` times
-//! nine canonical scenarios — the quick Figure 1 campaign, a 4×4
-//! sweep-cell grid, an as-fast-as-possible replay of the golden v2
-//! trace spatially scaled ×32, an 8-process fileserver run through
-//! the discrete-event scheduler, the same run under an open-loop
-//! Poisson arrival stream, a raw event-queue pump over the arena
-//! heap, a flight-recorder overhead probe (the scheduler run with
-//! every recorder off, gated at ≤2% against the pre-recorder
-//! trajectory), and a fault-layer overhead probe (the same run with
-//! no fault plan armed, under the same ≤2% budget) — over N
-//! repetitions, and writes `BENCH_PR<n>.json` with
-//! median + IQR wall time, throughput in scenario work units per
-//! second, and peak RSS (from `/proc/self/status` where available).
-//! One such file per PR is the performance trajectory of the harness.
-//! The first three scenarios run the serial engine, so their
-//! trajectory records that single-process hot-path speed survives the
-//! concurrency refactor.
+//! ten canonical scenarios — the quick Figure 1 campaign, a 4×4
+//! sweep-cell grid, as-fast-as-possible replays of the golden v2
+//! trace spatially scaled ×32 and ×1024, an 8-process fileserver run
+//! through the discrete-event scheduler, the same run under an
+//! open-loop Poisson arrival stream, a raw event-queue pump over the
+//! arena heap, a flight-recorder overhead probe (the scheduler run
+//! with every recorder off, gated at ≤2% against the pre-recorder
+//! trajectory), a fault-layer overhead probe (the same run with no
+//! fault plan armed, under the same ≤2% budget), and a cold-then-warm
+//! sweep through the result store — over N repetitions, and writes
+//! `BENCH_PR<n>.json` with median + IQR wall time, throughput in
+//! scenario work units per second, and peak RSS (from
+//! `/proc/self/status` where available). One such file per PR is the
+//! performance trajectory of the harness. The first four scenarios run
+//! the serial engine or the serialized replay, so their trajectory
+//! records that single-process hot-path speed survives the concurrency
+//! refactor.
 //!
 //! By default each scenario runs in its own child process (`--only`
 //! re-invocation), so a heavyweight scenario cannot pollute the heap or
@@ -98,8 +99,9 @@ fn flag(name: &str) -> Option<String> {
         })
 }
 
-/// The golden v2 trace scaled ×32 (the replay scenario's input).
-fn scaled_golden() -> Trace {
+/// The golden v2 trace spatially scaled to `clones` copies (the replay
+/// scenarios' input).
+fn scaled_golden(clones: u32) -> Trace {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/golden_v2.trace"
@@ -107,15 +109,46 @@ fn scaled_golden() -> Trace {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run from the repo)"));
     let trace = Trace::from_text(&text).expect("golden trace parses");
-    apply(&trace, &[Transform::Scale { clones: 32 }]).expect("scale x32")
+    apply(&trace, &[Transform::Scale { clones }]).expect("scale golden trace")
+}
+
+/// An afap replay of the golden v2 trace scaled to `clones` copies,
+/// repeated `inner` times onto fresh ext2 targets of `device` within
+/// one timed repetition so the sample is long enough to measure.
+fn replay_scenario(name: &'static str, clones: u32, inner: u64, device: Bytes) -> Scenario {
+    let trace = scaled_golden(clones);
+    let trace_ops = trace.len() as u64;
+    Scenario {
+        name,
+        unit: "ops",
+        run: Box::new(move || {
+            let mut total = 0u64;
+            for i in 0..inner {
+                let mut target = testbed::paper_ext2(device, i);
+                let result = replay_with(
+                    &mut target,
+                    &trace,
+                    &ReplayConfig {
+                        timing: Timing::Afap,
+                        seed: 0,
+                    },
+                );
+                assert_eq!(result.errors, 0, "replay failed: {:?}", result.first_error);
+                total += result.ops;
+            }
+            assert_eq!(total, trace_ops * inner);
+            total
+        }),
+    }
 }
 
 /// Scenario names, in run order (the parent dispatches children by
 /// name without constructing the scenarios themselves).
-const SCENARIO_NAMES: [&str; 9] = [
+const SCENARIO_NAMES: [&str; 10] = [
     "fig1-quick",
     "sweep-4x4",
     "replay-x32",
+    "replay-x1024",
     "scaling-8p",
     "open-loop-8p",
     "events-pump",
@@ -140,7 +173,7 @@ const OBS_OVERHEAD_FLOOR: f64 = 0.98;
 /// against the pre-faults scaling-8p trajectory.
 const FAULTS_OFF_FLOOR: f64 = 0.98;
 
-/// The nine canonical scenarios.
+/// The ten canonical scenarios.
 fn scenarios(quick: bool) -> Vec<Scenario> {
     // Scenario 1: the quick Figure 1 campaign (single worker so the
     // measurement is a plain single-thread workload).
@@ -190,34 +223,23 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         }),
     };
 
-    // Scenario 3: afap replay of golden_v2 ×32, repeated onto fresh
-    // targets within one timed repetition so the sample is long enough
-    // to measure.
-    let trace = scaled_golden();
-    let trace_ops = trace.len() as u64;
-    let inner: u64 = if quick { 8 } else { 64 };
-    let replay = Scenario {
-        name: "replay-x32",
-        unit: "ops",
-        run: Box::new(move || {
-            let mut total = 0u64;
-            for i in 0..inner {
-                let mut target = testbed::paper_ext2(Bytes::mib(256), i);
-                let result = replay_with(
-                    &mut target,
-                    &trace,
-                    &ReplayConfig {
-                        timing: Timing::Afap,
-                        seed: 0,
-                    },
-                );
-                assert_eq!(result.errors, 0, "replay failed: {:?}", result.first_error);
-                total += result.ops;
-            }
-            assert_eq!(total, trace_ops * inner);
-            total
-        }),
-    };
+    // Scenarios 3 and 3b: afap replays of golden_v2 at ×32 and at
+    // ×1024 (21,503 entries on 2,048 streams, where the seeded merge
+    // picks among thousands of runnable streams per entry, so a merge
+    // whose cost grows with the stream count shows). ×1024 fills a
+    // 256 MiB device, so it replays onto 1 GiB.
+    let replay = replay_scenario(
+        "replay-x32",
+        32,
+        if quick { 8 } else { 64 },
+        Bytes::mib(256),
+    );
+    let replay_wide = replay_scenario(
+        "replay-x1024",
+        1024,
+        if quick { 1 } else { 4 },
+        Bytes::gib(1),
+    );
 
     // Scenario 4: an 8-process fileserver on ext2 through the
     // discrete-event scheduler — times the concurrency substrate itself
@@ -447,7 +469,16 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         }),
     };
     vec![
-        fig1, sweep, replay, scaling, open, pump, obs_probe, faults_off, sweep_warm,
+        fig1,
+        sweep,
+        replay,
+        replay_wide,
+        scaling,
+        open,
+        pump,
+        obs_probe,
+        faults_off,
+        sweep_warm,
     ]
 }
 

@@ -238,59 +238,312 @@ fn apply_op_timed(
     Ok(())
 }
 
-/// Cross-stream happens-before edges: entry `i` depends on the latest
-/// earlier entry on the same path from a *different* stream
-/// (same-stream predecessors are covered by program order, and
-/// transitivity covers longer chains). Namespace ops additionally
-/// depend on the latest earlier op on their parent directory, so
-/// `create /d/f` never overtakes the `mkdir /d` that makes it
-/// possible. Every edge points to an earlier trace index, which is
-/// what makes both the serialized merge and the overlapped engine
-/// deadlock-free.
-fn dep_edges(trace: &Trace) -> Vec<[Option<usize>; 2]> {
-    fn parent(path: &str) -> Option<&str> {
-        match path.rfind('/') {
-            Some(0) | None => None,
-            Some(k) => Some(&path[..k]),
-        }
+/// The directory holding `path`, or `None` at the root.
+fn parent(path: &str) -> Option<&str> {
+    match path.rfind('/') {
+        Some(0) | None => None,
+        Some(k) => Some(&path[..k]),
     }
-    let entries = &trace.entries;
-    let mut last_on_path: FnvHashMap<&str, usize> = FnvHashMap::default();
-    let mut dep: Vec<[Option<usize>; 2]> = vec![[None; 2]; entries.len()];
-    for (i, e) in entries.iter().enumerate() {
-        let path = e.op.path();
-        if let Some(&j) = last_on_path.get(path) {
-            if entries[j].stream != e.stream {
-                dep[i][0] = Some(j);
-            }
-        }
-        if matches!(e.op, TraceOp::Create(_) | TraceOp::Mkdir(_)) {
-            if let Some(&j) = parent(path).and_then(|p| last_on_path.get(p)) {
-                if entries[j].stream != e.stream {
-                    dep[i][1] = Some(j);
-                }
-            }
-        }
-        last_on_path.insert(path, i);
-    }
-    dep
 }
 
-/// Pre-resolves every distinct path once (pure bookkeeping on the
-/// target, free of simulation side effects), so per-op dispatch is an
-/// id probe instead of a string hash + split.
-fn resolve_paths(target: &mut dyn Target, trace: &Trace) -> Vec<Option<PathId>> {
-    let mut seen: FnvHashMap<&str, Option<PathId>> = FnvHashMap::default();
-    trace
-        .entries
-        .iter()
-        .map(|e| {
+/// "No entry" in the plan's `u32` index arrays.
+const NONE: u32 = u32::MAX;
+
+/// A trace's ordering constraints and the replay's progress through
+/// them, built in one pass over the entries. The seeded merge and the
+/// overlapped engine both run on it.
+///
+/// Each stream runs its entries in program order. Across streams,
+/// entry `i` depends on the latest earlier entry on the same path from
+/// a *different* stream (same-stream predecessors are covered by
+/// program order, and transitivity covers longer chains). Namespace ops
+/// also depend on the latest earlier op on their parent directory, so
+/// `create /d/f` never overtakes the `mkdir /d` that makes it possible.
+/// Every edge points to an earlier trace index, which is what makes
+/// both consumers deadlock-free.
+///
+/// A stream's head is *unblocked* once its count of unfinished
+/// predecessors reaches zero; [`Plan::finish`] reports each head the
+/// moment that happens, so no consumer has to rescan the streams.
+struct Plan {
+    /// Dense index of each entry's stream: its position among the
+    /// trace's sorted stream ids.
+    stream: Vec<u32>,
+    /// Each stream's entries in program order.
+    queues: Vec<Vec<u32>>,
+    /// Each stream's next entry, as a position in its queue.
+    cursor: Vec<u32>,
+    /// Each entry's predecessor on its path, from any stream, or
+    /// [`NONE`] for a path's first entry.
+    prev_on_path: Vec<u32>,
+    /// Each entry's happens-before predecessors, [`NONE`] when absent:
+    /// the last op on its path, then the last op on its parent.
+    deps: Vec<[u32; 2]>,
+    /// The reverse edges, one intrusive list per entry: `first_dependent[j]`
+    /// is an edge slot `2 * i + k` with `deps[i][k] == j`, and
+    /// `next_dependent` links each slot to the next one (or [`NONE`]).
+    first_dependent: Vec<u32>,
+    next_dependent: Vec<u32>,
+    /// Each entry's count of predecessors not yet finished.
+    pending: Vec<u8>,
+}
+
+impl Plan {
+    fn new(trace: &Trace) -> Plan {
+        let entries = &trace.entries;
+        let n = entries.len();
+        // Edge slots are `2 * i + k`; no trace that fits in memory
+        // comes near the bound.
+        assert!(n < (NONE / 2) as usize, "trace too long for u32 indices");
+        let ids = trace.stream_ids();
+        let stream_index: FnvHashMap<u32, u32> = ids
+            .iter()
+            .enumerate()
+            .map(|(s, &id)| (id, s as u32))
+            .collect();
+        let mut plan = Plan {
+            stream: Vec::with_capacity(n),
+            queues: vec![Vec::new(); ids.len()],
+            cursor: vec![0; ids.len()],
+            prev_on_path: Vec::with_capacity(n),
+            deps: Vec::with_capacity(n),
+            first_dependent: vec![NONE; n],
+            next_dependent: vec![NONE; 2 * n],
+            pending: Vec::with_capacity(n),
+        };
+        let mut last_on_path: FnvHashMap<&str, u32> =
+            FnvHashMap::with_capacity_and_hasher(n, Default::default());
+        for (i, e) in entries.iter().enumerate() {
             let path = e.op.path();
-            *seen
-                .entry(path)
-                .or_insert_with(|| target.prepare_path(path))
-        })
-        .collect()
+            let cross_stream =
+                |j: Option<u32>| j.filter(|&j| entries[j as usize].stream != e.stream);
+            let on_parent = match e.op {
+                TraceOp::Create(_) | TraceOp::Mkdir(_) => {
+                    parent(path).and_then(|p| cross_stream(last_on_path.get(p).copied()))
+                }
+                _ => None,
+            };
+            // One probe reads the path's last op and makes `i` its next.
+            let prev = last_on_path.insert(path, i as u32);
+            let deps = [
+                cross_stream(prev).unwrap_or(NONE),
+                on_parent.unwrap_or(NONE),
+            ];
+            let mut pending = 0;
+            for (k, &j) in deps.iter().enumerate() {
+                if j != NONE {
+                    let slot = 2 * i + k;
+                    plan.next_dependent[slot] = plan.first_dependent[j as usize];
+                    plan.first_dependent[j as usize] = slot as u32;
+                    pending += 1;
+                }
+            }
+            let s = stream_index[&e.stream];
+            plan.stream.push(s);
+            plan.queues[s as usize].push(i as u32);
+            plan.prev_on_path.push(prev.unwrap_or(NONE));
+            plan.deps.push(deps);
+            plan.pending.push(pending);
+        }
+        plan
+    }
+
+    fn streams(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Pre-resolves every distinct path once (pure bookkeeping on the
+    /// target, free of simulation side effects), so per-op dispatch is
+    /// an id probe instead of a string hash + split. An entry whose path
+    /// came up before takes that entry's id.
+    fn resolve_paths(&self, target: &mut dyn Target, trace: &Trace) -> Vec<Option<PathId>> {
+        let mut ids: Vec<Option<PathId>> = Vec::with_capacity(trace.len());
+        for (e, &prev) in trace.entries.iter().zip(&self.prev_on_path) {
+            let id = match prev {
+                NONE => target.prepare_path(e.op.path()),
+                j => ids[j as usize],
+            };
+            ids.push(id);
+        }
+        ids
+    }
+
+    /// The seeded merge of [`schedule`], run to the end.
+    fn merge(mut self, trace: &Trace, timing: Timing, seed: u64) -> Vec<usize> {
+        let mut ready = ReadySet::new(&self, trace, timing);
+        for s in 0..self.streams() {
+            if let Some(i) = self.head(s).filter(|&i| self.unblocked(i)) {
+                ready.insert(i);
+            }
+        }
+        let mut rng = Rng::new(seed).fork("replay-merge");
+        let mut order = Vec::with_capacity(trace.len());
+        while order.len() < trace.len() {
+            // Never empty: the unexecuted entry with the smallest trace
+            // index is its stream's head, and its predecessors (earlier
+            // in the trace) are done.
+            let chosen = ready.pick(&mut rng);
+            ready.remove(chosen);
+            self.finish(chosen, |i| ready.insert(i));
+            order.push(chosen);
+        }
+        order
+    }
+
+    /// Stream `s`'s next entry, if it has one left.
+    fn head(&self, s: usize) -> Option<usize> {
+        self.queues[s]
+            .get(self.cursor[s] as usize)
+            .map(|&i| i as usize)
+    }
+
+    /// True once every happens-before predecessor of entry `i` has
+    /// finished.
+    fn unblocked(&self, i: usize) -> bool {
+        self.pending[i] == 0
+    }
+
+    /// Entry `i`'s happens-before predecessors.
+    fn deps(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.deps[i]
+            .iter()
+            .filter(|&&j| j != NONE)
+            .map(|&j| j as usize)
+    }
+
+    /// Finishes entry `i`, its stream's head, and moves that stream on.
+    /// Calls `unblocked` with every head this makes runnable: the
+    /// stream's next entry, and heads of other streams whose last
+    /// unfinished predecessor was `i`.
+    fn finish(&mut self, i: usize, mut unblocked: impl FnMut(usize)) {
+        let s = self.stream[i] as usize;
+        debug_assert_eq!(self.head(s), Some(i), "finished a non-head entry");
+        self.cursor[s] += 1;
+        if let Some(next) = self.head(s).filter(|&h| self.unblocked(h)) {
+            unblocked(next);
+        }
+        let mut slot = self.first_dependent[i];
+        while slot != NONE {
+            let d = slot as usize / 2;
+            self.pending[d] -= 1;
+            if self.unblocked(d) && self.head(self.stream[d] as usize) == Some(d) {
+                unblocked(d);
+            }
+            slot = self.next_dependent[slot as usize];
+        }
+    }
+}
+
+/// The seeded merge's runnable stream heads, as a Fenwick tree of 0/1
+/// counts over a fixed ranking of every entry by (due time, stream
+/// index, trace index).
+///
+/// The ranking puts the runnable heads that share the earliest due
+/// time first, in stream-index order — the order the merge draws from.
+/// A descent to the first runnable rank gives that due time, a prefix
+/// count gives how many heads share it, and a second descent finds the
+/// drawn one, so each pick costs O(log n) instead of a scan of every
+/// stream.
+struct ReadySet {
+    /// Each entry's rank.
+    rank: Vec<u32>,
+    /// The entry at each rank.
+    entry: Vec<u32>,
+    /// For each rank, one past the last rank with the same due time.
+    tie_end: Vec<u32>,
+    /// Fenwick tree over ranks, 1-based and padded to a power of two:
+    /// `tree[k]` counts the runnable ranks in `(k - lowbit(k), k]`.
+    tree: Vec<u32>,
+}
+
+impl ReadySet {
+    fn new(plan: &Plan, trace: &Trace, timing: Timing) -> ReadySet {
+        // Afap has no due times: every entry ranks as due at zero.
+        let due: Vec<Nanos> = trace
+            .entries
+            .iter()
+            .map(|e| timing.due(e.at).unwrap_or(Nanos::ZERO))
+            .collect();
+        // The queues laid end to end are in (stream, trace index)
+        // order; a stable sort by due time completes the ranking.
+        let mut entry = plan.queues.concat();
+        entry.sort_by_key(|&i| due[i as usize]);
+        let n = entry.len();
+        let mut rank = vec![0; n];
+        for (r, &i) in entry.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        let mut tie_end = Vec::with_capacity(n);
+        for tied in entry.chunk_by(|&a, &b| due[a as usize] == due[b as usize]) {
+            let end = (tie_end.len() + tied.len()) as u32;
+            tie_end.resize(tie_end.len() + tied.len(), end);
+        }
+        ReadySet {
+            rank,
+            entry,
+            tie_end,
+            tree: vec![0; n.next_power_of_two() + 1],
+        }
+    }
+
+    fn add(&mut self, i: usize, delta: i32) {
+        let mut k = self.rank[i] as usize + 1;
+        while k < self.tree.len() {
+            self.tree[k] = self.tree[k].wrapping_add_signed(delta);
+            k += k & k.wrapping_neg();
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.add(i, 1);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.add(i, -1);
+    }
+
+    /// How many runnable entries rank below `end`.
+    fn count_below(&self, end: u32) -> u32 {
+        let mut k = end as usize;
+        let mut count = 0;
+        while k > 0 {
+            count += self.tree[k];
+            k &= k - 1;
+        }
+        count
+    }
+
+    /// The rank of the `nth` runnable entry (0-based) in rank order;
+    /// there must be more than `nth` runnable entries.
+    fn nth(&self, mut nth: u32) -> u32 {
+        // The padded size keeps every probe in bounds: a descent that
+        // starts at half the tree never passes its last node.
+        let mut pos = 0;
+        let mut step = (self.tree.len() - 1) / 2;
+        while step > 0 {
+            let below = self.tree[pos + step];
+            if below <= nth {
+                pos += step;
+                nth -= below;
+            }
+            step /= 2;
+        }
+        pos as u32
+    }
+
+    /// The merge's pick: the runnable entries sharing the earliest due
+    /// time are the candidates, and the RNG draws one of them, in
+    /// stream-index order, only when there is more than one.
+    fn pick(&self, rng: &mut Rng) -> usize {
+        let first = self.nth(0);
+        let candidates = self.count_below(self.tie_end[first as usize]);
+        let rank = if candidates == 1 {
+            first
+        } else {
+            self.nth(rng.below(u64::from(candidates)) as u32)
+        };
+        self.entry[rank as usize] as usize
+    }
 }
 
 /// The deterministic serialized replay schedule: trace-entry indices in
@@ -303,65 +556,7 @@ fn resolve_paths(target: &mut dyn Target, trace: &Trace) -> Vec<Option<PathId>> 
 /// order, and resolves the remaining freedom with the seeded merge
 /// described in the [module docs](self).
 pub fn schedule(trace: &Trace, timing: Timing, seed: u64) -> Vec<usize> {
-    let entries = &trace.entries;
-    let n = entries.len();
-    // Streams, preserving trace order within each.
-    let ids = trace.stream_ids();
-    let stream_index: FnvHashMap<u32, usize> =
-        ids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
-    for (i, e) in entries.iter().enumerate() {
-        queues[stream_index[&e.stream]].push(i);
-    }
-    let dep = dep_edges(trace);
-
-    let mut rng = Rng::new(seed).fork("replay-merge");
-    let mut cursor = vec![0usize; queues.len()];
-    let mut done = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut eligible: Vec<usize> = Vec::with_capacity(queues.len());
-    while order.len() < n {
-        eligible.clear();
-        for (s, q) in queues.iter().enumerate() {
-            if let Some(&i) = q.get(cursor[s]) {
-                if dep[i].iter().all(|d| d.is_none_or(|j| done[j])) {
-                    eligible.push(i);
-                }
-            }
-        }
-        // Always nonempty: the unexecuted entry with the smallest trace
-        // index is its stream's head and its dependency (earlier in the
-        // trace) is done.
-        let chosen = if eligible.len() == 1 {
-            eligible[0]
-        } else {
-            match timing.due(Nanos::ZERO) {
-                // Afap: pure seeded choice among runnable streams.
-                None => eligible[rng.below(eligible.len() as u64) as usize],
-                // Timed: earliest due operation fires first; ties are
-                // broken by the same seeded draw.
-                Some(_) => {
-                    let due_of = |i: usize| timing.due(entries[i].at).unwrap_or(Nanos::ZERO);
-                    let min_due = eligible.iter().map(|&i| due_of(i)).min().unwrap();
-                    let tied: Vec<usize> = eligible
-                        .iter()
-                        .copied()
-                        .filter(|&i| due_of(i) == min_due)
-                        .collect();
-                    if tied.len() == 1 {
-                        tied[0]
-                    } else {
-                        tied[rng.below(tied.len() as u64) as usize]
-                    }
-                }
-            }
-        };
-        let s = stream_index[&entries[chosen].stream];
-        cursor[s] += 1;
-        done[chosen] = true;
-        order.push(chosen);
-    }
-    order
+    Plan::new(trace).merge(trace, timing, seed)
 }
 
 /// Replays a trace under a timing policy and merge seed.
@@ -386,8 +581,9 @@ pub fn replay_with(target: &mut dyn Target, trace: &Trace, config: &ReplayConfig
     {
         return replay_overlapped(target, trace, config);
     }
-    let order = schedule(trace, config.timing, config.seed);
-    let path_ids = resolve_paths(target, trace);
+    let plan = Plan::new(trace);
+    let path_ids = plan.resolve_paths(target, trace);
+    let order = plan.merge(trace, config.timing, config.seed);
     let mut fds = FdTable::default();
     let mut ops = 0u64;
     let mut errors = 0u64;
@@ -472,23 +668,14 @@ fn replay_overlapped(
 ) -> ReplayResult {
     let entries = &trace.entries;
     let n = entries.len();
-    let ids = trace.stream_ids();
-    let stream_index: FnvHashMap<u32, usize> =
-        ids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
-    for (i, e) in entries.iter().enumerate() {
-        queues[stream_index[&e.stream]].push(i);
-    }
-    let dep = dep_edges(trace);
-    let path_ids = resolve_paths(target, trace);
+    let mut plan = Plan::new(trace);
+    let path_ids = plan.resolve_paths(target, trace);
     let mut fds = FdTable::default();
 
     let start = target.now();
     let due_abs = |i: usize| start + config.timing.due(entries[i].at).unwrap_or(Nanos::ZERO);
-    let mut done = vec![false; n];
     let mut completion = vec![Nanos::ZERO; n];
-    let mut stream_last = vec![start; queues.len()];
-    let mut cursor = vec![0usize; queues.len()];
+    let mut stream_last = vec![start; plan.streams()];
     // The shared-device token from rb-simcore: the same serialization
     // primitive the workload scheduler uses.
     let mut device = DeviceQueue::idle_from(start);
@@ -500,8 +687,8 @@ fn replay_overlapped(
     let mut finished = start;
 
     let mut queue: EventQueue<ReplayEvent> = EventQueue::new();
-    for (s, q) in queues.iter().enumerate() {
-        if let Some(&i) = q.first() {
+    for s in 0..plan.streams() {
+        if let Some(i) = plan.head(s) {
             queue.schedule(due_abs(i), ReplayEvent::TryIssue(s));
         }
     }
@@ -521,17 +708,17 @@ fn replay_overlapped(
                 queue.schedule(now + TICK_EVERY, ReplayEvent::Tick);
             }
             ReplayEvent::TryIssue(s) => {
-                let Some(&i) = queues[s].get(cursor[s]) else {
+                let Some(i) = plan.head(s) else {
                     continue; // stream already drained
                 };
                 // Blocked on an unexecuted dependency: a broadcast at
                 // that dependency's completion will retrigger us.
-                if dep[i].iter().any(|d| d.is_some_and(|j| !done[j])) {
+                if !plan.unblocked(i) {
                     continue;
                 }
                 let mut ready = due_abs(i).max(stream_last[s]);
-                for d in dep[i].iter().flatten() {
-                    ready = ready.max(completion[*d]);
+                for d in plan.deps(i) {
+                    ready = ready.max(completion[d]);
                 }
                 if ready > now {
                     queue.schedule(ready, ReplayEvent::TryIssue(s));
@@ -571,19 +758,20 @@ fn replay_overlapped(
                         now
                     }
                 };
-                done[i] = true;
+                // Every wake below re-checks its stream, so the heads
+                // this unblocks need no report of their own.
+                plan.finish(i, |_| {});
                 completion[i] = completed;
                 stream_last[s] = completed;
-                cursor[s] += 1;
                 remaining -= 1;
                 finished = finished.max(completed);
                 // Wake this stream for its next entry, and every other
                 // stream whose head might have been waiting on `i`.
-                if let Some(&j) = queues[s].get(cursor[s]) {
+                if let Some(j) = plan.head(s) {
                     queue.schedule(completed.max(due_abs(j)), ReplayEvent::TryIssue(s));
                 }
-                for t in 0..queues.len() {
-                    if t != s && queues[t].get(cursor[t]).is_some() {
+                for t in 0..plan.streams() {
+                    if t != s && plan.head(t).is_some() {
                         queue.schedule(completed, ReplayEvent::TryIssue(t));
                     }
                 }
@@ -613,6 +801,179 @@ mod tests {
     use super::*;
     use crate::model::{TraceEntry, TraceVersion};
     use crate::testutil::MemTarget;
+    use crate::transform::Transform;
+
+    /// The happens-before edges as the scan oracle computes them: for
+    /// each entry, the latest earlier op on its path from another
+    /// stream, and for namespace ops the latest earlier op on its parent
+    /// from another stream.
+    fn dep_edges(trace: &Trace) -> Vec<[Option<usize>; 2]> {
+        let entries = &trace.entries;
+        let mut last_on_path: FnvHashMap<&str, usize> = FnvHashMap::default();
+        let mut dep: Vec<[Option<usize>; 2]> = vec![[None; 2]; entries.len()];
+        for (i, e) in entries.iter().enumerate() {
+            let path = e.op.path();
+            if let Some(&j) = last_on_path.get(path) {
+                if entries[j].stream != e.stream {
+                    dep[i][0] = Some(j);
+                }
+            }
+            if matches!(e.op, TraceOp::Create(_) | TraceOp::Mkdir(_)) {
+                if let Some(&j) = parent(path).and_then(|p| last_on_path.get(p)) {
+                    if entries[j].stream != e.stream {
+                        dep[i][1] = Some(j);
+                    }
+                }
+            }
+            last_on_path.insert(path, i);
+        }
+        dep
+    }
+
+    /// The seeded merge by rescanning every stream's head for every
+    /// entry, O(entries x streams): the oracle [`schedule`] must match
+    /// entry for entry, RNG draw for RNG draw.
+    fn schedule_by_scan(trace: &Trace, timing: Timing, seed: u64) -> Vec<usize> {
+        let entries = &trace.entries;
+        let n = entries.len();
+        // Streams, preserving trace order within each.
+        let ids = trace.stream_ids();
+        let stream_index: FnvHashMap<u32, usize> =
+            ids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); ids.len()];
+        for (i, e) in entries.iter().enumerate() {
+            queues[stream_index[&e.stream]].push(i);
+        }
+        let dep = dep_edges(trace);
+
+        let mut rng = Rng::new(seed).fork("replay-merge");
+        let mut cursor = vec![0usize; queues.len()];
+        let mut done = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let mut eligible: Vec<usize> = Vec::with_capacity(queues.len());
+        while order.len() < n {
+            eligible.clear();
+            for (s, q) in queues.iter().enumerate() {
+                if let Some(&i) = q.get(cursor[s]) {
+                    if dep[i].iter().all(|d| d.is_none_or(|j| done[j])) {
+                        eligible.push(i);
+                    }
+                }
+            }
+            let chosen = if eligible.len() == 1 {
+                eligible[0]
+            } else {
+                match timing.due(Nanos::ZERO) {
+                    // Afap: pure seeded choice among runnable streams.
+                    None => eligible[rng.below(eligible.len() as u64) as usize],
+                    // Timed: earliest due operation fires first; ties
+                    // are broken by the same seeded draw.
+                    Some(_) => {
+                        let due_of = |i: usize| timing.due(entries[i].at).unwrap_or(Nanos::ZERO);
+                        let min_due = eligible.iter().map(|&i| due_of(i)).min().unwrap();
+                        let tied: Vec<usize> = eligible
+                            .iter()
+                            .copied()
+                            .filter(|&i| due_of(i) == min_due)
+                            .collect();
+                        if tied.len() == 1 {
+                            tied[0]
+                        } else {
+                            tied[rng.below(tied.len() as u64) as usize]
+                        }
+                    }
+                }
+            };
+            let s = stream_index[&entries[chosen].stream];
+            cursor[s] += 1;
+            done[chosen] = true;
+            order.push(chosen);
+        }
+        order
+    }
+
+    /// A random multi-stream trace for property case `case`: 1-64
+    /// streams (ids spread out, not dense) over a few shared directories
+    /// and files, so paths collide across streams and creates land
+    /// under directories other streams made; timestamps on a coarse
+    /// grid, so many tie, and not monotone within a stream. Every fifth
+    /// case is spatially scaled; case 0 is the empty trace.
+    fn random_trace(case: u64) -> Trace {
+        if case == 0 {
+            return Trace::default();
+        }
+        let mut rng = Rng::new(0x5EED_0000 ^ case);
+        let streams = 1 + rng.below(64);
+        let id_stride = 1 + rng.below(3) as u32;
+        let scaled = case.is_multiple_of(5);
+        let len = 1 + rng.below(if scaled { 60 } else { 240 }) as usize;
+        let dirs = 1 + rng.below(4);
+        let files = 1 + rng.below(6);
+        let instants = 1 + rng.below(6);
+        let mut entries = Vec::with_capacity(len);
+        for _ in 0..len {
+            let dir = format!("/d{}", rng.below(dirs));
+            let file = format!("{dir}/f{}", rng.below(files));
+            let op = match rng.below(9) {
+                0 => TraceOp::Mkdir(dir),
+                1 => TraceOp::Mkdir(format!("{dir}/s{}", rng.below(2))),
+                2 => TraceOp::Create(file),
+                3 => TraceOp::Open(file),
+                4 => TraceOp::Write {
+                    path: file,
+                    offset: 0,
+                    len: 4096,
+                },
+                5 => TraceOp::Read {
+                    path: file,
+                    offset: 0,
+                    len: 4096,
+                },
+                6 => TraceOp::Stat(file),
+                7 => TraceOp::Close(file),
+                _ => TraceOp::Unlink(file),
+            };
+            entries.push(TraceEntry {
+                at: Nanos::from_micros(rng.below(instants) * 250),
+                stream: rng.below(streams) as u32 * id_stride,
+                op,
+            });
+        }
+        let trace = Trace {
+            version: TraceVersion::V2,
+            entries,
+        };
+        if scaled {
+            let clones = 2 + rng.below(3) as u32;
+            Transform::Scale { clones }.apply(&trace).expect("scale")
+        } else {
+            trace
+        }
+    }
+
+    #[test]
+    fn merge_matches_the_scan_oracle() {
+        // A fixed budget of seeded cases; a failure names the case, the
+        // timing and the merge seed to replay it with.
+        for case in 0..240u64 {
+            let trace = random_trace(case);
+            for timing in [
+                Timing::Afap,
+                Timing::Faithful,
+                Timing::Scaled { factor: 4.0 },
+            ] {
+                for seed in [0, case, u64::MAX - case] {
+                    assert_eq!(
+                        schedule(&trace, timing, seed),
+                        schedule_by_scan(&trace, timing, seed),
+                        "case {case} ({} entries, {} streams) timing {timing} seed {seed}",
+                        trace.len(),
+                        trace.stream_ids().len()
+                    );
+                }
+            }
+        }
+    }
 
     /// Two streams touching disjoint paths plus one shared path, with
     /// timestamps.

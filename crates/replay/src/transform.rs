@@ -105,7 +105,21 @@ impl Transform {
                 }
                 let ids = trace.stream_ids();
                 let first = ids.first().copied().unwrap_or(0);
-                let stride = ids.last().map(|&s| s + 1).unwrap_or(1);
+                let top = ids.last().copied().unwrap_or(0);
+                // Clone k moves every stream up by k strides, so the top
+                // stream's last clone holds the largest id.
+                let stride = u64::from(top) + 1;
+                if u64::from(top) + u64::from(clones - 1) * stride > u64::from(u32::MAX) {
+                    return Err(SimError::BadConfig(format!(
+                        "cannot scale by {clones}: stream id {top} leaves no room for \
+                         {} more clones below the largest stream id {}",
+                        clones - 1,
+                        u32::MAX
+                    )));
+                }
+                // In range for every stream and clone, by the check above.
+                let clone_id =
+                    |stream: u32, k: u32| (u64::from(stream) + u64::from(k) * stride) as u32;
                 let mut entries =
                     Vec::with_capacity(trace.len() * *clones as usize + *clones as usize);
                 // Each clone namespace needs its root directory before
@@ -114,7 +128,7 @@ impl Transform {
                 for k in 1..*clones {
                     entries.push(TraceEntry {
                         at: trace.entries.first().map(|e| e.at).unwrap_or_default(),
-                        stream: first + k * stride,
+                        stream: clone_id(first, k),
                         op: TraceOp::Mkdir(format!("/clone{k}")),
                     });
                 }
@@ -130,7 +144,7 @@ impl Transform {
                         };
                         entries.push(TraceEntry {
                             at: e.at,
-                            stream: e.stream + k * stride,
+                            stream: clone_id(e.stream, k),
                             op,
                         });
                     }
@@ -167,11 +181,22 @@ pub fn apply(trace: &Trace, transforms: &[Transform]) -> SimResult<Trace> {
 /// whose timestamps run backwards within a stream still merges in its
 /// own program order (entries sort by the running per-stream maximum
 /// of `at`, which is monotone by construction; ties keep input order).
-pub fn merge(traces: &[Trace]) -> Trace {
+///
+/// Fails when the renumbered stream ids run past `u32::MAX`.
+pub fn merge(traces: &[Trace]) -> SimResult<Trace> {
     let mut keyed: Vec<(Nanos, TraceEntry)> = Vec::new();
-    let mut offset = 0u32;
-    for t in traces {
+    let mut offset = 0u64;
+    for (n, t) in traces.iter().enumerate() {
         let top = t.stream_ids().last().copied().unwrap_or(0);
+        let renumbered = u64::from(top) + offset;
+        if renumbered > u64::from(u32::MAX) {
+            return Err(SimError::BadConfig(format!(
+                "cannot merge: stream id {top} of trace {} would be renumbered to \
+                 {renumbered}, past the largest stream id {}",
+                n + 1,
+                u32::MAX
+            )));
+        }
         let mut seen: HashMap<u32, Nanos> = HashMap::new();
         for e in &t.entries {
             let key = seen
@@ -182,12 +207,13 @@ pub fn merge(traces: &[Trace]) -> Trace {
                 *key,
                 TraceEntry {
                     at: e.at,
-                    stream: e.stream + offset,
+                    // In range, by the check above.
+                    stream: (u64::from(e.stream) + offset) as u32,
                     op: e.op.clone(),
                 },
             ));
         }
-        offset += top + 1;
+        offset += u64::from(top) + 1;
     }
     keyed.sort_by_key(|(key, _)| *key);
     let mut out = Trace {
@@ -195,7 +221,7 @@ pub fn merge(traces: &[Trace]) -> Trace {
         entries: keyed.into_iter().map(|(_, e)| e).collect(),
     };
     out.normalize_version();
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -284,6 +310,35 @@ mod tests {
     }
 
     #[test]
+    fn scale_rejects_stream_ids_it_cannot_renumber() {
+        let wide =
+            Trace::from_text("# rocketbench-trace v2\n0 0 mkdir /a\n4294967295 1 create /b\n")
+                .unwrap();
+        let err = Transform::Scale { clones: 3 }.apply(&wide).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("stream id 4294967295"), "{msg}");
+        assert!(!msg.contains('\n'), "one line: {msg}");
+        // The identity scale renumbers nothing, so the top id is fine.
+        assert_eq!(Transform::Scale { clones: 1 }.apply(&wide).unwrap(), wide);
+        // The last clone may land exactly on the largest id.
+        let half = Trace::from_text("# rocketbench-trace v2\n2147483647 0 stat /a\n").unwrap();
+        let t = Transform::Scale { clones: 2 }.apply(&half).unwrap();
+        assert_eq!(t.stream_ids(), vec![2147483647, u32::MAX]);
+        assert!(Transform::Scale { clones: 3 }.apply(&half).is_err());
+    }
+
+    #[test]
+    fn merge_rejects_stream_ids_it_cannot_renumber() {
+        let wide = Trace::from_text("# rocketbench-trace v2\n4000000000 0 stat /a\n").unwrap();
+        let err = merge(&[wide.clone(), wide.clone()]).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("stream id 4000000000 of trace 2"), "{msg}");
+        assert!(!msg.contains('\n'), "one line: {msg}");
+        // One such trace alone keeps its ids.
+        assert_eq!(merge(&[wide]).unwrap().stream_ids(), vec![4000000000]);
+    }
+
+    #[test]
     fn scaled_v1_trace_becomes_v2() {
         let v1 = Trace::from_text("create /a\nstat /a\n").unwrap();
         let t = Transform::Scale { clones: 2 }.apply(&v1).unwrap();
@@ -296,7 +351,7 @@ mod tests {
         let a = Trace::from_text("create /a\nstat /a\n").unwrap();
         let b =
             Trace::from_text("# rocketbench-trace v2\n0 50 create /b\n1 150 stat /b\n").unwrap();
-        let m = merge(&[a, b]);
+        let m = merge(&[a, b]).unwrap();
         assert_eq!(m.version, TraceVersion::V2);
         assert_eq!(m.len(), 4);
         // First input keeps stream 0; second is offset past it (0,1 -> 1,2).
@@ -324,7 +379,7 @@ mod tests {
             Trace::from_text("# rocketbench-trace v2\n0 100 create /a\n0 50 write /a 0 4096\n")
                 .unwrap();
         let other = Trace::from_text("# rocketbench-trace v2\n0 75 stat /b\n").unwrap();
-        let m = merge(&[weird, other]);
+        let m = merge(&[weird, other]).unwrap();
         let stream0: Vec<&str> = m
             .entries
             .iter()

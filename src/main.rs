@@ -704,7 +704,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("cannot read {path}: {e}"))?;
                     traces.push(Trace::from_text(&text).map_err(|e| format!("{path}: {e}"))?);
                 }
-                trace = merge(&traces);
+                trace = merge(&traces).map_err(|e| e.to_string())?;
             }
             let mut pipeline = Vec::new();
             if let Some(verbs) = opts.get("keep-ops") {
@@ -1037,6 +1037,45 @@ mod tests {
         assert!(
             parse_trace_sources(&opts(&[("traces", &path), ("trace-timing", "warp")])).is_err()
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn trace_transform_refuses_stream_ids_past_u32() {
+        let dir = std::env::temp_dir().join(format!("rb-cli-transform-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        std::fs::write(
+            at("top.trace"),
+            "# rocketbench-trace v2\n0 0 mkdir /a\n4294967295 1 create /b\n",
+        )
+        .unwrap();
+        std::fs::write(
+            at("wide.trace"),
+            "# rocketbench-trace v2\n4000000000 0 mkdir /a\n",
+        )
+        .unwrap();
+        let transform = |flags: &[&str]| {
+            let mut args = vec!["transform".to_string()];
+            args.extend(flags.iter().map(|f| f.to_string()));
+            cmd_trace(&args)
+        };
+        let out = at("out.trace");
+        let scale = transform(&["--in", &at("top.trace"), "--scale", "3", "--out", &out]);
+        let merge = transform(&[
+            "--in",
+            &at("wide.trace"),
+            "--merge",
+            &at("wide.trace"),
+            "--out",
+            &out,
+        ]);
+        for (err, id) in [(scale, "4294967295"), (merge, "4000000000")] {
+            let err = err.unwrap_err();
+            assert!(err.contains(&format!("stream id {id}")), "{err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
+        assert!(!dir.join("out.trace").exists(), "no output on failure");
         std::fs::remove_dir_all(&dir).ok();
     }
 
