@@ -331,3 +331,53 @@ fn faulted_serial_recording_is_pinned() {
          or crash accounting",
     );
 }
+
+/// A scheduled run under the faulted serial pin's fault plan, with EIO
+/// heavy enough and retries few enough that some ops give up: the
+/// scheduler's error arm, and crash recovery riding on the next op's
+/// device time.
+fn faulted_scheduled_run(arrival: Arrival) -> Recording {
+    let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::mib(512), 11);
+    let workload = personalities::fileserver(400);
+    let config = EngineConfig {
+        duration: Nanos::from_secs(2),
+        cold_start: true,
+        faults: Some(FaultSpec::parse("slow-disk:4x,eio:0.2,crash:1000ms").expect("fault spec")),
+        retry: RetryPolicy::parse("bounded:1").expect("retry policy"),
+        ..pinned_config(arrival)
+    };
+    Engine::run(&mut target, &workload, &config).expect("faulted scheduled run")
+}
+
+#[test]
+fn faulted_closed_loop_recording_is_pinned() {
+    let rec = faulted_scheduled_run(Arrival::Closed);
+    let ledger = rec.ledger.as_ref().expect("faults armed a ledger");
+    assert!(rec.errors > 0 && ledger.gave_up > 0, "no op failed");
+    assert!(ledger.retried_ok > 0, "no retry succeeded");
+    assert!(ledger.crash.is_some(), "the crash never fired");
+    check_golden(
+        "sched_closed_faulted.txt",
+        &digest(&rec),
+        "faulted closed-loop recording drifted; the scheduler changed its \
+         error or crash handling",
+    );
+}
+
+#[test]
+fn faulted_open_loop_recording_is_pinned() {
+    let rec = faulted_scheduled_run(Arrival::Poisson { rate: 20_000 });
+    let open = rec.open_loop.as_ref().expect("open-loop report");
+    assert!(open.failed > 0, "no request failed");
+    assert!(open.dropped > 0, "the admission queue never filled");
+    assert!(
+        rec.ledger.as_ref().and_then(|l| l.crash).is_some(),
+        "the crash never fired"
+    );
+    check_golden(
+        "sched_open_faulted.txt",
+        &digest(&rec),
+        "faulted open-loop recording drifted; the scheduler changed its \
+         error, drop or crash handling",
+    );
+}
