@@ -14,8 +14,8 @@
 //! * [`runner`] — run protocols (fixed-N and convergence-driven), the
 //!   stateful `Experiment` driver, verdicts and summaries.
 //! * [`sched`] — the discrete-event process scheduler behind
-//!   multi-process runs: core tokens, the shared device queue, and the
-//!   closed-loop event pump.
+//!   multi-process and open-loop runs: core tokens, the shared device
+//!   queue, and the one event pump for closed and open loads.
 //! * [`store`] — the content-addressed result store behind cache-aware,
 //!   resumable campaigns.
 //! * [`scaling`] — saturation curves over the process-count axis, run
@@ -82,8 +82,7 @@ pub mod prelude {
     };
     pub use crate::scaling::{thread_scaling, ScalingConfig, ScalingCurve, ScalingPoint};
     pub use crate::sched::{
-        run_open_loop, Arrival, ArrivalGen, CoreSet, DeviceQueue, OpenLoopConfig, OpenOutcome,
-        SchedConfig,
+        Arrival, ArrivalGen, CoreSet, DeviceQueue, OpenLoad, OpenOutcome, SchedConfig,
     };
     pub use crate::store::{ResultStore, CODE_SALT};
     pub use crate::survey::{render_table1, table1, SurveyRow};

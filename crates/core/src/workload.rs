@@ -8,7 +8,9 @@
 //! the other classic personalities (web server, file server, varmail,
 //! postmark) are provided for the broader suite.
 
-use crate::sched::{Arrival, Completion, OpenLoopConfig, OpenOutcome, SchedConfig, SchedDriver};
+use crate::sched::{
+    Arrival, Completion, OpenLoad, OpenOutcome, SchedConfig, SchedDriver, TICK_EVERY,
+};
 use crate::target::Target;
 use rb_simcore::dist::{Dist, Zipf};
 use rb_simcore::error::{SimError, SimResult};
@@ -342,10 +344,6 @@ pub struct LiveFile {
 /// The workload executor.
 pub struct Engine;
 
-/// Background-flusher cadence (Linux: every ~5 s), the same for every
-/// pacing.
-const TICK_EVERY: Nanos = Nanos::from_secs(5);
-
 impl Engine {
     /// Creates the file sets (directories, files, preallocation).
     ///
@@ -423,14 +421,13 @@ impl Engine {
 
     /// Runs the measured phase against already-set-up file sets.
     ///
-    /// One run core serves every pacing. With
+    /// One run core serves both pacings. With
     /// [`EngineConfig::processes`] `== 1` and closed arrivals, the one
     /// worker issues on the target's own clock, byte-identical to the
-    /// pre-concurrency engine. With `processes > 1` the same flowop mix
-    /// drives N closed-loop workers through the [`crate::sched`]
-    /// discrete-event scheduler, contending for cores and the shared
-    /// device; an open [`EngineConfig::arrival`] feeds the workers from
-    /// an arrival process instead.
+    /// pre-concurrency engine. Otherwise the same flowop mix drives N
+    /// workers through [`crate::sched::run`], contending for cores and
+    /// the shared device: closed-loop workers, or the service workers
+    /// of an open [`EngineConfig::arrival`] process.
     pub fn run_prepared(
         target: &mut dyn Target,
         workload: &Workload,
@@ -441,10 +438,11 @@ impl Engine {
             return Err(SimError::BadConfig("workload has no ops".into()));
         }
         let pacing = Pacing::of(config);
-        if pacing != Pacing::Serial && !target.supports_timed() {
-            let (who, fix) = match pacing {
-                Pacing::Open => ("open-loop arrivals".to_string(), "--arrival closed"),
-                _ => (format!("{} processes", config.processes), "processes=1"),
+        if pacing == Pacing::Scheduled && !target.supports_timed() {
+            let (who, fix) = if config.arrival.is_open() {
+                ("open-loop arrivals".to_string(), "--arrival closed")
+            } else {
+                (format!("{} processes", config.processes), "processes=1")
             };
             return Err(SimError::BadConfig(format!(
                 "{who} need a time-parameterized target, and {} cannot \
@@ -455,8 +453,7 @@ impl Engine {
         let run = Run::begin(target, workload, config, sets, pacing)?;
         match pacing {
             Pacing::Serial => run.serial(),
-            Pacing::Closed => run.closed(),
-            Pacing::Open => run.open(),
+            Pacing::Scheduled => run.scheduled(),
         }
     }
 
@@ -549,12 +546,6 @@ impl Engine {
             _ => target.cache_hit_ratio(),
         }
     }
-
-    /// Admission-queue bound for open-loop runs: past this many waiting
-    /// requests, new arrivals are dropped and counted. Large enough
-    /// that transient bursts survive, small enough that a saturated run
-    /// produces honest backpressure instead of an unbounded backlog.
-    const OPEN_QUEUE_CAP: u32 = 1024;
 
     /// Path for the `serial`-th created file in `dir` — byte-identical
     /// to `format!("{dir}/c{serial:08}")`, built by hand so the create
@@ -854,16 +845,16 @@ impl OpProgram {
 }
 
 /// How a run issues its ops and where it charges their time. One run
-/// core ([`Run`]) serves all three pacings:
+/// core ([`Run`]) serves both pacings:
 ///
 /// * `Serial` — one worker on the target's own clock: each op issues at
 ///   `now()`, and the clock advances by what the op spent and then by
 ///   the per-op framework overhead.
-/// * `Closed` — [`EngineConfig::processes`] closed-loop workers through
-///   [`crate::sched::run_closed_loop`], contending for cores and the
-///   shared device.
-/// * `Open` — an arrival process feeding a bounded queue in front of the
-///   workers, through [`crate::sched::run_open_loop`].
+/// * `Scheduled` — [`EngineConfig::processes`] workers through
+///   [`crate::sched::run`], contending for cores and the shared device:
+///   closed-loop workers, or the service workers of an open
+///   [`EngineConfig::arrival`] process, which feeds them through a
+///   bounded queue.
 ///
 /// Beyond the clock, the serial pacing keeps five conventions of the
 /// engine that predates the scheduler. Each is written once, at the
@@ -883,16 +874,13 @@ impl OpProgram {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pacing {
     Serial,
-    Closed,
-    Open,
+    Scheduled,
 }
 
 impl Pacing {
     fn of(config: &EngineConfig) -> Pacing {
-        if config.arrival.is_open() {
-            Pacing::Open
-        } else if config.processes > 1 {
-            Pacing::Closed
+        if config.arrival.is_open() || config.processes > 1 {
+            Pacing::Scheduled
         } else {
             Pacing::Serial
         }
@@ -915,8 +903,9 @@ struct Spent {
 /// flight recorder), the per-op attempt (pick, retry and backoff,
 /// ledger), the crash check, completion and error bookkeeping, and the
 /// [`Recording`]. As the scheduler's [`SchedDriver`] it serves the
-/// closed and open pumps, whose workers share the file sets, Zipf
-/// samplers and created-file serial in deterministic event order.
+/// scheduled pacing, whose workers, closed-loop or fed by an open load,
+/// share the file sets, Zipf samplers and created-file serial in
+/// deterministic event order.
 struct Run<'a> {
     target: &'a mut dyn Target,
     workload: &'a Workload,
@@ -1048,51 +1037,32 @@ impl<'a> Run<'a> {
         Ok(self.finish(end, None))
     }
 
-    /// The closed pacing: N workers through the closed-loop pump.
-    fn closed(mut self) -> SimResult<Recording> {
-        let sched = self.sched_config();
-        let outcome = crate::sched::run_closed_loop(&sched, &mut self)?;
-        self.settle(outcome.finished);
-        Ok(self.finish(outcome.finished, None))
-    }
-
-    /// The open pacing: an arrival process feeding N workers through
-    /// the open-loop pump.
-    fn open(mut self) -> SimResult<Recording> {
-        let open = OpenLoopConfig {
-            sched: self.sched_config(),
-            arrival: self.config.arrival,
-            queue_cap: Engine::OPEN_QUEUE_CAP,
-            sample_every: self.config.window,
-        };
-        // The arrival stream is its own fork: adding workers never
-        // perturbs when requests arrive, and vice versa.
-        let arrivals = Rng::new(self.config.seed).fork("arrivals");
-        let outcome = crate::sched::run_open_loop(&open, arrivals, &mut self)?;
-        self.settle(outcome.finished);
-        Ok(self.finish(outcome.finished, Some(outcome)))
-    }
-
-    /// The scheduler substrate for this run's workers.
-    fn sched_config(&self) -> SchedConfig {
-        SchedConfig {
+    /// The scheduled pacing: N workers through the scheduler, closed-loop
+    /// or serving an open load.
+    fn scheduled(mut self) -> SimResult<Recording> {
+        let sched = SchedConfig {
             processes: self.rngs.len() as u32,
             cores: self.config.cores,
             start: self.start,
             duration: self.config.duration,
             think: self.think,
-            tick_every: TICK_EVERY,
-        }
-    }
-
-    /// Hands the target back after a scheduled pump. The queue-aware
-    /// service floor is released (post-run surgery issues at the
-    /// target's own clock), and the clock, which timed ops never move,
-    /// walks to the final completion — so `duration` matches the serial
-    /// convention of "first instant at or past the deadline".
-    fn settle(&mut self, finished: Nanos) {
+        };
+        let open = self.config.arrival.is_open().then(|| OpenLoad {
+            arrival: self.config.arrival,
+            // The arrival stream is its own fork: adding workers never
+            // perturbs when requests arrive, and vice versa.
+            rng: Rng::new(self.config.seed).fork("arrivals"),
+            sample_every: self.config.window,
+        });
+        let outcome = crate::sched::run(&sched, open, &mut self)?;
+        // Hand the target back. The queue-aware service floor is
+        // released (post-run surgery issues at the target's own clock),
+        // and the clock, which timed ops never move, walks to the final
+        // completion — so `duration` matches the serial convention of
+        // "first instant at or past the deadline".
         self.target.set_device_floor(Nanos::ZERO);
-        self.target.advance(finished - self.start);
+        self.target.advance(outcome.finished - self.start);
+        Ok(self.finish(outcome.finished, outcome.open))
     }
 
     /// Fires the pending crash once `now` reaches it: the target loses
@@ -1345,7 +1315,7 @@ impl<'a> Run<'a> {
     }
 
     /// Assembles the [`Recording`] of a run whose clock stands at `end`;
-    /// `open` is the open pump's outcome, when the run had one.
+    /// `open` is the scheduler's open-load outcome, when the run had one.
     fn finish(self, end: Nanos, open: Option<OpenOutcome>) -> Recording {
         let Run {
             target,

@@ -16,6 +16,37 @@ use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
 use std::process::ExitCode;
 
+/// The flags each command takes (space-separated), exactly as [`usage`]
+/// lists them. [`Opts::parse`] refuses any other: a flag the command
+/// does not read would otherwise be dropped, and the run would be of a
+/// configuration other than the one asked for.
+const FLAGS: &[(&str, &str)] = &[
+    (
+        "bench",
+        "target workload size files duration seed prewarm warm arrival faults retry \
+         metrics trace-out trace-sample",
+    ),
+    (
+        "explain",
+        "target workload size files duration processes seed prewarm warm arrival",
+    ),
+    (
+        "sweep",
+        "workloads sizes files fs cache processes arrival faults retry slo-p99 traces \
+         trace-timing protocol runs ci min-runs max-runs confidence budget duration window \
+         jitter jobs seed device name format out metrics store no-cache resume",
+    ),
+    ("nano", "fs quick"),
+    ("table1", ""),
+    ("trace record", "out workload size duration"),
+    ("trace replay", "in target timing seed"),
+    ("trace stats", "in"),
+    (
+        "trace transform",
+        "in out merge keep-ops keep-prefix remap scale",
+    ),
+];
+
 /// Parsed command-line options (flag → value).
 #[derive(Debug, Default)]
 struct Opts {
@@ -23,13 +54,24 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parses `--name value` pairs for `command`, refusing any flag
+    /// [`FLAGS`] does not list for it.
+    fn parse(command: &str, args: &[String]) -> Result<Opts, String> {
+        let accepted = FLAGS
+            .iter()
+            .find(|&&(c, _)| c == command)
+            .map_or("", |&(_, flags)| flags);
         let mut flags = std::collections::HashMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument {a:?}"));
             };
+            if !accepted.split_whitespace().any(|f| f == name) {
+                return Err(format!(
+                    "`{command}` takes no --{name} flag (see `rocketbench help`)"
+                ));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("--{name} needs a value"))?
@@ -621,9 +663,10 @@ fn cmd_table1() -> Result<(), String> {
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let sub = args.first().map(String::as_str).unwrap_or("");
-    let opts = Opts::parse(&args[1.min(args.len())..])?;
+    let parse = |command| Opts::parse(command, &args[1.min(args.len())..]);
     match sub {
         "record" => {
+            let opts = parse("trace record")?;
             let out = opts.get("out").ok_or("trace record needs --out FILE")?;
             let workload_name = opts.get("workload").unwrap_or("varmail");
             let size = parse_size(opts.get("size").unwrap_or("8M"))?;
@@ -651,6 +694,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "replay" => {
+            let opts = parse("trace replay")?;
             let input = opts.get("in").ok_or("trace replay needs --in FILE")?;
             let target_spec = opts.get("target").unwrap_or("sim:ext2");
             let timing = match opts.get("timing") {
@@ -685,6 +729,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             }
         }
         "stats" => {
+            let opts = parse("trace stats")?;
             let input = opts.get("in").ok_or("trace stats needs --in FILE")?;
             let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
             let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
@@ -692,6 +737,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "transform" => {
+            let opts = parse("trace transform")?;
             let input = opts.get("in").ok_or("trace transform needs --in FILE")?;
             let out = opts.get("out").ok_or("trace transform needs --out FILE")?;
             let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
@@ -780,7 +826,8 @@ USAGE:
                      [--store DIR] [--no-cache true] [--resume true]
   rocketbench nano   [--fs ext2|ext3|xfs] [--quick true]
   rocketbench table1
-  rocketbench trace  record --out FILE [--workload varmail] [--duration 5s]
+  rocketbench trace  record --out FILE [--workload varmail] [--size 8M]
+                     [--duration 5s]
   rocketbench trace  replay --in FILE [--target sim:xfs]
                      [--timing afap|faithful|scaled=N] [--seed 0]
   rocketbench trace  stats --in FILE
@@ -874,18 +921,18 @@ Paper-figure regenerators live in rb-bench:
 "
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Runs the command `args` names (the arguments after the program name).
+fn dispatch(args: &[String]) -> Result<(), String> {
     let (cmd, rest) = match args.split_first() {
         Some((c, r)) => (c.as_str(), r),
         None => ("help", &[] as &[String]),
     };
-    let result = match cmd {
-        "bench" => Opts::parse(rest).and_then(|o| cmd_bench(&o)),
-        "explain" => Opts::parse(rest).and_then(|o| cmd_explain(&o)),
-        "sweep" => Opts::parse(rest).and_then(|o| cmd_sweep(&o)),
-        "nano" => Opts::parse(rest).and_then(|o| cmd_nano(&o)),
-        "table1" => cmd_table1(),
+    match cmd {
+        "bench" => Opts::parse(cmd, rest).and_then(|o| cmd_bench(&o)),
+        "explain" => Opts::parse(cmd, rest).and_then(|o| cmd_explain(&o)),
+        "sweep" => Opts::parse(cmd, rest).and_then(|o| cmd_sweep(&o)),
+        "nano" => Opts::parse(cmd, rest).and_then(|o| cmd_nano(&o)),
+        "table1" => Opts::parse(cmd, rest).and_then(|_| cmd_table1()),
         "trace" => cmd_trace(rest),
         "version" | "--version" | "-V" => {
             println!("rocketbench {}", env!("CARGO_PKG_VERSION"));
@@ -896,8 +943,12 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n\n{}", usage())),
-    };
-    match result {
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -930,12 +981,83 @@ mod tests {
 
     #[test]
     fn opts_parser() {
-        let o = Opts::parse(&["--size".into(), "64M".into(), "--seed".into(), "7".into()]).unwrap();
+        let args = ["--size", "64M", "--seed", "7"].map(String::from);
+        let o = Opts::parse("bench", &args).unwrap();
         assert_eq!(o.get("size"), Some("64M"));
         assert_eq!(o.get("seed"), Some("7"));
         assert_eq!(o.get("missing"), None);
-        assert!(Opts::parse(&["oops".into()]).is_err());
-        assert!(Opts::parse(&["--dangling".into()]).is_err());
+        assert!(Opts::parse("bench", &["oops".into()]).is_err());
+        assert!(Opts::parse("bench", &["--seed".into()]).is_err());
+    }
+
+    /// A flag the command does not read is refused, with the flag and
+    /// the command named on one line, instead of running the default
+    /// configuration.
+    #[test]
+    fn unknown_flags_are_refused() {
+        for (line, flag, command) in [
+            (
+                "bench --workload varmail --files 200 --duration 2s --processes 8",
+                "--processes",
+                "`bench`",
+            ),
+            ("bench --arival poisson:500", "--arival", "`bench`"),
+            ("explain --faults eio:0.1", "--faults", "`explain`"),
+            ("explain --retry bounded:2", "--retry", "`explain`"),
+            (
+                "trace replay --in a.trace --scale 3",
+                "--scale",
+                "`trace replay`",
+            ),
+            ("table1 --format csv", "--format", "`table1`"),
+        ] {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let error = dispatch(&args).expect_err(line);
+            assert!(
+                error.contains(flag) && error.contains(command) && !error.contains('\n'),
+                "{line}: {error}"
+            );
+        }
+    }
+
+    /// Every command takes exactly the flags its usage lines list.
+    #[test]
+    fn accepted_flags_match_usage() {
+        let usage = usage();
+        let synopsis = &usage[usage.find("USAGE:").unwrap()..usage.find("\n\n`sweep`").unwrap()];
+        // (command, flags) per usage entry; continuation lines add to
+        // the entry above them.
+        let mut listed: Vec<(String, Vec<&str>)> = Vec::new();
+        for line in synopsis.lines().skip(1) {
+            let mut words = line.split_whitespace();
+            if line.starts_with("  rocketbench ") {
+                words.next();
+                let command = match words.next().unwrap() {
+                    "trace" => format!("trace {}", words.next().unwrap()),
+                    c => c.to_string(),
+                };
+                listed.push((command, Vec::new()));
+            }
+            let flags = words
+                .filter_map(|w| w.trim_start_matches('[').strip_prefix("--"))
+                .map(|f| f.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')));
+            listed
+                .last_mut()
+                .unwrap()
+                .1
+                .extend(flags.map(|mut f| f.next().unwrap()));
+        }
+        listed.retain(|(c, _)| !matches!(c.as_str(), "version" | "help"));
+        let mut accepted: Vec<(String, Vec<&str>)> = FLAGS
+            .iter()
+            .map(|&(c, flags)| (c.to_string(), flags.split_whitespace().collect()))
+            .collect();
+        for (_, flags) in listed.iter_mut().chain(accepted.iter_mut()) {
+            flags.sort_unstable();
+        }
+        listed.sort();
+        accepted.sort();
+        assert_eq!(listed, accepted);
     }
 
     #[test]
