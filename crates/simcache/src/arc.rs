@@ -7,7 +7,7 @@
 //! never examine.
 
 use crate::olist::OrderedSet;
-use crate::page::PageKey;
+use crate::page::{PageKey, SlotId, Slots};
 use crate::policy::EvictionPolicy;
 
 /// The ARC policy.
@@ -49,6 +49,20 @@ impl ArcPolicy {
         (self.t1.len(), self.t2.len(), self.b1.len(), self.b2.len())
     }
 
+    /// A hit: a page seen twice moves to (the MRU end of) T2.
+    fn touch_key(&mut self, key: PageKey) {
+        if self.t1.remove(key) || self.t2.contains(key) {
+            self.t2.push_back(key);
+        }
+    }
+
+    /// Drops `key` from every list, ghosts included.
+    fn drop_key(&mut self, key: PageKey) {
+        let _ = self.t1.remove(key) || self.t2.remove(key);
+        self.b1.remove(key);
+        self.b2.remove(key);
+    }
+
     fn trim_ghosts(&mut self) {
         // |T1| + |B1| <= c and total directory <= 2c.
         while self.t1.len() + self.b1.len() > self.capacity as usize {
@@ -67,10 +81,11 @@ impl ArcPolicy {
 }
 
 impl EvictionPolicy for ArcPolicy {
-    fn insert(&mut self, key: PageKey) {
+    fn insert(&mut self, slots: &mut Slots, slot: SlotId) {
+        let key = slots.key(slot);
         if self.t1.contains(key) || self.t2.contains(key) {
             // Treat as a hit.
-            self.touch(key);
+            self.touch_key(key);
             return;
         }
         if self.b1.remove(key) {
@@ -89,13 +104,11 @@ impl EvictionPolicy for ArcPolicy {
         self.trim_ghosts();
     }
 
-    fn touch(&mut self, key: PageKey) {
-        if self.t1.remove(key) || self.t2.contains(key) {
-            self.t2.push_back(key);
-        }
+    fn touch(&mut self, slots: &mut Slots, slot: SlotId) {
+        self.touch_key(slots.key(slot));
     }
 
-    fn evict(&mut self) -> Option<PageKey> {
+    fn evict(&mut self, _slots: &mut Slots) -> Option<PageKey> {
         // REPLACE: evict from T1 if it exceeds the target, else from T2.
         let from_t1 =
             !self.t1.is_empty() && (self.t1.len() as u64 > self.p.max(1) || self.t2.is_empty());
@@ -119,14 +132,12 @@ impl EvictionPolicy for ArcPolicy {
         victim
     }
 
-    fn remove(&mut self, key: PageKey) {
-        let _ = self.t1.remove(key) || self.t2.remove(key);
-        self.b1.remove(key);
-        self.b2.remove(key);
+    fn remove(&mut self, slots: &mut Slots, slot: SlotId) {
+        self.drop_key(slots.key(slot));
     }
 
-    fn contains(&self, key: PageKey) -> bool {
-        self.t1.contains(key) || self.t2.contains(key)
+    fn forget(&mut self, key: PageKey) {
+        self.drop_key(key);
     }
 
     fn len(&self) -> usize {
@@ -141,6 +152,7 @@ impl EvictionPolicy for ArcPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::conformance::Harness;
 
     fn key(i: u64) -> PageKey {
         PageKey::new(0, i)
@@ -148,39 +160,39 @@ mod tests {
 
     #[test]
     fn single_touch_stays_in_t1() {
-        let mut a = ArcPolicy::new(8);
+        let mut a = Harness::new(Box::new(ArcPolicy::new(8)));
         a.insert(key(1));
-        let (t1, t2, _, _) = a.list_sizes();
+        let (t1, t2, _, _) = a.policy.list_sizes();
         assert_eq!((t1, t2), (1, 0));
     }
 
     #[test]
     fn second_touch_promotes_to_t2() {
-        let mut a = ArcPolicy::new(8);
+        let mut a = Harness::new(Box::new(ArcPolicy::new(8)));
         a.insert(key(1));
         a.touch(key(1));
-        let (t1, t2, _, _) = a.list_sizes();
+        let (t1, t2, _, _) = a.policy.list_sizes();
         assert_eq!((t1, t2), (0, 1));
     }
 
     #[test]
     fn ghost_hit_in_b1_grows_p() {
-        let mut a = ArcPolicy::new(4);
+        let mut a = Harness::new(Box::new(ArcPolicy::new(4)));
         for i in 0..4 {
             a.insert(key(i));
         }
-        let p0 = a.target_p();
+        let p0 = a.policy.target_p();
         a.evict(); // key 0 -> B1
         a.insert(key(0)); // ghost hit
-        assert!(a.target_p() > p0, "p did not grow on B1 hit");
+        assert!(a.policy.target_p() > p0, "p did not grow on B1 hit");
         // Promoted straight to T2.
-        let (_, t2, _, _) = a.list_sizes();
+        let (_, t2, _, _) = a.policy.list_sizes();
         assert!(t2 >= 1);
     }
 
     #[test]
     fn ghost_hit_in_b2_shrinks_p() {
-        let mut a = ArcPolicy::new(4);
+        let mut a = Harness::new(Box::new(ArcPolicy::new(4)));
         // Build frequency traffic: promote 0 to T2, then push it to B2.
         a.insert(key(0));
         a.touch(key(0));
@@ -191,18 +203,18 @@ mod tests {
         a.evict();
         a.evict();
         // Force T2 eviction by draining T1 empty first.
-        while a.list_sizes().0 > 0 {
+        while a.policy.list_sizes().0 > 0 {
             a.evict();
         }
         a.evict(); // now from T2 -> B2
-        let p_before = a.target_p();
+        let p_before = a.policy.target_p();
         a.insert(key(0)); // whichever ghost 0 is in adjusts p
-        assert!(a.target_p() <= p_before.max(1));
+        assert!(a.policy.target_p() <= p_before.max(1));
     }
 
     #[test]
     fn frequency_protected_from_scan() {
-        let mut a = ArcPolicy::new(8);
+        let mut a = Harness::new(Box::new(ArcPolicy::new(8)));
         // Hot pages touched repeatedly live in T2.
         for i in 0..4 {
             a.insert(key(i));
@@ -224,14 +236,14 @@ mod tests {
 
     #[test]
     fn directory_stays_bounded() {
-        let mut a = ArcPolicy::new(16);
+        let mut a = Harness::new(Box::new(ArcPolicy::new(16)));
         for i in 0..1000 {
             a.insert(key(i));
             while a.len() > 16 {
                 a.evict();
             }
         }
-        let (t1, t2, b1, b2) = a.list_sizes();
+        let (t1, t2, b1, b2) = a.policy.list_sizes();
         assert!(t1 + t2 <= 16);
         assert!(
             t1 + t2 + b1 + b2 <= 32,

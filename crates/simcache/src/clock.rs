@@ -4,7 +4,7 @@
 //! list with a reference bit; the hand sweeps, clearing bits, and evicts
 //! the first unreferenced page it meets.
 
-use crate::page::PageKey;
+use crate::page::{PageKey, SlotId, Slots};
 use crate::policy::EvictionPolicy;
 use rb_simcore::fnv::FnvHashMap;
 
@@ -56,7 +56,8 @@ impl Clock {
 }
 
 impl EvictionPolicy for Clock {
-    fn insert(&mut self, key: PageKey) {
+    fn insert(&mut self, slots: &mut Slots, slot: SlotId) {
+        let key = slots.key(slot);
         if let Some(&i) = self.index.get(&key) {
             self.ring[i].referenced = true;
             return;
@@ -69,13 +70,13 @@ impl EvictionPolicy for Clock {
         });
     }
 
-    fn touch(&mut self, key: PageKey) {
-        if let Some(&i) = self.index.get(&key) {
+    fn touch(&mut self, slots: &mut Slots, slot: SlotId) {
+        if let Some(&i) = self.index.get(&slots.key(slot)) {
             self.ring[i].referenced = true;
         }
     }
 
-    fn evict(&mut self) -> Option<PageKey> {
+    fn evict(&mut self, _slots: &mut Slots) -> Option<PageKey> {
         if self.index.is_empty() {
             return None;
         }
@@ -102,16 +103,12 @@ impl EvictionPolicy for Clock {
         }
     }
 
-    fn remove(&mut self, key: PageKey) {
-        if let Some(i) = self.index.remove(&key) {
+    fn remove(&mut self, slots: &mut Slots, slot: SlotId) {
+        if let Some(i) = self.index.remove(&slots.key(slot)) {
             self.ring[i].live = false;
             self.dead += 1;
             self.compact();
         }
-    }
-
-    fn contains(&self, key: PageKey) -> bool {
-        self.index.contains_key(&key)
     }
 
     fn len(&self) -> usize {
@@ -126,6 +123,7 @@ impl EvictionPolicy for Clock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::conformance::Harness;
 
     fn key(i: u64) -> PageKey {
         PageKey::new(0, i)
@@ -133,7 +131,7 @@ mod tests {
 
     #[test]
     fn unreferenced_evicted_first() {
-        let mut c = Clock::new();
+        let mut c = Harness::new(Box::new(Clock::new()));
         for i in 0..4 {
             c.insert(key(i));
         }
@@ -145,7 +143,7 @@ mod tests {
 
     #[test]
     fn second_chance_granted_once() {
-        let mut c = Clock::new();
+        let mut c = Harness::new(Box::new(Clock::new()));
         c.insert(key(0));
         c.touch(key(0));
         // First sweep clears the bit; second sweep evicts.
@@ -155,7 +153,7 @@ mod tests {
 
     #[test]
     fn compaction_preserves_membership() {
-        let mut c = Clock::new();
+        let mut c = Harness::new(Box::new(Clock::new()));
         for i in 0..100 {
             c.insert(key(i));
         }
@@ -175,7 +173,7 @@ mod tests {
 
     #[test]
     fn insert_existing_sets_reference() {
-        let mut c = Clock::new();
+        let mut c = Harness::new(Box::new(Clock::new()));
         c.insert(key(0));
         c.insert(key(1));
         c.insert(key(0)); // acts as a touch

@@ -30,6 +30,8 @@ pub mod cache;
 pub mod clock;
 pub mod lru;
 mod olist;
+#[cfg(test)]
+mod oracle;
 pub mod page;
 pub mod policy;
 pub mod readahead;
@@ -46,5 +48,5 @@ pub mod prelude {
     pub use crate::policy::{EvictionPolicy, PolicyKind};
     pub use crate::readahead::{Readahead, ReadaheadConfig};
     pub use crate::twoq::TwoQ;
-    pub use crate::writeback::{Writeback, WritebackConfig};
+    pub use crate::writeback::WritebackConfig;
 }

@@ -5,36 +5,24 @@
 //! steady-state hit ratio = capacity / file size under uniform random
 //! access — holds exactly for LRU.
 
-use crate::page::PageKey;
+use crate::page::{PageKey, SlotId, Slots, NIL};
 use crate::policy::EvictionPolicy;
-use rb_simcore::fnv::FnvHashMap;
 
-/// Sentinel for "no slot".
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    key: PageKey,
-    prev: u32,
-    next: u32,
-}
-
-/// Exact LRU as an intrusive doubly-linked list over a slab.
+/// Exact LRU as an intrusive doubly-linked list through the cache's
+/// slots.
 ///
-/// Every operation — insert, touch, evict, remove — is O(1): one FNV
-/// map probe plus pointer surgery. This replaced a stamp + ordered-map
-/// implementation whose per-touch tree rebalancing dominated the cache
-/// hot path; the recency order (and therefore every eviction decision)
-/// is identical.
+/// Every operation — insert, touch, evict, remove — is O(1) pointer
+/// surgery on the page's own slot, with no lookup of its own: the
+/// cache has already found the slot, and the links live in it. The
+/// recency order (and therefore every eviction decision) is the one an
+/// ordered map of access stamps would give.
 #[derive(Debug)]
 pub struct Lru {
-    slots: Vec<Node>,
-    free: Vec<u32>,
-    index: FnvHashMap<PageKey, u32>,
     /// Least recently used end (eviction side); `NIL` when empty.
-    head: u32,
+    head: SlotId,
     /// Most recently used end.
-    tail: u32,
+    tail: SlotId,
+    len: usize,
 }
 
 impl Default for Lru {
@@ -47,110 +35,67 @@ impl Lru {
     /// Creates an empty LRU tracker.
     pub fn new() -> Self {
         Lru {
-            slots: Vec::new(),
-            free: Vec::new(),
-            index: FnvHashMap::default(),
             head: NIL,
             tail: NIL,
+            len: 0,
         }
     }
 
-    /// Unlinks a slot from the list (leaves it allocated).
-    fn unlink(&mut self, i: u32) {
-        let Node { prev, next, .. } = self.slots[i as usize];
+    /// Unlinks a slot from the list.
+    fn unlink(&mut self, slots: &mut Slots, i: SlotId) {
+        let s = slots.get(i);
+        let (prev, next) = (s.prev, s.next);
         match prev {
             NIL => self.head = next,
-            p => self.slots[p as usize].next = next,
+            p => slots.get_mut(p).next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
+            n => slots.get_mut(n).prev = prev,
         }
     }
 
     /// Links a slot at the MRU end.
-    fn push_tail(&mut self, i: u32) {
-        self.slots[i as usize].prev = self.tail;
-        self.slots[i as usize].next = NIL;
+    fn push_tail(&mut self, slots: &mut Slots, i: SlotId) {
+        let s = slots.get_mut(i);
+        s.prev = self.tail;
+        s.next = NIL;
         match self.tail {
             NIL => self.head = i,
-            t => self.slots[t as usize].next = i,
+            t => slots.get_mut(t).next = i,
         }
         self.tail = i;
-    }
-
-    fn bump(&mut self, key: PageKey) {
-        use std::collections::hash_map::Entry;
-        // Single index probe for both the refresh and the insert case.
-        let slots = &mut self.slots;
-        let free = &mut self.free;
-        let (i, refresh) = match self.index.entry(key) {
-            Entry::Occupied(e) => (*e.get(), true),
-            Entry::Vacant(e) => {
-                let i = match free.pop() {
-                    Some(i) => {
-                        slots[i as usize].key = key;
-                        i
-                    }
-                    None => {
-                        slots.push(Node {
-                            key,
-                            prev: NIL,
-                            next: NIL,
-                        });
-                        (slots.len() - 1) as u32
-                    }
-                };
-                e.insert(i);
-                (i, false)
-            }
-        };
-        if refresh {
-            self.unlink(i);
-        }
-        self.push_tail(i);
     }
 }
 
 impl EvictionPolicy for Lru {
-    fn insert(&mut self, key: PageKey) {
-        self.bump(key);
+    fn insert(&mut self, slots: &mut Slots, slot: SlotId) {
+        self.push_tail(slots, slot);
+        self.len += 1;
     }
 
-    fn touch(&mut self, key: PageKey) {
-        // Single index probe: a hit moves the slot to the MRU end, a
-        // miss is a no-op (never inserts, unlike `bump`).
-        if let Some(&i) = self.index.get(&key) {
-            self.unlink(i);
-            self.push_tail(i);
-        }
+    fn touch(&mut self, slots: &mut Slots, slot: SlotId) {
+        self.unlink(slots, slot);
+        self.push_tail(slots, slot);
     }
 
-    fn evict(&mut self) -> Option<PageKey> {
+    fn evict(&mut self, slots: &mut Slots) -> Option<PageKey> {
         let i = self.head;
         if i == NIL {
             return None;
         }
-        let key = self.slots[i as usize].key;
-        self.unlink(i);
-        self.index.remove(&key);
-        self.free.push(i);
-        Some(key)
+        self.unlink(slots, i);
+        self.len -= 1;
+        Some(slots.key(i))
     }
 
-    fn remove(&mut self, key: PageKey) {
-        if let Some(i) = self.index.remove(&key) {
-            self.unlink(i);
-            self.free.push(i);
-        }
-    }
-
-    fn contains(&self, key: PageKey) -> bool {
-        self.index.contains_key(&key)
+    fn remove(&mut self, slots: &mut Slots, slot: SlotId) {
+        self.unlink(slots, slot);
+        self.len -= 1;
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     fn name(&self) -> &'static str {
@@ -161,14 +106,19 @@ impl EvictionPolicy for Lru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::conformance::Harness;
 
     fn key(i: u64) -> PageKey {
         PageKey::new(0, i)
     }
 
+    fn lru() -> Harness<Lru> {
+        Harness::new(Box::new(Lru::new()))
+    }
+
     #[test]
     fn evicts_least_recent() {
-        let mut l = Lru::new();
+        let mut l = lru();
         for i in 0..5 {
             l.insert(key(i));
         }
@@ -179,32 +129,26 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_refreshes() {
-        let mut l = Lru::new();
+    fn touching_the_newest_keeps_the_order() {
+        let mut l = lru();
         l.insert(key(1));
         l.insert(key(2));
-        l.insert(key(1)); // refresh
+        l.touch(key(2));
         assert_eq!(l.len(), 2);
+        assert_eq!(l.evict(), Some(key(1)));
         assert_eq!(l.evict(), Some(key(2)));
-    }
-
-    #[test]
-    fn touch_unknown_is_noop() {
-        let mut l = Lru::new();
-        l.touch(key(9));
-        assert!(l.is_empty());
+        assert_eq!(l.evict(), None);
     }
 
     #[test]
     fn remove_then_reuse_slots() {
-        let mut l = Lru::new();
+        let mut l = lru();
         for i in 0..8 {
             l.insert(key(i));
         }
         l.remove(key(3));
         l.remove(key(0));
         assert_eq!(l.len(), 6);
-        assert!(!l.contains(key(3)));
         // Freed slots are reused without disturbing recency order.
         l.insert(key(100));
         l.insert(key(101));
@@ -215,7 +159,7 @@ mod tests {
 
     #[test]
     fn sequential_scan_evicts_in_order() {
-        let mut l = Lru::new();
+        let mut l = lru();
         for i in 0..100 {
             l.insert(key(i));
         }

@@ -1,5 +1,6 @@
-//! Page identity and cache statistics types.
+//! Page identity, the slab of resident pages, and cache statistics.
 
+use rb_simcore::time::Nanos;
 use rb_simcore::units::PageNo;
 
 /// Identifier of a cached object (file or metadata stream).
@@ -18,6 +19,93 @@ impl PageKey {
     /// Creates a page key.
     pub fn new(file: FileId, page: PageNo) -> Self {
         PageKey { file, page }
+    }
+}
+
+/// Index of a resident page's slot in [`Slots`].
+pub type SlotId = u32;
+
+/// The null slot: ends the LRU list.
+pub(crate) const NIL: SlotId = SlotId::MAX;
+
+/// One resident page: its identity and every per-page state the cache
+/// and its replacement policy keep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub(crate) key: PageKey,
+    /// Brought in by readahead and not yet read.
+    pub(crate) prefetched: bool,
+    /// When the page was first dirtied; `None` while clean.
+    pub(crate) dirtied: Option<Nanos>,
+    /// LRU list links towards the least and the most recently used end
+    /// (only the LRU policy uses them).
+    pub(crate) prev: SlotId,
+    pub(crate) next: SlotId,
+}
+
+/// The page cache's slab: one slot per resident page, which the page
+/// keeps from insertion until eviction or invalidation. Freed slots are
+/// reused, so the slab grows with the peak resident set, never with the
+/// configured capacity.
+#[derive(Debug, Default)]
+pub struct Slots {
+    slots: Vec<Slot>,
+    free: Vec<SlotId>,
+}
+
+impl Slots {
+    /// Hands out a slot for a newly resident, clean page.
+    pub(crate) fn alloc(&mut self, key: PageKey, prefetched: bool) -> SlotId {
+        let slot = Slot {
+            key,
+            prefetched,
+            dirtied: None,
+            prev: NIL,
+            next: NIL,
+        };
+        match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = slot;
+                s
+            }
+            None => {
+                let s = SlotId::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("fewer than 2^32 - 1 resident pages");
+                self.slots.push(slot);
+                s
+            }
+        }
+    }
+
+    /// Returns a slot whose page left the cache.
+    pub(crate) fn release(&mut self, s: SlotId) {
+        self.free.push(s);
+    }
+
+    /// Number of slots in use (resident pages).
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Drops every slot.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+
+    pub(crate) fn get(&self, s: SlotId) -> &Slot {
+        &self.slots[s as usize]
+    }
+
+    pub(crate) fn get_mut(&mut self, s: SlotId) -> &mut Slot {
+        &mut self.slots[s as usize]
+    }
+
+    /// The key of the page in slot `s`.
+    pub(crate) fn key(&self, s: SlotId) -> PageKey {
+        self.get(s).key
     }
 }
 

@@ -99,6 +99,12 @@ impl Readahead {
         self.window
     }
 
+    /// True until the first read (or since a reset): the state a fresh
+    /// file starts with.
+    pub(crate) fn is_fresh(&self) -> bool {
+        self.expected_next.is_none()
+    }
+
     /// Resets stream detection (e.g. after a seek or reopen).
     pub fn reset(&mut self) {
         self.expected_next = None;

@@ -7,7 +7,7 @@
 //! the hot set, unlike pure LRU.
 
 use crate::olist::OrderedSet;
-use crate::page::PageKey;
+use crate::page::{PageKey, SlotId, Slots};
 use crate::policy::EvictionPolicy;
 
 /// The 2Q policy.
@@ -42,6 +42,12 @@ impl TwoQ {
         }
     }
 
+    /// Drops `key` from every queue, ghost included.
+    fn drop_key(&mut self, key: PageKey) {
+        let _ = self.a1in.remove(key) || self.am.remove(key);
+        self.a1out.remove(key);
+    }
+
     /// Number of pages in the probation queue (test visibility).
     pub fn probation_len(&self) -> usize {
         self.a1in.len()
@@ -54,7 +60,8 @@ impl TwoQ {
 }
 
 impl EvictionPolicy for TwoQ {
-    fn insert(&mut self, key: PageKey) {
+    fn insert(&mut self, slots: &mut Slots, slot: SlotId) {
+        let key = slots.key(slot);
         if self.am.contains(key) {
             self.am.push_back(key);
         } else if self.a1in.contains(key) {
@@ -67,14 +74,15 @@ impl EvictionPolicy for TwoQ {
         }
     }
 
-    fn touch(&mut self, key: PageKey) {
+    fn touch(&mut self, slots: &mut Slots, slot: SlotId) {
+        let key = slots.key(slot);
         if self.am.contains(key) {
             self.am.push_back(key);
         }
         // Hits in A1in deliberately do not reorder (2Q rule).
     }
 
-    fn evict(&mut self) -> Option<PageKey> {
+    fn evict(&mut self, _slots: &mut Slots) -> Option<PageKey> {
         let victim = if self.a1in.len() as u64 > self.kin || self.am.is_empty() {
             let v = self.a1in.pop_front();
             if let Some(k) = v {
@@ -88,13 +96,12 @@ impl EvictionPolicy for TwoQ {
         victim.or_else(|| self.a1in.pop_front())
     }
 
-    fn remove(&mut self, key: PageKey) {
-        let _ = self.a1in.remove(key) || self.am.remove(key);
-        self.a1out.remove(key);
+    fn remove(&mut self, slots: &mut Slots, slot: SlotId) {
+        self.drop_key(slots.key(slot));
     }
 
-    fn contains(&self, key: PageKey) -> bool {
-        self.a1in.contains(key) || self.am.contains(key)
+    fn forget(&mut self, key: PageKey) {
+        self.drop_key(key);
     }
 
     fn len(&self) -> usize {
@@ -109,6 +116,7 @@ impl EvictionPolicy for TwoQ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::conformance::Harness;
 
     fn key(i: u64) -> PageKey {
         PageKey::new(0, i)
@@ -116,15 +124,15 @@ mod tests {
 
     #[test]
     fn fresh_pages_go_to_probation() {
-        let mut q = TwoQ::new(16);
+        let mut q = Harness::new(Box::new(TwoQ::new(16)));
         q.insert(key(1));
-        assert_eq!(q.probation_len(), 1);
-        assert_eq!(q.protected_len(), 0);
+        assert_eq!(q.policy.probation_len(), 1);
+        assert_eq!(q.policy.protected_len(), 0);
     }
 
     #[test]
     fn ghost_hit_promotes() {
-        let mut q = TwoQ::new(16); // kin = 4
+        let mut q = Harness::new(Box::new(TwoQ::new(16))); // kin = 4
         for i in 0..6 {
             q.insert(key(i));
         }
@@ -133,13 +141,13 @@ mod tests {
         assert_eq!(v1, key(0));
         // Key 0 is now a ghost; re-inserting it goes straight to Am.
         q.insert(key(0));
-        assert_eq!(q.protected_len(), 1);
+        assert_eq!(q.policy.protected_len(), 1);
         assert!(q.contains(key(0)));
     }
 
     #[test]
     fn scan_resistance() {
-        let mut q = TwoQ::new(16);
+        let mut q = Harness::new(Box::new(TwoQ::new(16)));
         // Build a hot set in Am via ghost promotion.
         for i in 0..8 {
             q.insert(key(i));
@@ -150,7 +158,7 @@ mod tests {
         for i in 0..4 {
             q.insert(key(i)); // promoted from ghost to Am
         }
-        assert_eq!(q.protected_len(), 4);
+        assert_eq!(q.policy.protected_len(), 4);
         // A long one-touch scan floods probation only.
         for i in 100..130 {
             q.insert(key(i));
@@ -166,7 +174,7 @@ mod tests {
 
     #[test]
     fn evict_prefers_overfull_probation() {
-        let mut q = TwoQ::new(8); // kin = 2
+        let mut q = Harness::new(Box::new(TwoQ::new(8))); // kin = 2
         q.insert(key(10));
         q.evict(); // 10 -> ghost
         q.insert(key(10)); // promote to Am

@@ -201,28 +201,34 @@ impl Zipf {
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.next_f64();
         match self {
-            Zipf::Uniform { n } => {
-                // Binary search for the first index whose CDF value
-                // exceeds `u`, computing cdf[i] = (i+1)/n on demand.
-                // The predicate is monotone (fixed-divisor division is
-                // non-decreasing under rounding), so this lands on the
-                // same boundary `partition_point` over the table would.
-                let nf = *n as f64;
-                let (mut lo, mut hi) = (0usize, *n);
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if (mid + 1) as f64 / nf <= u {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo.min(n - 1)
-            }
+            Zipf::Uniform { n } => uniform_index(*n, u),
             // partition_point returns the first index with cdf > u.
             Zipf::Skewed { cdf } => cdf.partition_point(|&c| c <= u).min(cdf.len() - 1),
         }
     }
+}
+
+/// The uniform sampler's pick for `u` in `[0, 1)`: the first index
+/// whose CDF value `cdf[i] = (i+1)/n` exceeds `u`, computed on demand.
+/// The predicate is monotone (fixed-divisor division is non-decreasing
+/// under rounding), and `floor(u * n)` lands within rounding of the
+/// boundary, so a few steps from there find the index `partition_point`
+/// over the table would. The last index always qualifies:
+/// `cdf[n-1] = n/n = 1 > u`.
+fn uniform_index(n: usize, u: f64) -> usize {
+    let nf = n as f64;
+    let exceeds = |i: usize| (i + 1) as f64 / nf > u;
+    let mut i = ((u * nf) as usize).min(n - 1);
+    if exceeds(i) {
+        while i > 0 && exceeds(i - 1) {
+            i -= 1;
+        }
+    } else {
+        while !exceeds(i) {
+            i += 1;
+        }
+    }
+    i
 }
 
 #[cfg(test)]
@@ -333,6 +339,67 @@ mod tests {
         }
         for &c in &counts {
             assert!((4_000..6_000).contains(&c), "count {c}");
+        }
+    }
+
+    /// The binary search the uniform pick used to run, kept as the
+    /// oracle its stepping search must match.
+    fn uniform_by_bisection(n: usize, u: f64) -> usize {
+        let nf = n as f64;
+        let (mut lo, mut hi) = (0usize, n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if (mid + 1) as f64 / nf <= u {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo.min(n - 1)
+    }
+
+    #[test]
+    fn uniform_pick_matches_bisection() {
+        let mut rng = Rng::new(11);
+        for n in [
+            1usize,
+            2,
+            3,
+            7,
+            10,
+            100,
+            999,
+            1000,
+            1001,
+            4096,
+            65_537,
+            (1 << 40) + 7,
+        ] {
+            let nf = n as f64;
+            let check = |u: f64| {
+                if (0.0..1.0).contains(&u) {
+                    assert_eq!(
+                        uniform_index(n, u),
+                        uniform_by_bisection(n, u),
+                        "n {n}, u {u:e}"
+                    );
+                }
+            };
+            for _ in 0..20_000 {
+                check(rng.next_f64());
+            }
+            // CDF boundaries k/n, the first and last few thousand and a
+            // random spread, each with its neighbours one ulp away.
+            let spread = (0..2_000).map(|_| rng.below(n as u64 + 1) as usize);
+            let ks = (0..=n.min(2_000)).chain(n.saturating_sub(2_000)..=n);
+            for k in ks.chain(spread.collect::<Vec<_>>()) {
+                let b = k as f64 / nf;
+                check(b);
+                check(f64::from_bits(b.to_bits() + 1));
+                if b > 0.0 {
+                    check(f64::from_bits(b.to_bits() - 1));
+                }
+            }
         }
     }
 

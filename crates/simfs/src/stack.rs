@@ -699,11 +699,14 @@ impl StorageStack {
         // On a failed media read, every page this syscall inserted must
         // leave the cache again: the data never arrived, and a page left
         // resident would turn later reads (and any retry) into phantom
-        // hits that mask the injected fault.
+        // hits that mask the injected fault. The dirty pages those
+        // insertions evicted are no longer cached, so they still go to
+        // media.
         let mut device = match self.read_pages_from_media_at(ino, &fetch, issue) {
             Ok(d) => d,
             Err(e) => {
                 self.drop_unfilled(ino, &fetch, &out.prefetch_pages);
+                self.write_pages_to_media_at(&writebacks, issue);
                 return Err(e);
             }
         };
@@ -713,6 +716,7 @@ impl StorageStack {
             Ok(d) => d,
             Err(e) => {
                 self.drop_unfilled(ino, &fetch, &out.prefetch_pages);
+                self.write_pages_to_media_at(&writebacks, issue);
                 return Err(e);
             }
         };
@@ -1030,6 +1034,41 @@ mod tests {
         assert_eq!(st.writes, 1);
         assert_eq!(st.fsyncs, 1);
         assert!(st.meta_ops >= 4);
+    }
+
+    #[test]
+    fn failed_read_still_writes_back_the_dirty_pages_it_evicted() {
+        use rb_simcache::policy::PolicyKind;
+        use rb_simcache::readahead::ReadaheadConfig;
+        use rb_simcache::writeback::WritebackConfig;
+        let mut s = StorageStack::new(
+            Box::new(Ext2Fs::new(Ext2Config::for_blocks(262_144))),
+            CacheConfig {
+                capacity_pages: 64,
+                policy: PolicyKind::Lru,
+                readahead: ReadaheadConfig::disabled(),
+                writeback: WritebackConfig::default(),
+            },
+            Box::new(Hdd::new(HddConfig::maxtor_7l250s0_like())),
+            StackConfig::default(),
+        );
+        s.create("/f").unwrap();
+        let fd = s.open("/f").unwrap();
+        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
+        // 64 dirty data pages fill the cache.
+        s.write(fd, Bytes::ZERO, Bytes::kib(256)).unwrap();
+        assert_eq!(s.cache().dirty_pages(), 64);
+        s.install_faults(FaultSpec::parse("eio:1").unwrap(), 7);
+        let (evicted0, writes0) = (s.cache().stats().evicted_dirty, s.disk_stats().writes);
+        // A two-page miss evicts two dirty pages, then its media read fails.
+        assert!(s.read(fd, Bytes::kib(512), Bytes::kib(8)).is_err());
+        assert_eq!(s.cache().stats().evicted_dirty - evicted0, 2);
+        assert_eq!(
+            s.disk_stats().writes - writes0,
+            2,
+            "the evicted dirty pages never reached media"
+        );
+        assert_eq!(s.cache().dirty_pages(), 62);
     }
 
     #[test]
