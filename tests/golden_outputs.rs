@@ -8,16 +8,22 @@
 //! pre-refactor binaries (committed under `tests/golden/`). Any change
 //! to simulated timing, scheduling, seeding or rendering shows up here
 //! as a diff — the same discipline PRs 2 and 3 used for their
-//! refactors.
+//! refactors. Timed replays of the golden v2 trace, x1 to x256, pin the
+//! overlapped multi-stream engine: their digests cover the instant at
+//! which every op reached the target.
 
 use rocketbench::core::campaign::{run_campaign, Personality, SweepSpec};
 use rocketbench::core::figures::{fig1_campaign, render_fig1, Fig1Config};
 use rocketbench::core::prelude::*;
 use rocketbench::core::testbed;
 use rocketbench::replay::{apply, replay_with, schedule, ReplayConfig, Transform};
+use rocketbench::simcore::error::SimResult;
 use rocketbench::simcore::fnv::{fnv1a, FNV_OFFSET};
 use rocketbench::simcore::time::Nanos;
 use rocketbench::simcore::units::Bytes;
+use rocketbench::simfs::intern::PathId;
+use rocketbench::simfs::stack::{Fd, OpCost};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 fn golden(name: &str) -> String {
@@ -231,4 +237,174 @@ fn wide_replay_merge_of_golden_trace_x1024_is_byte_identical() {
         );
     }
     assert_eq!(out, golden("replay_x1024.txt"), "wide replay merge drifted");
+}
+
+/// A pass-through target that digests what a replay asks of the target:
+/// FNV-1a over every call's (verb, path, issue instant), in call order.
+/// It forwards every method the replay driver calls, `supports_timed`
+/// and `prepare_path` included, so a timed multi-stream replay through
+/// it takes the overlapped engine exactly as it would on the bare target
+/// (`Recorder` forwards neither, and would quietly serialize it).
+struct Witness<T: Target> {
+    inner: T,
+    /// Open handles' paths, so fd-addressed calls digest their path.
+    paths: HashMap<Fd, String>,
+    calls: u64,
+    digest: u64,
+}
+
+impl<T: Target> Witness<T> {
+    fn new(inner: T) -> Self {
+        Witness {
+            inner,
+            paths: HashMap::new(),
+            calls: 0,
+            digest: FNV_OFFSET,
+        }
+    }
+
+    fn see(&mut self, verb: &str, path: &str, issue: Nanos) {
+        self.calls += 1;
+        let h = fnv1a(self.digest, verb.as_bytes());
+        let h = fnv1a(h, &[0]);
+        let h = fnv1a(h, path.as_bytes());
+        let h = fnv1a(h, &[0]);
+        self.digest = fnv1a(h, &issue.as_nanos().to_le_bytes());
+    }
+
+    fn see_fd(&mut self, verb: &str, fd: Fd, issue: Nanos) {
+        let path = self.paths.get(&fd).cloned().unwrap_or_default();
+        self.see(verb, &path, issue);
+    }
+}
+
+impl<T: Target> Target for Witness<T> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn now(&self) -> Nanos {
+        self.inner.now()
+    }
+    fn advance(&mut self, d: Nanos) {
+        self.inner.advance(d)
+    }
+    fn supports_timed(&self) -> bool {
+        self.inner.supports_timed()
+    }
+    fn prepare_path(&mut self, path: &str) -> Option<PathId> {
+        self.inner.prepare_path(path)
+    }
+    fn create_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        self.see("create", path, issue);
+        self.inner.create_at(id, path, issue)
+    }
+    fn mkdir_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        self.see("mkdir", path, issue);
+        self.inner.mkdir_at(id, path, issue)
+    }
+    fn unlink_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        self.see("unlink", path, issue);
+        self.inner.unlink_at(id, path, issue)
+    }
+    fn stat_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<OpCost> {
+        self.see("stat", path, issue);
+        self.inner.stat_at(id, path, issue)
+    }
+    fn open_at(&mut self, id: Option<PathId>, path: &str, issue: Nanos) -> SimResult<(Fd, OpCost)> {
+        self.see("open", path, issue);
+        let (fd, cost) = self.inner.open_at(id, path, issue)?;
+        self.paths.insert(fd, path.to_string());
+        Ok((fd, cost))
+    }
+    fn set_size_at(&mut self, fd: Fd, size: Bytes, issue: Nanos) -> SimResult<OpCost> {
+        self.see_fd("setsize", fd, issue);
+        self.inner.set_size_at(fd, size, issue)
+    }
+    fn read_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
+        self.see_fd("read", fd, issue);
+        self.inner.read_at(fd, offset, len, issue)
+    }
+    fn write_at(&mut self, fd: Fd, offset: Bytes, len: Bytes, issue: Nanos) -> SimResult<OpCost> {
+        self.see_fd("write", fd, issue);
+        self.inner.write_at(fd, offset, len, issue)
+    }
+    fn fsync_at(&mut self, fd: Fd, issue: Nanos) -> SimResult<OpCost> {
+        self.see_fd("fsync", fd, issue);
+        self.inner.fsync_at(fd, issue)
+    }
+    fn tick_at(&mut self, issue: Nanos) -> Nanos {
+        self.see("tick", "", issue);
+        self.inner.tick_at(issue)
+    }
+    fn close(&mut self, fd: Fd) -> SimResult<()> {
+        let now = self.inner.now();
+        self.see_fd("close", fd, now);
+        self.paths.remove(&fd);
+        self.inner.close(fd)
+    }
+    fn drop_caches(&mut self) -> bool {
+        self.inner.drop_caches()
+    }
+}
+
+/// Replays `trace` under `timing` with merge seed 0 on a fresh 1 GiB
+/// ext2 target, as one summary line with the digest of what the target
+/// saw.
+fn witnessed_replay(label: &str, trace: &Trace, timing: Timing) -> String {
+    let mut target = Witness::new(testbed::paper_fs(FsKind::Ext2, Bytes::gib(1), 0));
+    let result = replay_with(&mut target, trace, &ReplayConfig { timing, seed: 0 });
+    format!(
+        "{label} {timing}: {} ops ({} errors) in {}, {} calls, fnv {:#018x}\n",
+        result.ops, result.errors, result.duration, target.calls, target.digest
+    )
+}
+
+/// Two streams whose zero-cost entries (`close`, and `open` of a path
+/// that is already open) land at the same instant, crossing over each
+/// other's paths.
+const SAME_INSTANT_TRACE: &str = "# rocketbench-trace v2
+0 0 create /za
+1 0 create /zb
+0 0 open /za
+1 0 open /zb
+0 1000000 open /za
+1 1000000 open /zb
+0 1000000 close /za
+1 1000000 close /zb
+0 1000000 open /zb
+1 1000000 open /za
+0 1000000 open /zb
+1 1000000 open /za
+0 1000000 write /zb 0 4096
+1 1000000 write /za 0 4096
+0 1000000 close /zb
+1 1000000 close /za
+";
+
+#[test]
+fn timed_multi_stream_replays_are_byte_identical() {
+    // Timed replays of the golden v2 trace take the overlapped engine
+    // (two or more streams on a time-parameterized target); the digest
+    // pins the instant at which every op reached the target.
+    let trace = Trace::from_text(&repo_file("golden_v2.trace")).expect("parses");
+    let timings = [Timing::Faithful, Timing::Scaled { factor: 4.0 }];
+    let mut out = String::new();
+    for clones in [1, 4, 32, 256] {
+        let scaled = apply(&trace, &[Transform::Scale { clones }]).expect("scale");
+        for timing in timings {
+            out.push_str(&witnessed_replay(&format!("x{clones}"), &scaled, timing));
+        }
+    }
+    let same_instant = Trace::from_text(SAME_INSTANT_TRACE).expect("parses");
+    for timing in timings {
+        out.push_str(&witnessed_replay("same-instant", &same_instant, timing));
+    }
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let path = format!(
+            "{}/tests/golden/replay_timed.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::write(&path, &out).expect("write golden");
+    }
+    assert_eq!(out, golden("replay_timed.txt"), "timed replay drifted");
 }
