@@ -40,7 +40,7 @@
 use crate::dimensions::{Coverage, CoverageProfile, Dimension};
 use crate::report::{self, Json};
 use crate::runner::{
-    drive_protocol, jittered_cache_pages, run_many, MultiRun, Protocol, RunPlan, Verdict,
+    repeat, run_many, summarize, MultiRun, Protocol, RunPlan, Verdict, SEQUENTIAL_CI,
 };
 use crate::sched::Arrival;
 use crate::target::Target as _;
@@ -1345,8 +1345,6 @@ fn working_set_estimate(workload: &Workload) -> Bytes {
     Bytes::new(total as u64)
 }
 
-/// Executes one cell under the campaign's plan. `run_cap` is the
-/// per-cell share of the campaign's run budget, if one was set.
 /// Section 2 coverage of a cell's workload — a pure function of
 /// `(spec, cell)`, shared by the live path and the store loader so a
 /// record loaded from disk carries exactly the coverage a fresh run
@@ -1374,6 +1372,8 @@ pub(crate) fn cell_coverage(spec: &SweepSpec, cell: &Cell) -> SimResult<Coverage
     }
 }
 
+/// Executes one cell under the campaign's plan. `run_cap` is the
+/// per-cell share of the campaign's run budget, if one was set.
 pub(crate) fn run_cell(
     spec: &SweepSpec,
     cell: &Cell,
@@ -1384,11 +1384,35 @@ pub(crate) fn run_cell(
         CellWorkload::Trace { index, .. } => return run_trace_cell(spec, cell, *index, run_cap),
     };
     let workload = personality.workload(cell.file_size, cell.files);
-    let seed = cell.seed(spec.plan.base_seed);
+    // Size the device by the working set, whether it is one large file
+    // or a fileset.
+    let working_set = cell.file_size.max(working_set_estimate(&workload));
+    let (plan, device) = cell_setup(spec, cell, working_set, run_cap);
+    let fs = cell.fs;
+    let mr = run_many(|s| testbed::paper_fs(fs, device, s), &workload, &plan)?;
+    let coverage = cell_coverage(spec, cell)?;
+    let mut result = CellResult::from_multi_run(cell.clone(), coverage, plan.base_seed, &mr);
+    if let (Some(stats), Some(slo)) = (result.open_loop.as_mut(), spec.slo_p99) {
+        stats.slo_max_rate = Some(slo_max_rate(&workload, &plan, fs, device, slo)?);
+    }
+    Ok(result)
+}
+
+/// How every run of `cell` is set up: the campaign plan stamped with the
+/// cell's seed and axes (its protocol capped at the cell's share
+/// `run_cap` of the run budget, its cache controlled unless the cell's
+/// capacity is zero), and the device its targets are formatted on, kept
+/// comfortably larger than `working_set`.
+fn cell_setup(
+    spec: &SweepSpec,
+    cell: &Cell,
+    working_set: Bytes,
+    run_cap: Option<u32>,
+) -> (RunPlan, Bytes) {
     let mut plan = spec
         .plan
         .clone()
-        .with_base_seed(seed)
+        .with_base_seed(cell.seed(spec.plan.base_seed))
         .with_processes(cell.processes)
         .with_arrival(cell.arrival)
         .with_faults(cell.faults)
@@ -1401,66 +1425,38 @@ pub(crate) fn run_cell(
     } else {
         Some(cell.cache)
     };
-    // Keep the formatted device comfortably larger than the working set,
-    // whether it is one large file or a fileset.
-    let working_set = cell.file_size.max(working_set_estimate(&workload));
     let device = spec
         .device
         .max(Bytes::new(working_set.as_u64().saturating_mul(2)));
-    let fs = cell.fs;
-    let mr = run_many(|s| testbed::paper_fs(fs, device, s), &workload, &plan)?;
-    let coverage = cell_coverage(spec, cell)?;
-    let mut result = CellResult::from_multi_run(cell.clone(), coverage, seed, &mr);
-    if let (Some(stats), Some(slo)) = (result.open_loop.as_mut(), spec.slo_p99) {
-        stats.slo_max_rate = Some(slo_max_rate(spec, cell, slo)?);
-    }
-    Ok(result)
+    (plan, device)
 }
 
-/// Maximum offered load (ops/s) at which one probe run of `cell` still
-/// sustains `p99 <= slo` — the cell's SLO verdict.
+/// Maximum offered load (ops/s) at which one probe run of a cell still
+/// sustains `p99 <= slo` — the cell's SLO verdict. `plan` and `device`
+/// are the cell's, from [`cell_setup`].
 ///
 /// Deterministic bisection: double the rate from the cell's configured
 /// arrival rate until a probe breaches the SLO (bracketing), then
 /// bisect the integer interval down to ~5 % relative width. Each probe
 /// is a single engine run under the cell's own seed discipline, so the
 /// verdict is a pure function of (spec, cell) — never of scheduling.
-fn slo_max_rate(spec: &SweepSpec, cell: &Cell, slo: Nanos) -> SimResult<u64> {
-    let personality = match &cell.workload {
-        CellWorkload::Personality(p) => *p,
-        CellWorkload::Trace { .. } => {
-            return Err(SimError::BadConfig(
-                "SLO verdicts apply to open-loop personality cells, not traces".into(),
-            ))
-        }
-    };
-    let workload = personality.workload(cell.file_size, cell.files);
-    let seed = cell.seed(spec.plan.base_seed);
-    let working_set = cell.file_size.max(working_set_estimate(&workload));
-    let device = spec
-        .device
-        .max(Bytes::new(working_set.as_u64().saturating_mul(2)));
-    let fs = cell.fs;
+fn slo_max_rate(
+    workload: &Workload,
+    plan: &RunPlan,
+    fs: FsKind,
+    device: Bytes,
+    slo: Nanos,
+) -> SimResult<u64> {
     let probe = |rate: u64| -> SimResult<bool> {
-        let mut plan = spec
-            .plan
+        let plan = plan
             .clone()
-            .with_base_seed(seed)
-            .with_processes(cell.processes)
-            .with_arrival(cell.arrival.with_rate(rate))
-            .with_faults(cell.faults)
-            .with_retry(spec.retry)
+            .with_arrival(plan.arrival.with_rate(rate))
             .with_protocol(Protocol::FixedRuns(1));
-        plan.cache_capacity = if cell.cache.is_zero() {
-            None
-        } else {
-            Some(cell.cache)
-        };
-        let mr = run_many(|s| testbed::paper_fs(fs, device, s), &workload, &plan)?;
+        let mr = run_many(|s| testbed::paper_fs(fs, device, s), workload, &plan)?;
         let p99 = mr.outcomes[0].recording.histogram.quantile(0.99);
         Ok(p99.is_none_or(|p| p <= slo))
     };
-    let base = cell.arrival.rate().unwrap_or(1).max(1);
+    let base = plan.arrival.rate().unwrap_or(1).max(1);
     if !probe(base)? {
         // Even the configured rate breaches: bisect down from it.
         let (mut lo, mut hi) = (0u64, base);
@@ -1518,39 +1514,27 @@ fn run_trace_cell(
     let source = spec.traces.get(index).ok_or_else(|| {
         SimError::BadConfig(format!("trace cell references missing source {index}"))
     })?;
-    let seed = cell.seed(spec.plan.base_seed);
-    let mut protocol = spec.plan.protocol;
-    if let Some(cap) = run_cap {
-        protocol = protocol.capped(cap);
-    }
     // One characterization pass serves both the device sizing and the
     // cell's ⋆ coverage profile.
     let profile = characterize(&source.trace);
-    let device = spec
-        .device
-        .max(Bytes::new(profile.working_set.as_u64().saturating_mul(2)));
-    let fs = cell.fs;
+    let (plan, device) = cell_setup(spec, cell, profile.working_set, run_cap);
     let mut errors = 0u64;
     let mut ratios: Vec<f64> = Vec::new();
-    let drive = drive_protocol(&protocol, seed, |_, run_seed| {
-        let mut target = testbed::paper_fs(fs, device, run_seed);
-        if !cell.cache.is_zero() {
-            let pages = jittered_cache_pages(cell.cache, spec.plan.cache_jitter, run_seed);
-            target.set_cache_capacity_pages(pages);
-        }
+    let (samples, verdict) = repeat(&plan.protocol, plan.base_seed, SEQUENTIAL_CI, |_, seed| {
+        let mut target = testbed::paper_fs(cell.fs, device, seed);
+        plan.set_run_cache(&mut target, seed);
         let config = ReplayConfig {
             timing: source.timing,
-            seed: run_seed,
+            seed,
         };
         let result = replay_with(&mut target, &source.trace, &config);
         errors += result.errors;
         if let Some(h) = target.cache_hit_ratio() {
             ratios.push(h);
         }
-        Ok(result.ops_per_sec())
+        Ok((result.ops_per_sec(), None))
     })?;
-    let summary = Summary::from_sample(&drive.samples)
-        .ok_or_else(|| SimError::BadConfig("trace cell finished with zero runs".into()))?;
+    let (summary, ci) = summarize(&samples, &plan.protocol, plan.base_seed);
     let hit_ratio = if ratios.is_empty() {
         None
     } else {
@@ -1559,12 +1543,12 @@ fn run_trace_cell(
     Ok(CellResult {
         cell: cell.clone(),
         coverage: trace_coverage(&profile),
-        seed,
-        runs: drive.samples.len() as u32,
-        samples: drive.samples,
+        seed: plan.base_seed,
+        runs: samples.len() as u32,
+        samples,
         summary,
-        ci: drive.ci,
-        verdict: drive.verdict,
+        ci,
+        verdict,
         hit_ratio,
         errors,
         open_loop: None,

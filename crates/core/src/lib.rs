@@ -12,7 +12,8 @@
 //! * [`testbed`] — the paper's Xeon + Maxtor + 512 MiB machine, prewired.
 //! * [`workload`] — Filebench-style flowops and personalities.
 //! * [`runner`] — run protocols (fixed-N and convergence-driven), the
-//!   stateful `Experiment` driver, verdicts and summaries.
+//!   one repetition loop `repeat` that every repeated measurement runs
+//!   through, verdicts and summaries.
 //! * [`sched`] — the discrete-event process scheduler behind
 //!   multi-process and open-loop runs: core tokens, the shared device
 //!   queue, and the one event pump for closed and open loads.
@@ -77,9 +78,7 @@ pub mod prelude {
         Fig2Config, Fig2Data, Fig3Config, Fig3Data, Fig4Config, Fig4Data,
     };
     pub use crate::nano::{run_suite, NanoConfig, NanoReport};
-    pub use crate::runner::{
-        run_many, Experiment, ExperimentStatus, MultiRun, Protocol, RunOutcome, RunPlan, Verdict,
-    };
+    pub use crate::runner::{repeat, run_many, MultiRun, Protocol, RunOutcome, RunPlan, Verdict};
     pub use crate::scaling::{thread_scaling, ScalingConfig, ScalingCurve, ScalingPoint};
     pub use crate::sched::{
         Arrival, ArrivalGen, CoreSet, DeviceQueue, OpenLoad, OpenOutcome, SchedConfig,

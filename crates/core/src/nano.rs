@@ -15,7 +15,7 @@
 
 use crate::analysis::WarmupReport;
 use crate::dimensions::Dimension;
-use crate::runner::{Protocol, Verdict};
+use crate::runner::{repeat, Protocol, Verdict};
 use crate::sched::Arrival;
 use crate::target::{SimTarget, Target};
 use crate::testbed::{self, FsKind};
@@ -25,7 +25,6 @@ use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::{Bytes, PAGE_SIZE};
 use rb_stats::bootstrap::{bootstrap_mean_ci, Interval};
-use rb_stats::sequential::{self, Decision};
 use rb_stats::summary::Summary;
 use std::fmt::Write as _;
 
@@ -460,38 +459,22 @@ pub fn run_suite_protocol(
     config: &NanoConfig,
     protocol: &Protocol,
 ) -> SimResult<NanoProtocolReport> {
-    protocol.validate()?;
-    let rule = protocol.stopping_rule();
     let mut runs: Vec<NanoReport> = Vec::new();
-    let mut headline: Vec<f64> = Vec::new();
-    let verdict = loop {
-        let n = runs.len() as u32;
-        match &rule {
-            None => {
-                if n >= protocol.max_runs() {
-                    break Verdict::Fixed;
-                }
-            }
-            Some(rule) => {
-                let mut rng = Rng::new(config.seed).fork("nano-sequential");
-                match sequential::evaluate(&headline, rule, &mut rng) {
-                    Decision::Continue => {}
-                    Decision::Converged(_) => break Verdict::Converged,
-                    Decision::Exhausted(_) => break Verdict::MaxRuns,
-                }
-            }
-        }
-        let mut run_config = config.clone();
-        run_config.seed = config.seed.wrapping_add(n as u64);
-        let report = run_suite(fs, &run_config)?;
-        headline.push(
-            report
-                .component(HEADLINE.0)
-                .and_then(|r| r.metric(HEADLINE.1))
-                .unwrap_or(0.0),
-        );
+    let (_, verdict) = repeat(protocol, config.seed, "nano-sequential", |_, seed| {
+        let report = run_suite(
+            fs,
+            &NanoConfig {
+                seed,
+                ..config.clone()
+            },
+        )?;
+        let headline = report
+            .component(HEADLINE.0)
+            .and_then(|r| r.metric(HEADLINE.1))
+            .unwrap_or(0.0);
         runs.push(report);
-    };
+        Ok((headline, None))
+    })?;
     let first = runs.first().expect("protocol guarantees at least one run");
     let mut metrics = Vec::new();
     for r in &first.results {

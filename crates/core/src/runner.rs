@@ -13,8 +13,9 @@
 //! (converged / hit the run ceiling / refused because the runs straddle
 //! performance regimes) on every [`MultiRun`].
 //!
-//! The stateful driver is [`Experiment`]; [`run_many`] remains the
-//! one-call convenience wrapper.
+//! One loop, [`repeat`], owns the protocol: [`run_many`] gives it the
+//! flowop engine as its per-run body, and trace-backed campaign cells
+//! and the nano suite give it theirs.
 
 use crate::analysis::Regime;
 use crate::sched::Arrival;
@@ -439,6 +440,16 @@ impl RunPlan {
         self
     }
 
+    /// Applies run `seed`'s memory pressure to `target` when the plan
+    /// controls the cache: the nominal capacity ± the plan's jitter,
+    /// floored at one page. Returns the capacity set, in pages. Workload
+    /// runs and trace-backed cells share this model.
+    pub fn set_run_cache(&self, target: &mut dyn Target, seed: u64) -> Option<u64> {
+        let pages = jittered_cache_pages(self.cache_capacity?, self.cache_jitter, seed);
+        target.set_cache_capacity_pages(pages);
+        Some(pages)
+    }
+
     /// The engine configuration for run `i` of this plan.
     pub fn engine_config(&self, run_index: u32) -> EngineConfig {
         EngineConfig {
@@ -570,207 +581,164 @@ impl MultiRun {
     }
 }
 
-/// What an [`Experiment`] decided after the most recent run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExperimentStatus {
-    /// More runs are needed.
-    Continue,
-    /// The experiment is complete with this verdict.
-    Done(Verdict),
-}
+/// The fork of a base seed that the adaptive stopping rule of
+/// [`run_many`] and trace-backed campaign cells draws its bootstrap from.
+pub(crate) const SEQUENTIAL_CI: &str = "sequential-ci";
 
-/// A stateful multi-run experiment driver.
+/// The repetition loop behind every repeated measurement: [`run_many`],
+/// trace-backed campaign cells and the nano suite each supply only the
+/// per-run body.
 ///
-/// Owns the workload and plan, executes one run at a time
-/// ([`Experiment::run_next`]), and evaluates the plan's protocol after
-/// each ([`Experiment::status`]). [`Experiment::run_to_completion`]
-/// drives the loop to a [`MultiRun`]; [`run_many`] wraps construction
-/// and completion in one call.
+/// Calls `run(i, base_seed + i)` for `i = 0, 1, …` until the protocol
+/// says stop. Each run returns its sample and, when the body can
+/// classify it, the performance [`Regime`] it ran in. Runs that straddle
+/// regimes stop with [`Verdict::MixedRegime`]: under
+/// [`Protocol::Adaptive`] as soon as `min_runs` are in, before the CI
+/// rule, since no number of extra runs makes a bimodal sample's mean
+/// meaningful; under [`Protocol::FixedRuns`] after the last run.
+/// Otherwise the adaptive rule is evaluated after every run from
+/// `min_runs` on, on a bootstrap drawn afresh from the `stop_fork`
+/// stream of `base_seed`. The verdict is therefore a pure function of
+/// the samples and the seed, so campaigns can schedule cells in any
+/// order on any number of workers without changing a byte. A run's
+/// error ends the loop and is returned.
 ///
-/// Every run's seed derives from `plan.base_seed + run_index`, and the
-/// stopping rule's bootstrap derives from `plan.base_seed` alone, so an
-/// experiment is a pure function of (plan, workload, target factory) —
-/// campaigns can schedule cells in any order on any number of workers
-/// without changing a single byte of output.
-pub struct Experiment<T, F>
-where
-    T: Target,
-    F: FnMut(u64) -> T,
-{
-    make_target: F,
-    workload: Workload,
-    plan: RunPlan,
-    outcomes: Vec<RunOutcome>,
-}
-
-impl<T, F> Experiment<T, F>
-where
-    T: Target,
-    F: FnMut(u64) -> T,
-{
-    /// Creates a driver, validating the plan's protocol.
-    pub fn new(make_target: F, workload: &Workload, plan: &RunPlan) -> SimResult<Self> {
-        plan.protocol.validate()?;
-        Ok(Experiment {
-            make_target,
-            workload: workload.clone(),
-            plan: plan.clone(),
-            outcomes: Vec::new(),
-        })
-    }
-
-    /// Runs completed so far.
-    pub fn completed_runs(&self) -> u32 {
-        self.outcomes.len() as u32
-    }
-
-    /// Steady-state samples collected so far.
-    pub fn samples(&self) -> Vec<f64> {
-        self.outcomes.iter().map(|o| o.steady_ops_per_sec).collect()
-    }
-
-    /// The outcomes collected so far.
-    pub fn outcomes(&self) -> &[RunOutcome] {
-        &self.outcomes
-    }
-
-    /// Executes the next run.
-    pub fn run_next(&mut self) -> SimResult<&RunOutcome> {
-        let i = self.outcomes.len() as u32;
-        let seed = self.plan.base_seed.wrapping_add(i as u64);
-        let mut target = (self.make_target)(seed);
-        // Per-run memory pressure: capacity = nominal ± jitter.
-        let cache_pages = self.plan.cache_capacity.map(|base| {
-            let pages = jittered_cache_pages(base, self.plan.cache_jitter, seed);
-            target.set_cache_capacity_pages(pages);
-            pages
-        });
-        let config = self.plan.engine_config(i);
-        let recording = Engine::run(&mut target, &self.workload, &config)?;
-        let ys: Vec<f64> = recording.windows.iter().map(|w| w.ops_per_sec).collect();
-        // Changepoint-detected warm-up end. `steady_state_start` accepts
-        // any trailing suffix (a 1-window suffix is trivially "stable"),
-        // so demand the steady phase cover at least `tail_windows`
-        // windows — a shorter one means the run never really settled,
-        // and averaging a couple of windows would be a far noisier
-        // sample than the tail rule.
-        let min_steady = self.plan.tail_windows.max(1);
-        let steady_from_window =
-            steady_state_start(&ys, WARMUP_RSD_LIMIT).filter(|&s| ys.len() - s >= min_steady);
-        let steady = if self.plan.protocol.is_adaptive() {
-            // Average the detected steady phase; fall back to the
-            // tail-window rule (then the whole run) when the series
-            // never stabilizes for long enough.
-            steady_from_window
-                .map(|s| ys[s..].iter().sum::<f64>() / (ys.len() - s) as f64)
-                .or_else(|| recording.tail_ops_per_sec(self.plan.tail_windows))
-                .unwrap_or_else(|| recording.ops_per_sec())
-        } else {
-            recording
-                .tail_ops_per_sec(self.plan.tail_windows)
-                .unwrap_or_else(|| recording.ops_per_sec())
-        };
-        let regime = Regime::classify(&recording);
-        self.outcomes.push(RunOutcome {
-            recording,
-            seed,
-            cache_pages,
-            steady_ops_per_sec: steady,
-            steady_from_window,
-            regime,
-        });
-        Ok(self.outcomes.last().expect("just pushed"))
-    }
-
-    /// Do the collected runs straddle performance regimes?
-    fn regimes_mixed(&self) -> bool {
-        let first = match self.outcomes.first() {
-            Some(o) => o.regime,
-            None => return false,
-        };
-        self.outcomes.iter().any(|o| o.regime != first)
-    }
-
-    /// Evaluates the protocol against the runs collected so far.
-    pub fn status(&self) -> ExperimentStatus {
-        let n = self.completed_runs();
-        match self.plan.protocol.stopping_rule() {
-            None => {
-                if n < self.plan.protocol.max_runs() {
-                    ExperimentStatus::Continue
-                } else if self.regimes_mixed() {
-                    ExperimentStatus::Done(Verdict::MixedRegime)
-                } else {
-                    ExperimentStatus::Done(Verdict::Fixed)
-                }
-            }
+/// Returns the samples in run order, never empty, and the verdict.
+pub fn repeat(
+    protocol: &Protocol,
+    base_seed: u64,
+    stop_fork: &str,
+    mut run: impl FnMut(u32, u64) -> SimResult<(f64, Option<Regime>)>,
+) -> SimResult<(Vec<f64>, Verdict)> {
+    protocol.validate()?;
+    let rule = protocol.stopping_rule();
+    let mut samples = Vec::new();
+    let mut first_regime = None;
+    let mut mixed = false;
+    loop {
+        let n = samples.len() as u32;
+        let verdict = match &rule {
+            None if n < protocol.max_runs() => None,
+            None if mixed => Some(Verdict::MixedRegime),
+            None => Some(Verdict::Fixed),
+            Some(rule) if n < rule.min_runs => None,
+            Some(_) if mixed => Some(Verdict::MixedRegime),
             Some(rule) => {
-                if n < rule.min_runs {
-                    return ExperimentStatus::Continue;
-                }
-                // A sample that straddles regimes is bimodal: no amount
-                // of extra runs makes its mean meaningful. Refuse early
-                // instead of burning the rest of the budget.
-                if self.regimes_mixed() {
-                    return ExperimentStatus::Done(Verdict::MixedRegime);
-                }
-                let mut rng = Rng::new(self.plan.base_seed).fork("sequential-ci");
-                match sequential::evaluate(&self.samples(), &rule, &mut rng) {
-                    Decision::Continue => ExperimentStatus::Continue,
-                    Decision::Converged(_) => ExperimentStatus::Done(Verdict::Converged),
-                    Decision::Exhausted(_) => ExperimentStatus::Done(Verdict::MaxRuns),
+                let mut rng = Rng::new(base_seed).fork(stop_fork);
+                match sequential::evaluate(&samples, rule, &mut rng) {
+                    Decision::Continue => None,
+                    Decision::Converged(_) => Some(Verdict::Converged),
+                    Decision::Exhausted(_) => Some(Verdict::MaxRuns),
                 }
             }
+        };
+        if let Some(verdict) = verdict {
+            return Ok((samples, verdict));
+        }
+        let (sample, regime) = run(n, base_seed.wrapping_add(n as u64))?;
+        samples.push(sample);
+        if let Some(regime) = regime {
+            mixed |= *first_regime.get_or_insert(regime) != regime;
         }
     }
+}
 
-    /// Drives the experiment until its protocol says stop, then
-    /// aggregates.
-    pub fn run_to_completion(mut self) -> SimResult<MultiRun> {
-        loop {
-            match self.status() {
-                ExperimentStatus::Continue => {
-                    self.run_next()?;
-                }
-                ExperimentStatus::Done(verdict) => {
-                    return self.finish(verdict);
-                }
-            }
-        }
-    }
-
-    /// Aggregates the collected runs into a [`MultiRun`].
-    fn finish(self, verdict: Verdict) -> SimResult<MultiRun> {
-        let samples = self.samples();
-        let summary = Summary::from_sample(&samples)
-            .ok_or_else(|| SimError::BadConfig("experiment finished with zero runs".into()))?;
-        let mut rng = Rng::new(self.plan.base_seed).fork("bootstrap-ci");
-        let alpha = 1.0 - self.plan.protocol.confidence();
-        let ci = bootstrap_mean_ci(&samples, REPORT_RESAMPLES, alpha, &mut rng);
-        Ok(MultiRun {
-            outcomes: self.outcomes,
-            summary,
-            verdict,
-            ci,
-        })
-    }
+/// What [`run_many`] and trace cells report for the samples of
+/// [`repeat`]: their summary, and the bootstrap CI on their mean drawn
+/// from the `bootstrap-ci` stream of `base_seed` at the protocol's
+/// confidence.
+pub(crate) fn summarize(
+    samples: &[f64],
+    protocol: &Protocol,
+    base_seed: u64,
+) -> (Summary, Option<Interval>) {
+    let summary = Summary::from_sample(samples).expect("a validated protocol runs at least once");
+    let mut rng = Rng::new(base_seed).fork("bootstrap-ci");
+    let alpha = 1.0 - protocol.confidence();
+    let ci = bootstrap_mean_ci(samples, REPORT_RESAMPLES, alpha, &mut rng);
+    (summary, ci)
 }
 
 /// Runs `workload` under `plan`'s protocol, building a fresh target per
 /// run via `make_target(seed)`.
-pub fn run_many<T, F>(make_target: F, workload: &Workload, plan: &RunPlan) -> SimResult<MultiRun>
+///
+/// Every run's seed derives from `plan.base_seed + run_index`, and the
+/// stopping rule's bootstrap from `plan.base_seed` alone (see
+/// [`repeat`]), so the result is a pure function of (plan, workload,
+/// target factory).
+pub fn run_many<T, F>(
+    mut make_target: F,
+    workload: &Workload,
+    plan: &RunPlan,
+) -> SimResult<MultiRun>
 where
     T: Target,
     F: FnMut(u64) -> T,
 {
-    Experiment::new(make_target, workload, plan)?.run_to_completion()
+    let mut outcomes = Vec::new();
+    let (samples, verdict) = repeat(&plan.protocol, plan.base_seed, SEQUENTIAL_CI, |i, seed| {
+        let outcome = run_once(&mut make_target(seed), workload, plan, i, seed)?;
+        let sample = (outcome.steady_ops_per_sec, Some(outcome.regime));
+        outcomes.push(outcome);
+        Ok(sample)
+    })?;
+    let (summary, ci) = summarize(&samples, &plan.protocol, plan.base_seed);
+    Ok(MultiRun {
+        outcomes,
+        summary,
+        verdict,
+        ci,
+    })
+}
+
+/// Run `i` of `plan`, seeded `seed`, on a fresh `target`: the run's
+/// memory pressure, the engine, then its steady-state sample and regime.
+fn run_once(
+    target: &mut dyn Target,
+    workload: &Workload,
+    plan: &RunPlan,
+    i: u32,
+    seed: u64,
+) -> SimResult<RunOutcome> {
+    let cache_pages = plan.set_run_cache(target, seed);
+    let recording = Engine::run(target, workload, &plan.engine_config(i))?;
+    let ys: Vec<f64> = recording.windows.iter().map(|w| w.ops_per_sec).collect();
+    // Changepoint-detected warm-up end. `steady_state_start` accepts
+    // any trailing suffix (a 1-window suffix is trivially "stable"),
+    // so demand the steady phase cover at least `tail_windows`
+    // windows — a shorter one means the run never really settled,
+    // and averaging a couple of windows would be a far noisier
+    // sample than the tail rule.
+    let min_steady = plan.tail_windows.max(1);
+    let steady_from_window =
+        steady_state_start(&ys, WARMUP_RSD_LIMIT).filter(|&s| ys.len() - s >= min_steady);
+    let steady = if plan.protocol.is_adaptive() {
+        // Average the detected steady phase; fall back to the
+        // tail-window rule (then the whole run) when the series
+        // never stabilizes for long enough.
+        steady_from_window
+            .map(|s| ys[s..].iter().sum::<f64>() / (ys.len() - s) as f64)
+            .or_else(|| recording.tail_ops_per_sec(plan.tail_windows))
+            .unwrap_or_else(|| recording.ops_per_sec())
+    } else {
+        recording
+            .tail_ops_per_sec(plan.tail_windows)
+            .unwrap_or_else(|| recording.ops_per_sec())
+    };
+    let regime = Regime::classify(&recording);
+    Ok(RunOutcome {
+        recording,
+        seed,
+        cache_pages,
+        steady_ops_per_sec: steady,
+        steady_from_window,
+        regime,
+    })
 }
 
 /// One run's controlled cache capacity in pages: the nominal capacity
-/// plus a seeded uniform ± `jitter` perturbation, floored at one page —
-/// the per-run memory-pressure model shared by the workload
-/// [`Experiment`] and trace-backed campaign cells.
-pub fn jittered_cache_pages(base: Bytes, jitter: Bytes, seed: u64) -> u64 {
+/// plus a seeded uniform ± `jitter` perturbation, floored at one page.
+fn jittered_cache_pages(base: Bytes, jitter: Bytes, seed: u64) -> u64 {
     let jitter = jitter.as_u64();
     let mut rng = Rng::new(seed).fork("cache-jitter");
     let delta = if jitter == 0 {
@@ -780,71 +748,6 @@ pub fn jittered_cache_pages(base: Bytes, jitter: Bytes, seed: u64) -> u64 {
     };
     let bytes = (base.as_u64() as i64 + delta).max(PAGE_SIZE.as_u64() as i64) as u64;
     Bytes::new(bytes).div_ceil(PAGE_SIZE)
-}
-
-/// Outcome of a generic protocol-driven sample loop.
-///
-/// [`drive_protocol`] is the repetition discipline of [`Experiment`] —
-/// same stopping rule, same seed derivation, same bootstrap RNG forks —
-/// for experiments whose per-run body is not the flowop engine (e.g.
-/// trace replay): every run `i` gets seed `base_seed + i`, the adaptive
-/// rule is re-evaluated after each run once `min_runs` are in, and the
-/// reported CI comes from the deterministic `bootstrap-ci` stream.
-/// Unlike [`Experiment`] it has no [`Recording`]s, so it cannot detect
-/// mixed performance regimes; callers that can classify regimes should
-/// do so themselves.
-#[derive(Debug, Clone)]
-pub struct ProtocolDrive {
-    /// One sample per executed run, in run order.
-    pub samples: Vec<f64>,
-    /// Why the loop stopped.
-    pub verdict: Verdict,
-    /// Bootstrap CI on the mean sample, at the protocol's confidence.
-    pub ci: Option<Interval>,
-}
-
-/// Drives `run(run_index, run_seed) -> sample` under a repetition
-/// protocol; see [`ProtocolDrive`].
-pub fn drive_protocol<F>(
-    protocol: &Protocol,
-    base_seed: u64,
-    mut run: F,
-) -> SimResult<ProtocolDrive>
-where
-    F: FnMut(u32, u64) -> SimResult<f64>,
-{
-    protocol.validate()?;
-    let mut samples: Vec<f64> = Vec::new();
-    let verdict = loop {
-        let n = samples.len() as u32;
-        match protocol.stopping_rule() {
-            None => {
-                if n >= protocol.max_runs() {
-                    break Verdict::Fixed;
-                }
-            }
-            Some(rule) => {
-                if n >= rule.min_runs {
-                    let mut rng = Rng::new(base_seed).fork("sequential-ci");
-                    match sequential::evaluate(&samples, &rule, &mut rng) {
-                        Decision::Continue => {}
-                        Decision::Converged(_) => break Verdict::Converged,
-                        Decision::Exhausted(_) => break Verdict::MaxRuns,
-                    }
-                }
-            }
-        }
-        let seed = base_seed.wrapping_add(n as u64);
-        samples.push(run(n, seed)?);
-    };
-    let mut rng = Rng::new(base_seed).fork("bootstrap-ci");
-    let alpha = 1.0 - protocol.confidence();
-    let ci = bootstrap_mean_ci(&samples, REPORT_RESAMPLES, alpha, &mut rng);
-    Ok(ProtocolDrive {
-        samples,
-        verdict,
-        ci,
-    })
 }
 
 #[cfg(test)]
@@ -1032,22 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn experiment_is_resumable_and_matches_run_many() {
-        let w = personalities::random_read(Bytes::mib(4));
-        let plan = quick_plan(3, 3);
-        let mut exp =
-            Experiment::new(|seed| testbed::paper_ext2(Bytes::gib(1), seed), &w, &plan).unwrap();
-        while exp.status() == ExperimentStatus::Continue {
-            exp.run_next().unwrap();
-        }
-        assert_eq!(exp.status(), ExperimentStatus::Done(Verdict::Fixed));
-        let stepped = exp.run_to_completion().unwrap();
-        let direct = run_many(|seed| testbed::paper_ext2(Bytes::gib(1), seed), &w, &plan).unwrap();
-        assert_eq!(stepped.samples(), direct.samples());
-        assert_eq!(stepped.verdict, direct.verdict);
-    }
-
-    #[test]
     fn protocol_validation_and_capping() {
         assert!(Protocol::FixedRuns(0).validate().is_err());
         assert!(Protocol::FixedRuns(1).validate().is_ok());
@@ -1112,29 +999,36 @@ mod tests {
     }
 
     #[test]
-    fn drive_protocol_runs_fixed_counts_with_derived_seeds() {
+    fn repeat_runs_fixed_counts_with_derived_seeds() {
         let mut seeds = Vec::new();
-        let drive = drive_protocol(&Protocol::FixedRuns(4), 100, |i, seed| {
+        let (samples, verdict) = repeat(&Protocol::FixedRuns(4), 100, SEQUENTIAL_CI, |i, seed| {
             seeds.push((i, seed));
-            Ok(1000.0 + i as f64)
+            Ok((1000.0 + i as f64, None))
         })
         .unwrap();
-        assert_eq!(drive.samples.len(), 4);
-        assert_eq!(drive.verdict, Verdict::Fixed);
-        assert!(drive.ci.is_some());
+        assert_eq!(samples.len(), 4);
+        assert_eq!(verdict, Verdict::Fixed);
         assert_eq!(seeds, vec![(0, 100), (1, 101), (2, 102), (3, 103)]);
         // Zero-run protocols are rejected, not an empty success.
-        assert!(drive_protocol(&Protocol::FixedRuns(0), 0, |_, _| Ok(1.0)).is_err());
+        assert!(
+            repeat(&Protocol::FixedRuns(0), 0, SEQUENTIAL_CI, |_, _| Ok((
+                1.0, None
+            )))
+            .is_err()
+        );
     }
 
     #[test]
-    fn drive_protocol_adaptive_stops_on_stable_samples() {
-        let drive = drive_protocol(&Protocol::adaptive_default(), 7, |_, _| Ok(5000.0)).unwrap();
-        assert_eq!(drive.verdict, Verdict::Converged);
-        assert_eq!(drive.samples.len(), 5, "constant samples converge at min");
+    fn repeat_adaptive_stops_on_stable_samples() {
+        let (samples, verdict) = repeat(&Protocol::adaptive_default(), 7, SEQUENTIAL_CI, |_, _| {
+            Ok((5000.0, None))
+        })
+        .unwrap();
+        assert_eq!(verdict, Verdict::Converged);
+        assert_eq!(samples.len(), 5, "constant samples converge at min");
         // Wildly noisy samples exhaust the budget instead.
         let mut noise = Rng::new(9);
-        let drive = drive_protocol(
+        let (samples, verdict) = repeat(
             &Protocol::Adaptive {
                 min_runs: 3,
                 max_runs: 6,
@@ -1142,20 +1036,21 @@ mod tests {
                 confidence: 0.95,
             },
             9,
-            |_, _| Ok(1000.0 + noise.next_f64() * 900.0),
+            SEQUENTIAL_CI,
+            |_, _| Ok((1000.0 + noise.next_f64() * 900.0, None)),
         )
         .unwrap();
-        assert_eq!(drive.verdict, Verdict::MaxRuns);
-        assert_eq!(drive.samples.len(), 6);
+        assert_eq!(verdict, Verdict::MaxRuns);
+        assert_eq!(samples.len(), 6);
     }
 
     #[test]
-    fn drive_protocol_propagates_run_errors() {
-        let err = drive_protocol(&Protocol::FixedRuns(3), 0, |i, _| {
+    fn repeat_propagates_run_errors() {
+        let err = repeat(&Protocol::FixedRuns(3), 0, SEQUENTIAL_CI, |i, _| {
             if i == 1 {
                 Err(SimError::BadConfig("boom".into()))
             } else {
-                Ok(1.0)
+                Ok((1.0, None))
             }
         });
         assert!(err.is_err());
@@ -1184,5 +1079,394 @@ mod tests {
         assert_eq!(Verdict::MixedRegime.label(), "mixed-regime");
         assert!(Verdict::Converged.is_sound());
         assert!(!Verdict::MaxRuns.is_sound());
+    }
+
+    // The three repetition loops `repeat` replaced, kept as its oracle.
+    // Each is the pre-merge code but for its run body: `Experiment`'s
+    // engine run and the nano suite run become scripted samples and
+    // regimes.
+
+    /// What an [`Experiment`] decided after the most recent run.
+    #[derive(Debug, Clone, PartialEq)]
+    enum ExperimentStatus {
+        Continue,
+        Done(Verdict),
+    }
+
+    /// The pre-merge stateful driver behind `run_many`; each run's
+    /// outcome is the script's `(sample, regime)`.
+    struct Experiment<F>
+    where
+        F: FnMut(u32, u64) -> SimResult<(f64, Regime)>,
+    {
+        script: F,
+        plan: RunPlan,
+        outcomes: Vec<(f64, Regime)>,
+    }
+
+    impl<F> Experiment<F>
+    where
+        F: FnMut(u32, u64) -> SimResult<(f64, Regime)>,
+    {
+        fn new(script: F, plan: &RunPlan) -> SimResult<Self> {
+            plan.protocol.validate()?;
+            Ok(Experiment {
+                script,
+                plan: plan.clone(),
+                outcomes: Vec::new(),
+            })
+        }
+
+        fn completed_runs(&self) -> u32 {
+            self.outcomes.len() as u32
+        }
+
+        fn samples(&self) -> Vec<f64> {
+            self.outcomes.iter().map(|o| o.0).collect()
+        }
+
+        fn run_next(&mut self) -> SimResult<()> {
+            let i = self.outcomes.len() as u32;
+            let seed = self.plan.base_seed.wrapping_add(i as u64);
+            let outcome = (self.script)(i, seed)?;
+            self.outcomes.push(outcome);
+            Ok(())
+        }
+
+        fn regimes_mixed(&self) -> bool {
+            let first = match self.outcomes.first() {
+                Some(o) => o.1,
+                None => return false,
+            };
+            self.outcomes.iter().any(|o| o.1 != first)
+        }
+
+        fn status(&self) -> ExperimentStatus {
+            let n = self.completed_runs();
+            match self.plan.protocol.stopping_rule() {
+                None => {
+                    if n < self.plan.protocol.max_runs() {
+                        ExperimentStatus::Continue
+                    } else if self.regimes_mixed() {
+                        ExperimentStatus::Done(Verdict::MixedRegime)
+                    } else {
+                        ExperimentStatus::Done(Verdict::Fixed)
+                    }
+                }
+                Some(rule) => {
+                    if n < rule.min_runs {
+                        return ExperimentStatus::Continue;
+                    }
+                    if self.regimes_mixed() {
+                        return ExperimentStatus::Done(Verdict::MixedRegime);
+                    }
+                    let mut rng = Rng::new(self.plan.base_seed).fork("sequential-ci");
+                    match sequential::evaluate(&self.samples(), &rule, &mut rng) {
+                        Decision::Continue => ExperimentStatus::Continue,
+                        Decision::Converged(_) => ExperimentStatus::Done(Verdict::Converged),
+                        Decision::Exhausted(_) => ExperimentStatus::Done(Verdict::MaxRuns),
+                    }
+                }
+            }
+        }
+
+        fn run_to_completion(mut self) -> SimResult<ProtocolDrive> {
+            loop {
+                match self.status() {
+                    ExperimentStatus::Continue => {
+                        self.run_next()?;
+                    }
+                    ExperimentStatus::Done(verdict) => {
+                        return self.finish(verdict);
+                    }
+                }
+            }
+        }
+
+        fn finish(self, verdict: Verdict) -> SimResult<ProtocolDrive> {
+            let samples = self.samples();
+            Summary::from_sample(&samples)
+                .ok_or_else(|| SimError::BadConfig("experiment finished with zero runs".into()))?;
+            let mut rng = Rng::new(self.plan.base_seed).fork("bootstrap-ci");
+            let alpha = 1.0 - self.plan.protocol.confidence();
+            let ci = bootstrap_mean_ci(&samples, REPORT_RESAMPLES, alpha, &mut rng);
+            Ok(ProtocolDrive {
+                samples,
+                verdict,
+                ci,
+            })
+        }
+    }
+
+    /// The outcome of one of the oracle loops.
+    #[derive(Debug, Clone)]
+    struct ProtocolDrive {
+        samples: Vec<f64>,
+        verdict: Verdict,
+        ci: Option<Interval>,
+    }
+
+    /// The pre-merge generic loop behind trace cells.
+    fn drive_protocol<F>(
+        protocol: &Protocol,
+        base_seed: u64,
+        mut run: F,
+    ) -> SimResult<ProtocolDrive>
+    where
+        F: FnMut(u32, u64) -> SimResult<f64>,
+    {
+        protocol.validate()?;
+        let mut samples: Vec<f64> = Vec::new();
+        let verdict = loop {
+            let n = samples.len() as u32;
+            match protocol.stopping_rule() {
+                None => {
+                    if n >= protocol.max_runs() {
+                        break Verdict::Fixed;
+                    }
+                }
+                Some(rule) => {
+                    if n >= rule.min_runs {
+                        let mut rng = Rng::new(base_seed).fork("sequential-ci");
+                        match sequential::evaluate(&samples, &rule, &mut rng) {
+                            Decision::Continue => {}
+                            Decision::Converged(_) => break Verdict::Converged,
+                            Decision::Exhausted(_) => break Verdict::MaxRuns,
+                        }
+                    }
+                }
+            }
+            let seed = base_seed.wrapping_add(n as u64);
+            samples.push(run(n, seed)?);
+        };
+        let mut rng = Rng::new(base_seed).fork("bootstrap-ci");
+        let alpha = 1.0 - protocol.confidence();
+        let ci = bootstrap_mean_ci(&samples, REPORT_RESAMPLES, alpha, &mut rng);
+        Ok(ProtocolDrive {
+            samples,
+            verdict,
+            ci,
+        })
+    }
+
+    /// The CI the nano suite reports for its headline metric.
+    fn nano_headline_ci(samples: &[f64], protocol: &Protocol, seed: u64) -> Option<Interval> {
+        let mut rng = Rng::new(seed).fork("nano-ci/in-memory-read/throughput");
+        bootstrap_mean_ci(samples, 1000, 1.0 - protocol.confidence(), &mut rng)
+    }
+
+    /// The pre-merge loop of `nano::run_suite_protocol`; `suite(n, seed)`
+    /// stands for run `n`'s suite run and yields its headline metric.
+    fn nano_loop(
+        protocol: &Protocol,
+        seed: u64,
+        mut suite: impl FnMut(u32, u64) -> SimResult<f64>,
+    ) -> SimResult<ProtocolDrive> {
+        protocol.validate()?;
+        let rule = protocol.stopping_rule();
+        let mut headline: Vec<f64> = Vec::new();
+        let verdict = loop {
+            let n = headline.len() as u32;
+            match &rule {
+                None => {
+                    if n >= protocol.max_runs() {
+                        break Verdict::Fixed;
+                    }
+                }
+                Some(rule) => {
+                    let mut rng = Rng::new(seed).fork("nano-sequential");
+                    match sequential::evaluate(&headline, rule, &mut rng) {
+                        Decision::Continue => {}
+                        Decision::Converged(_) => break Verdict::Converged,
+                        Decision::Exhausted(_) => break Verdict::MaxRuns,
+                    }
+                }
+            }
+            headline.push(suite(n, seed.wrapping_add(n as u64))?);
+        };
+        let ci = nano_headline_ci(&headline, protocol, seed);
+        Ok(ProtocolDrive {
+            samples: headline,
+            verdict,
+            ci,
+        })
+    }
+
+    /// One seeded oracle case: a protocol, and a scripted run body.
+    #[derive(Debug)]
+    struct Case {
+        protocol: Protocol,
+        base_seed: u64,
+        /// 0 = stable, 1 = noisy, 2 = bimodal samples.
+        shape: u64,
+        /// Runs from this index on execute in the disk-bound regime.
+        flip_at: Option<u32>,
+        /// The run at this index fails.
+        fail_at: Option<u32>,
+    }
+
+    impl Case {
+        fn generate(k: u64) -> Case {
+            let mut rng = Rng::new(k).fork("repeat-oracle");
+            let protocol = if rng.chance(0.5) {
+                Protocol::FixedRuns(rng.range(1, 13) as u32)
+            } else {
+                let min_runs = rng.range(1, 7) as u32;
+                Protocol::Adaptive {
+                    min_runs,
+                    max_runs: min_runs + rng.below(11) as u32,
+                    ci_rel_width: rng.range_f64(0.002, 0.2),
+                    confidence: rng.range_f64(0.6, 0.99),
+                }
+            };
+            let runs = protocol.max_runs() as u64;
+            Case {
+                protocol,
+                base_seed: if rng.chance(0.1) {
+                    u64::MAX - rng.below(8)
+                } else {
+                    rng.next_u64()
+                },
+                shape: rng.below(3),
+                flip_at: rng.chance(0.3).then(|| rng.range(1, runs + 1) as u32),
+                fail_at: rng.chance(0.2).then(|| rng.below(runs) as u32),
+            }
+        }
+
+        /// Run `i`'s scripted outcome, a pure function of the case and
+        /// the run's `(index, seed)`.
+        fn run(&self, i: u32, seed: u64) -> SimResult<(f64, Regime)> {
+            if self.fail_at == Some(i) {
+                return Err(SimError::BadConfig(format!("run {i} failed")));
+            }
+            let u = Rng::new(seed).fork("script").next_f64();
+            let sample = match self.shape {
+                0 => 5000.0 * (1.0 + 0.002 * (u - 0.5)),
+                1 => 5000.0 * (0.5 + u),
+                _ => {
+                    if i.is_multiple_of(2) {
+                        9700.0 + 10.0 * u
+                    } else {
+                        500.0 + 10.0 * u
+                    }
+                }
+            };
+            let regime = if self.flip_at.is_some_and(|k| i >= k) {
+                Regime::DiskBound
+            } else {
+                Regime::MemoryBound
+            };
+            Ok((sample, regime))
+        }
+    }
+
+    /// A loop's `(index, seed)` calls and its outcome.
+    type Traced = (Vec<(u32, u64)>, SimResult<ProtocolDrive>);
+
+    /// `repeat` on `case`'s script, with or without its regimes, stopping
+    /// on the `stop_fork` stream and reporting the CI `ci` computes.
+    fn repeat_case(
+        case: &Case,
+        stop_fork: &str,
+        regimes: bool,
+        ci: impl Fn(&[f64]) -> Option<Interval>,
+    ) -> Traced {
+        let mut calls = Vec::new();
+        let drive = repeat(&case.protocol, case.base_seed, stop_fork, |i, seed| {
+            calls.push((i, seed));
+            let (sample, regime) = case.run(i, seed)?;
+            Ok((sample, regimes.then_some(regime)))
+        })
+        .map(|(samples, verdict)| ProtocolDrive {
+            ci: ci(&samples),
+            samples,
+            verdict,
+        });
+        (calls, drive)
+    }
+
+    /// Asserts that an old loop and `repeat` made the same calls and
+    /// came to the same outcome, bit for bit.
+    fn assert_same(case: &Case, loop_name: &str, (old_calls, old): Traced, (calls, new): Traced) {
+        assert_eq!(old_calls, calls, "{loop_name} calls differ on {case:?}");
+        let bits =
+            |ci: &Option<Interval>| ci.map(|c| (c.lo.to_bits(), c.point.to_bits(), c.hi.to_bits()));
+        match (&old, &new) {
+            (Ok(a), Ok(b)) => {
+                let sa: Vec<u64> = a.samples.iter().map(|x| x.to_bits()).collect();
+                let sb: Vec<u64> = b.samples.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(sa, sb, "{loop_name} samples differ on {case:?}");
+                assert_eq!(
+                    a.verdict, b.verdict,
+                    "{loop_name} verdict differs on {case:?}"
+                );
+                assert_eq!(
+                    bits(&a.ci),
+                    bits(&b.ci),
+                    "{loop_name} ci differs on {case:?}"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{loop_name} error differs on {case:?}"),
+            _ => panic!("{loop_name} outcome differs on {case:?}: {old:?} vs {new:?}"),
+        }
+    }
+
+    #[test]
+    fn repeat_matches_the_three_loop_oracle() {
+        let mut verdicts: std::collections::BTreeMap<&str, usize> = Default::default();
+        for k in 0..320 {
+            let case = Case::generate(k);
+            let report_ci = |samples: &[f64]| summarize(samples, &case.protocol, case.base_seed).1;
+
+            // `run_many`'s loop: regimes reported, `sequential-ci` fork.
+            let plan = RunPlan {
+                protocol: case.protocol,
+                base_seed: case.base_seed,
+                ..RunPlan::default()
+            };
+            let mut calls = Vec::new();
+            let old = Experiment::new(
+                |i, seed| {
+                    calls.push((i, seed));
+                    case.run(i, seed)
+                },
+                &plan,
+            )
+            .and_then(Experiment::run_to_completion);
+            let new = repeat_case(&case, SEQUENTIAL_CI, true, report_ci);
+            if let Ok(drive) = &new.1 {
+                *verdicts.entry(drive.verdict.label()).or_default() += 1;
+            }
+            assert_same(&case, "Experiment", (calls, old), new);
+
+            // Trace cells' loop: no regimes, `sequential-ci` fork.
+            let mut calls = Vec::new();
+            let old = drive_protocol(&case.protocol, case.base_seed, |i, seed| {
+                calls.push((i, seed));
+                case.run(i, seed).map(|(sample, _)| sample)
+            });
+            let new = repeat_case(&case, SEQUENTIAL_CI, false, report_ci);
+            assert_same(&case, "drive_protocol", (calls, old), new);
+
+            // The nano suite's loop: no regimes, `nano-sequential` fork.
+            let mut calls = Vec::new();
+            let old = nano_loop(&case.protocol, case.base_seed, |i, seed| {
+                calls.push((i, seed));
+                case.run(i, seed).map(|(sample, _)| sample)
+            });
+            let new = repeat_case(&case, "nano-sequential", false, |samples| {
+                nano_headline_ci(samples, &case.protocol, case.base_seed)
+            });
+            assert_same(&case, "nano", (calls, old), new);
+        }
+        for verdict in [
+            Verdict::Fixed,
+            Verdict::Converged,
+            Verdict::MaxRuns,
+            Verdict::MixedRegime,
+        ] {
+            let n = verdicts.get(verdict.label()).copied().unwrap_or(0);
+            assert!(n >= 5, "verdict {verdict} reached in only {n} cases");
+        }
     }
 }

@@ -34,7 +34,7 @@
 //! process never perturbs another.
 
 use rb_simcore::error::{SimError, SimResult};
-use rb_simcore::events::EventQueue;
+use rb_simcore::events::{EventQueue, TICK_EVERY};
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simfs::stack::OpCost;
@@ -44,10 +44,6 @@ use std::collections::VecDeque;
 // every driver — including the replay crate, which rb-core depends on
 // and therefore cannot import from it — shares one implementation.
 pub use rb_simcore::events::{CoreSet, DeviceQueue};
-
-/// Background-flusher cadence (Linux: every ~5 s), the same for every
-/// pacing.
-pub(crate) const TICK_EVERY: Nanos = Nanos::from_secs(5);
 
 /// Bound on an open load's admission queue: past this many waiting
 /// requests, new arrivals are dropped and counted. Large enough that

@@ -8,12 +8,11 @@
 //! the other classic personalities (web server, file server, varmail,
 //! postmark) are provided for the broader suite.
 
-use crate::sched::{
-    Arrival, Completion, OpenLoad, OpenOutcome, SchedConfig, SchedDriver, TICK_EVERY,
-};
+use crate::sched::{Arrival, Completion, OpenLoad, OpenOutcome, SchedConfig, SchedDriver};
 use crate::target::Target;
 use rb_simcore::dist::{Dist, Zipf};
 use rb_simcore::error::{SimError, SimResult};
+use rb_simcore::events::TICK_EVERY;
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;

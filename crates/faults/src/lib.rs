@@ -15,9 +15,8 @@
 //!   plan (`slow-disk:4x,eio:1e-4,crash:10s`), hashable so campaign
 //!   cell keys can carry it.
 //! - [`FaultState`] — the live injector: forked RNG, sticky bad-block
-//!   set, and [`FaultStats`] counters.
-//! - [`FaultyDisk`] — a [`BlockDevice`] wrapper composing a fault
-//!   state over any inner device.
+//!   set, and [`FaultStats`] counters. The storage stack consults it on
+//!   every media request it issues.
 //! - [`RetryPolicy`] — what the harness does when an op fails: nothing,
 //!   bounded retries with deterministic virtual-time backoff, or
 //!   fail-op-and-continue.
@@ -57,7 +56,7 @@ use rb_simcore::fnv::FnvHashSet;
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::BlockNo;
-use rb_simdisk::device::{BlockDevice, DeviceStats, IoRequest};
+use rb_simdisk::device::IoRequest;
 use std::fmt;
 
 /// Parts-per-billion denominator for probability encoding.
@@ -261,12 +260,6 @@ impl FaultSpec {
     /// True when any clause is active (a default spec is healthy).
     pub fn active(&self) -> bool {
         *self != FaultSpec::default()
-    }
-
-    /// True when any clause touches the device service path (so a
-    /// [`FaultState`] must be installed on the storage stack).
-    pub fn degrades_media(&self) -> bool {
-        self.slow_centi != 100 || self.stall_every_ms > 0 || self.eio_ppb > 0 || self.sticky_ppb > 0
     }
 
     /// Crash instant relative to the start of the measured phase.
@@ -513,71 +506,6 @@ impl FaultState {
     }
 }
 
-/// A [`BlockDevice`] wrapper injecting the faults of a [`FaultState`]
-/// over any inner device.
-///
-/// The wrapper keeps its own [`DeviceStats`] recording *degraded*
-/// latencies (the inner device's stats keep recording healthy service
-/// times); mechanical counters (seeks) remain on the inner device.
-#[derive(Debug)]
-pub struct FaultyDisk<D: BlockDevice> {
-    inner: D,
-    state: FaultState,
-    stats: DeviceStats,
-}
-
-impl<D: BlockDevice> FaultyDisk<D> {
-    /// Wraps `inner` with the fault plan `spec`, forking the fault RNG
-    /// stream from `seed`.
-    pub fn new(inner: D, spec: FaultSpec, seed: u64) -> Self {
-        FaultyDisk {
-            inner,
-            state: FaultState::new(spec, seed),
-            stats: DeviceStats::default(),
-        }
-    }
-
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Injection counters.
-    pub fn fault_stats(&self) -> &FaultStats {
-        self.state.stats()
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for FaultyDisk<D> {
-    fn service(&mut self, req: &IoRequest, now: Nanos) -> Nanos {
-        let base = self.inner.service(req, now);
-        let total = self.state.degrade(now, base);
-        self.stats.record(req, total);
-        total
-    }
-
-    fn service_checked(&mut self, req: &IoRequest, now: Nanos) -> SimResult<Nanos> {
-        self.state.check(req)?;
-        Ok(self.service(req, now))
-    }
-
-    fn capacity_blocks(&self) -> u64 {
-        self.inner.capacity_blocks()
-    }
-
-    fn block_size(&self) -> rb_simcore::units::Bytes {
-        self.inner.block_size()
-    }
-
-    fn stats(&self) -> &DeviceStats {
-        &self.stats
-    }
-
-    fn model_name(&self) -> &str {
-        self.inner.model_name()
-    }
-}
-
 /// How a file system recovers after a crash: the region it must scan
 /// and the writes it replays. Journaling file systems scan a small log;
 /// non-journaled ones pay a metadata-proportional fsck walk.
@@ -686,8 +614,6 @@ impl OutcomeLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rb_simcore::units::Bytes;
-    use rb_simdisk::prelude::RamDisk;
 
     #[test]
     fn spec_parse_label_round_trips() {
@@ -818,27 +744,6 @@ mod tests {
         assert!(st.enospc_gate(800, 1000, 50).is_ok());
         assert_eq!(st.enospc_gate(880, 1000, 50), Err(SimError::NoSpace));
         assert_eq!(st.stats().enospc_rejections, 1);
-    }
-
-    #[test]
-    fn faulty_disk_wraps_any_device() {
-        let spec = FaultSpec::parse("slow-disk:2x").unwrap();
-        let mk = || {
-            RamDisk::new(
-                256,
-                Bytes::kib(4),
-                Nanos::from_micros(2),
-                Nanos::from_micros(1),
-            )
-        };
-        let ram = mk();
-        let healthy = mk().service(&IoRequest::read(0, 8), Nanos::ZERO);
-        let mut disk = FaultyDisk::new(ram, spec, 1);
-        let lat = disk
-            .service_checked(&IoRequest::read(0, 8), Nanos::ZERO)
-            .unwrap();
-        assert_eq!(lat, healthy * 2);
-        assert_eq!(disk.stats().busy, lat, "wrapper stats record degraded time");
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::model::{Trace, TraceOp};
 use crate::target::Target;
 use crate::timing::Timing;
 use rb_simcore::error::SimResult;
-use rb_simcore::events::{DeviceQueue, EventQueue};
+use rb_simcore::events::{DeviceQueue, EventQueue, TICK_EVERY};
 use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
@@ -56,10 +56,6 @@ use rb_simcore::units::Bytes;
 use rb_simfs::intern::PathId;
 use rb_simfs::stack::{Fd, OpCost};
 use rb_stats::histogram::Log2Histogram;
-
-/// Background-tick cadence during timed replay (the workload engine's
-/// flusher cadence).
-const TICK_EVERY: Nanos = Nanos::from_secs(5);
 
 /// How a replay run is executed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,72 +120,38 @@ impl ReplayResult {
     }
 }
 
-/// The driver's handle table: path → open fd, keyed by pre-resolved
-/// [`PathId`] when the target provides one (one integer probe per data
-/// op) and by path string otherwise.
-#[derive(Default)]
-struct FdTable {
-    by_id: FnvHashMap<PathId, Fd>,
-    by_path: FnvHashMap<String, Fd>,
-}
-
-impl FdTable {
-    fn get(&self, id: Option<PathId>, path: &str) -> Option<Fd> {
-        match id {
-            Some(i) => self.by_id.get(&i).copied(),
-            None => self.by_path.get(path).copied(),
-        }
+/// The handle for `path`, opened at `issue` when the trace omitted its
+/// `open` (the open's cost then joins `spent`). `handle` is the path's
+/// slot in the replay's handle table.
+fn ensure_open(
+    target: &mut dyn Target,
+    handle: &mut Option<Fd>,
+    id: Option<PathId>,
+    path: &str,
+    issue: Nanos,
+    spent: &mut OpCost,
+) -> SimResult<Fd> {
+    if let Some(fd) = *handle {
+        return Ok(fd);
     }
-
-    fn insert(&mut self, id: Option<PathId>, path: &str, fd: Fd) {
-        match id {
-            Some(i) => {
-                self.by_id.insert(i, fd);
-            }
-            None => {
-                self.by_path.insert(path.to_string(), fd);
-            }
-        }
-    }
-
-    fn remove(&mut self, id: Option<PathId>, path: &str) -> Option<Fd> {
-        match id {
-            Some(i) => self.by_id.remove(&i),
-            None => self.by_path.remove(path),
-        }
-    }
-
-    /// The handle for `path`, opened at `issue` when the trace omitted
-    /// its `open` (the open's cost then joins `spent`).
-    fn ensure_open(
-        &mut self,
-        target: &mut dyn Target,
-        id: Option<PathId>,
-        path: &str,
-        issue: Nanos,
-        spent: &mut OpCost,
-    ) -> SimResult<Fd> {
-        if let Some(fd) = self.get(id, path) {
-            return Ok(fd);
-        }
-        let (fd, cost) = target.open_at(id, path, issue)?;
-        *spent += cost;
-        self.insert(id, path, fd);
-        Ok(fd)
-    }
+    let (fd, cost) = target.open_at(id, path, issue)?;
+    *spent += cost;
+    *handle = Some(fd);
+    Ok(fd)
 }
 
 /// Executes one trace entry at instant `issue` through the target's
-/// `*_at` surface, resolving handles by path (opening on demand if the
-/// trace omitted the `open`). `id` is the entry's pre-resolved path,
-/// when the target resolves paths.
+/// `*_at` surface. Handles are kept per path: `handle` is the entry's
+/// path's open fd, opened on demand if the trace omitted the `open`.
+/// `id` is the entry's pre-resolved path, when the target resolves
+/// paths.
 ///
 /// Every completed step adds its cost to `spent`, on failure too: a
 /// data op whose lazy open succeeded still spent the open's time, which
 /// the serialized replay keeps on its clock.
 fn apply_op_timed(
     target: &mut dyn Target,
-    fds: &mut FdTable,
+    handle: &mut Option<Fd>,
     op: &TraceOp,
     id: Option<PathId>,
     issue: Nanos,
@@ -199,36 +161,36 @@ fn apply_op_timed(
         TraceOp::Create(p) => target.create_at(id, p, issue)?,
         TraceOp::Mkdir(p) => target.mkdir_at(id, p, issue)?,
         TraceOp::Open(p) => {
-            fds.ensure_open(target, id, p, issue, spent)?;
+            ensure_open(target, handle, id, p, issue, spent)?;
             return Ok(());
         }
-        TraceOp::Close(p) => {
-            if let Some(fd) = fds.remove(id, p) {
+        TraceOp::Close(_) => {
+            if let Some(fd) = handle.take() {
                 target.close(fd)?;
             }
             return Ok(());
         }
         TraceOp::Read { path, offset, len } => {
-            let fd = fds.ensure_open(target, id, path, issue, spent)?;
+            let fd = ensure_open(target, handle, id, path, issue, spent)?;
             let at = issue + spent.total();
             target.read_at(fd, Bytes::new(*offset), Bytes::new(*len), at)?
         }
         TraceOp::Write { path, offset, len } => {
-            let fd = fds.ensure_open(target, id, path, issue, spent)?;
+            let fd = ensure_open(target, handle, id, path, issue, spent)?;
             let at = issue + spent.total();
             target.write_at(fd, Bytes::new(*offset), Bytes::new(*len), at)?
         }
         TraceOp::SetSize { path, size } => {
-            let fd = fds.ensure_open(target, id, path, issue, spent)?;
+            let fd = ensure_open(target, handle, id, path, issue, spent)?;
             target.set_size_at(fd, Bytes::new(*size), issue + spent.total())?
         }
         TraceOp::Fsync(p) => {
-            let fd = fds.ensure_open(target, id, p, issue, spent)?;
+            let fd = ensure_open(target, handle, id, p, issue, spent)?;
             target.fsync_at(fd, issue + spent.total())?
         }
         TraceOp::Stat(p) => target.stat_at(id, p, issue)?,
         TraceOp::Unlink(p) => {
-            if let Some(fd) = fds.remove(id, p) {
+            if let Some(fd) = handle.take() {
                 let _ = target.close(fd);
             }
             target.unlink_at(id, p, issue)?
@@ -273,9 +235,9 @@ struct Plan {
     queues: Vec<Vec<u32>>,
     /// Each stream's next entry, as a position in its queue.
     cursor: Vec<u32>,
-    /// Each entry's predecessor on its path, from any stream, or
-    /// [`NONE`] for a path's first entry.
-    prev_on_path: Vec<u32>,
+    /// Each entry's path, as a dense index in order of first use: the
+    /// slot of its resolved id and of its open handle.
+    path: Vec<u32>,
     /// Each entry's happens-before predecessors, [`NONE`] when absent:
     /// the last op on its path, then the last op on its parent.
     deps: Vec<[u32; 2]>,
@@ -305,7 +267,7 @@ impl Plan {
             stream: Vec::with_capacity(n),
             queues: vec![Vec::new(); ids.len()],
             cursor: vec![0; ids.len()],
-            prev_on_path: Vec::with_capacity(n),
+            path: Vec::with_capacity(n),
             deps: Vec::with_capacity(n),
             first_dependent: vec![NONE; n],
             next_dependent: vec![NONE; 2 * n],
@@ -313,6 +275,7 @@ impl Plan {
         };
         let mut last_on_path: FnvHashMap<&str, u32> =
             FnvHashMap::with_capacity_and_hasher(n, Default::default());
+        let mut paths = 0;
         for (i, e) in entries.iter().enumerate() {
             let path = e.op.path();
             let cross_stream =
@@ -341,7 +304,13 @@ impl Plan {
             let s = stream_index[&e.stream];
             plan.stream.push(s);
             plan.queues[s as usize].push(i as u32);
-            plan.prev_on_path.push(prev.unwrap_or(NONE));
+            plan.path.push(match prev {
+                Some(j) => plan.path[j as usize],
+                None => {
+                    paths += 1;
+                    paths - 1
+                }
+            });
             plan.deps.push(deps);
             plan.pending.push(pending);
         }
@@ -352,18 +321,16 @@ impl Plan {
         self.queues.len()
     }
 
-    /// Pre-resolves every distinct path once (pure bookkeeping on the
-    /// target, free of simulation side effects), so per-op dispatch is
-    /// an id probe instead of a string hash + split. An entry whose path
-    /// came up before takes that entry's id.
+    /// Pre-resolves every distinct path once, in order of first use
+    /// (pure bookkeeping on the target, free of simulation side
+    /// effects), so per-op dispatch is an id probe instead of a string
+    /// hash + split. Indexed by path slot.
     fn resolve_paths(&self, target: &mut dyn Target, trace: &Trace) -> Vec<Option<PathId>> {
-        let mut ids: Vec<Option<PathId>> = Vec::with_capacity(trace.len());
-        for (e, &prev) in trace.entries.iter().zip(&self.prev_on_path) {
-            let id = match prev {
-                NONE => target.prepare_path(e.op.path()),
-                j => ids[j as usize],
-            };
-            ids.push(id);
+        let mut ids = Vec::new();
+        for (e, &slot) in trace.entries.iter().zip(&self.path) {
+            if slot as usize == ids.len() {
+                ids.push(target.prepare_path(e.op.path()));
+            }
         }
         ids
     }
@@ -581,10 +548,13 @@ pub fn replay_with(target: &mut dyn Target, trace: &Trace, config: &ReplayConfig
     {
         return replay_overlapped(target, trace, config);
     }
-    let plan = Plan::new(trace);
+    let mut plan = Plan::new(trace);
     let path_ids = plan.resolve_paths(target, trace);
+    // The merge consumes the plan, so its memory is free again before
+    // the replay runs; keep only each entry's path slot.
+    let path = std::mem::take(&mut plan.path);
     let order = plan.merge(trace, config.timing, config.seed);
-    let mut fds = FdTable::default();
+    let mut handles: Vec<Option<Fd>> = vec![None; path_ids.len()];
     let mut ops = 0u64;
     let mut errors = 0u64;
     let mut histogram = Log2Histogram::new();
@@ -616,7 +586,15 @@ pub fn replay_with(target: &mut dyn Target, trace: &Trace, config: &ReplayConfig
         // spent — a lazy open before a failed data op included.
         let issue = target.now();
         let mut spent = OpCost::default();
-        let result = apply_op_timed(target, &mut fds, &entry.op, path_ids[i], issue, &mut spent);
+        let p = path[i] as usize;
+        let result = apply_op_timed(
+            target,
+            &mut handles[p],
+            &entry.op,
+            path_ids[p],
+            issue,
+            &mut spent,
+        );
         target.advance(spent.total());
         match result {
             Ok(()) => {
@@ -670,7 +648,7 @@ fn replay_overlapped(
     let n = entries.len();
     let mut plan = Plan::new(trace);
     let path_ids = plan.resolve_paths(target, trace);
-    let mut fds = FdTable::default();
+    let mut handles: Vec<Option<Fd>> = vec![None; path_ids.len()];
 
     let start = target.now();
     let due_abs = |i: usize| start + config.timing.due(entries[i].at).unwrap_or(Nanos::ZERO);
@@ -727,11 +705,12 @@ fn replay_overlapped(
                 // A failed op charges nothing: its stream moves on at
                 // `now`.
                 let mut cost = OpCost::default();
+                let p = plan.path[i] as usize;
                 let completed = match apply_op_timed(
                     target,
-                    &mut fds,
+                    &mut handles[p],
                     &entries[i].op,
-                    path_ids[i],
+                    path_ids[p],
                     now,
                     &mut cost,
                 ) {

@@ -228,6 +228,11 @@ impl CoreSet {
     }
 }
 
+/// The background flusher's cadence (Linux: every ~5 s), shared by every
+/// driver that ticks a target: the serial engine, the scheduler and
+/// timed replay.
+pub const TICK_EVERY: Nanos = Nanos::from_secs(5);
+
 /// A shared device's next-free token: the media side of a contention
 /// model. Every queued request serializes behind the previous ones,
 /// which is what makes device-bound workloads refuse to scale.
