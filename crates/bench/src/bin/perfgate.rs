@@ -20,6 +20,14 @@
 //! records that single-process hot-path speed survives the concurrency
 //! refactor.
 //!
+//! After them come the `layer/*` rows: one simulator layer called in a
+//! tight loop (the RNG, the HDD service model, a page-cache read under
+//! each replacement policy, a histogram record, and a page-cache hit at
+//! Figure 1's cliff size), in unit `calls`, so each row also records
+//! ns/call as median and IQR. They price the layers an end-to-end run
+//! folds into its callers: the page cache is a concrete type inside the
+//! storage stack, so no outside wrapper can time it.
+//!
 //! By default each scenario runs in its own child process (`--only`
 //! re-invocation), so a heavyweight scenario cannot pollute the heap or
 //! allocator state of the ones after it; the parent merges the
@@ -50,9 +58,18 @@ use rb_core::testbed;
 use rb_core::workload::{personalities, Engine, EngineConfig};
 use rb_obs::ObsConfig;
 use rb_replay::{apply, replay_with, ReplayConfig, Timing, Trace, Transform};
+use rb_simcache::cache::{CacheConfig, PageCache};
+use rb_simcache::policy::PolicyKind;
+use rb_simcache::readahead::ReadaheadConfig;
+use rb_simcache::writeback::WritebackConfig;
 use rb_simcore::events::EventQueue;
+use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
+use rb_simdisk::device::{BlockDevice, IoRequest};
+use rb_simdisk::hdd::{Hdd, HddConfig};
+use rb_stats::histogram::Log2Histogram;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// One timed scenario: a name, a unit label, and a closure running the
@@ -142,9 +159,40 @@ fn replay_scenario(name: &'static str, clones: u32, inner: u64, device: Bytes) -
     }
 }
 
+/// A layer row: `calls` calls of one simulator layer per repetition,
+/// each result passed through `black_box`. State the calls share lives
+/// in `call`'s captures and carries over between repetitions.
+fn layer(name: &'static str, calls: u64, mut call: impl FnMut() -> u64 + 'static) -> Scenario {
+    Scenario {
+        name,
+        unit: "calls",
+        run: Box::new(move || {
+            for _ in 0..calls {
+                black_box(call());
+            }
+            calls
+        }),
+    }
+}
+
+/// Pages of the file the cliff-sized row holds: Figure 1's 384 MiB
+/// cell, under the paper testbed's 104,960-page (410 MiB) cache.
+const CLIFF_FILE_PAGES: u64 = 384 * 256;
+
+/// An LRU paper-testbed cache holding every page of one
+/// `CLIFF_FILE_PAGES` file.
+fn cliff_cache() -> PageCache {
+    let mut cache = PageCache::new(CacheConfig::paper_testbed());
+    for first in (0..CLIFF_FILE_PAGES).step_by(32) {
+        cache.read(1, first, 32, CLIFF_FILE_PAGES, Nanos::ZERO);
+    }
+    assert_eq!(cache.resident_pages(), CLIFF_FILE_PAGES);
+    cache
+}
+
 /// Scenario names, in run order (the parent dispatches children by
 /// name without constructing the scenarios themselves).
-const SCENARIO_NAMES: [&str; 10] = [
+const SCENARIO_NAMES: [&str; 20] = [
     "fig1-quick",
     "sweep-4x4",
     "replay-x32",
@@ -155,6 +203,16 @@ const SCENARIO_NAMES: [&str; 10] = [
     "obs-overhead",
     "faults-off",
     "sweep-warm",
+    "layer/rng-next-u64",
+    "layer/rng-lognormal",
+    "layer/hdd-random-read-8k",
+    "layer/hdd-sequential-read-64k",
+    "layer/cache-read-mixed-lru",
+    "layer/cache-read-mixed-clock",
+    "layer/cache-read-mixed-2q",
+    "layer/cache-read-mixed-arc",
+    "layer/histogram-record",
+    "layer/cache-cliff-hit",
 ];
 
 /// The warm pass of `sweep-warm` must be at least this many times
@@ -173,7 +231,7 @@ const OBS_OVERHEAD_FLOOR: f64 = 0.98;
 /// against the pre-faults scaling-8p trajectory.
 const FAULTS_OFF_FLOOR: f64 = 0.98;
 
-/// The ten canonical scenarios.
+/// The ten canonical scenarios, then the layer rows.
 fn scenarios(quick: bool) -> Vec<Scenario> {
     // Scenario 1: the quick Figure 1 campaign (single worker so the
     // measurement is a plain single-thread workload).
@@ -468,7 +526,7 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
             (cold.stats.expanded + warm.stats.expanded) as u64
         }),
     };
-    vec![
+    let mut all = vec![
         fig1,
         sweep,
         replay,
@@ -479,7 +537,81 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         obs_probe,
         faults_off,
         sweep_warm,
-    ]
+    ];
+
+    // The layer rows. Each repetition runs long enough (at least 50 ms
+    // on a fast host) that timer and loop overhead vanish.
+    let mut rng = Rng::new(1);
+    all.push(layer("layer/rng-next-u64", 100_000_000, move || {
+        rng.next_u64()
+    }));
+    let mut rng = Rng::new(1);
+    all.push(layer("layer/rng-lognormal", 10_000_000, move || {
+        rng.lognormal(4096.0, 0.3).to_bits()
+    }));
+    let (mut disk, mut rng, mut now) = (
+        Hdd::new(HddConfig::maxtor_7l250s0_like()),
+        Rng::new(2),
+        Nanos::ZERO,
+    );
+    all.push(layer("layer/hdd-random-read-8k", 2_000_000, move || {
+        let block = rng.below(disk.capacity_blocks() - 2);
+        let lat = disk.service(&IoRequest::read(block, 2), now);
+        now += lat;
+        lat.as_nanos()
+    }));
+    let (mut disk, mut block, mut now) = (
+        Hdd::new(HddConfig::maxtor_7l250s0_like()),
+        0u64,
+        Nanos::ZERO,
+    );
+    all.push(layer(
+        "layer/hdd-sequential-read-64k",
+        10_000_000,
+        move || {
+            let lat = disk.service(&IoRequest::read(block, 16), now);
+            block = (block + 16) % (disk.capacity_blocks() - 16);
+            now += lat;
+            lat.as_nanos()
+        },
+    ));
+    // Random 2-page reads of an 8,192-page file through a 4,096-page
+    // cache: half hit, half miss and evict.
+    for (name, policy, calls) in [
+        ("layer/cache-read-mixed-lru", PolicyKind::Lru, 2_000_000),
+        ("layer/cache-read-mixed-clock", PolicyKind::Clock, 1_000_000),
+        ("layer/cache-read-mixed-2q", PolicyKind::TwoQ, 250_000),
+        ("layer/cache-read-mixed-arc", PolicyKind::Arc, 250_000),
+    ] {
+        let mut cache = PageCache::new(CacheConfig {
+            capacity_pages: 4096,
+            policy,
+            readahead: ReadaheadConfig::disabled(),
+            writeback: WritebackConfig::default(),
+        });
+        let mut rng = Rng::new(3);
+        all.push(layer(name, calls, move || {
+            let page = rng.below(8192);
+            cache.read(1, page, 2, 8192, Nanos::ZERO).hit_pages
+        }));
+    }
+    let (mut hist, mut rng) = (Log2Histogram::new(), Rng::new(4));
+    all.push(layer("layer/histogram-record", 100_000_000, move || {
+        hist.record(Nanos::from_nanos(rng.below(100_000_000)));
+        hist.total()
+    }));
+    // Random 2-page hits at the cliff: cliff-serial's in-cache 384 MiB
+    // cell, whose hits dominate its host time. The cache fills on the
+    // row's first (untimed) call.
+    let (mut cache, mut rng) = (None, Rng::new(5));
+    all.push(layer("layer/cache-cliff-hit", 5_000_000, move || {
+        let cache = cache.get_or_insert_with(cliff_cache);
+        let page = rng.below(CLIFF_FILE_PAGES - 1);
+        let out = cache.read(1, page, 2, CLIFF_FILE_PAGES, Nanos::ZERO);
+        assert_eq!(out.hit_pages, 2, "a cliff-sized cache must hold its file");
+        out.hit_pages
+    }));
+    all
 }
 
 /// Extracts `(name, wall_ms_median)` pairs from a perfgate JSON (a
@@ -538,8 +670,11 @@ fn run_isolated(names: &[&'static str], reps: usize, quick: bool) -> Option<(Str
     let mut fragments = Vec::new();
     let mut rss: Option<u64> = None;
     for name in names {
-        let tmp =
-            std::env::temp_dir().join(format!("perfgate-{}-{}.json", std::process::id(), name));
+        let tmp = std::env::temp_dir().join(format!(
+            "perfgate-{}-{}.json",
+            std::process::id(),
+            name.replace('/', "-")
+        ));
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("--only")
             .arg(name)
@@ -723,6 +858,11 @@ fn main() {
     for s in &mut scenarios {
         let mut walls_ms = Vec::with_capacity(reps);
         let mut units = 0u64;
+        if s.unit == "calls" {
+            // A layer row first runs once untimed: it builds any state
+            // it keeps and brings caches to their steady state.
+            (s.run)();
+        }
         for _ in 0..reps {
             let t0 = Instant::now();
             units = (s.run)();
@@ -741,26 +881,29 @@ fn main() {
             "{:<12} {:>6} {:>12.1} {:>10.1} {:>14.0}",
             s.name, reps, median, iqr, per_sec
         );
-        rendered.push(
-            Json::obj(vec![
-                ("name", Json::Str(s.name.to_string())),
-                ("unit", Json::Str(s.unit.to_string())),
-                ("work_units", Json::Num(units as f64)),
-                ("wall_ms_median", Json::Num((median * 10.0).round() / 10.0)),
-                ("wall_ms_iqr", Json::Num((iqr * 10.0).round() / 10.0)),
-                ("units_per_sec", Json::Num(per_sec.round())),
-                (
-                    "wall_ms_samples",
-                    Json::Arr(
-                        walls_ms
-                            .iter()
-                            .map(|w| Json::Num((*w * 10.0).round() / 10.0))
-                            .collect(),
-                    ),
+        let mut fields = vec![
+            ("name", Json::Str(s.name.to_string())),
+            ("unit", Json::Str(s.unit.to_string())),
+            ("work_units", Json::Num(units as f64)),
+            ("wall_ms_median", Json::Num((median * 10.0).round() / 10.0)),
+            ("wall_ms_iqr", Json::Num((iqr * 10.0).round() / 10.0)),
+            ("units_per_sec", Json::Num(per_sec.round())),
+            (
+                "wall_ms_samples",
+                Json::Arr(
+                    walls_ms
+                        .iter()
+                        .map(|w| Json::Num((*w * 10.0).round() / 10.0))
+                        .collect(),
                 ),
-            ])
-            .to_string(),
-        );
+            ),
+        ];
+        if s.unit == "calls" && units > 0 {
+            let ns_per_call = |ms: f64| (ms * 1e6 / units as f64 * 100.0).round() / 100.0;
+            fields.push(("ns_per_call_median", Json::Num(ns_per_call(median))));
+            fields.push(("ns_per_call_iqr", Json::Num(ns_per_call(iqr))));
+        }
+        rendered.push(Json::obj(fields).to_string());
     }
     finish(rendered.join(","), peak_rss_bytes(), quick, reps, &out_path);
 }

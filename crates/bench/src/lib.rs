@@ -5,9 +5,10 @@
 //! demonstration: one recorded trace under `afap`/`faithful`/`scaled`
 //! timing policies on every file system. Each prints the rows/series
 //! the paper reports and drops machine-readable `.csv`/`.dat` files
-//! under `results/`. Criterion benches cover the simulation substrate
-//! and the harness's ablation studies (cache policies, I/O schedulers,
-//! allocators).
+//! under `results/`. `perfgate` times the harness's scenarios and, in
+//! its `layer/*` rows, the simulator's layers one call at a time;
+//! criterion benches cover the harness's ablation studies (cache
+//! policies, I/O schedulers, allocators).
 //!
 //! Run `cargo run -p rb-bench --release --bin fig1 -- --quick` for a
 //! smoke pass or without `--quick` for the paper protocol.

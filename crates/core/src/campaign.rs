@@ -1687,8 +1687,9 @@ pub fn run_campaign_with(
     let slots: Vec<Mutex<Option<SimResult<CellOutcome>>>> =
         cells.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(jobs);
         for _ in 0..jobs {
-            scope.spawn(|| loop {
+            workers.push(scope.spawn(|| loop {
                 // A failed cell aborts the campaign: don't burn the rest
                 // of the grid computing results that will be discarded.
                 if failed.load(Ordering::Relaxed) {
@@ -1701,7 +1702,16 @@ pub fn run_campaign_with(
                     failed.store(true, Ordering::Relaxed);
                 }
                 *slots[i].lock().expect("slot lock") = Some(result);
-            });
+            }));
+        }
+        // The scope waits only for the closures. A thread still exiting
+        // has not handed back its malloc arena, so the next threads would
+        // open fresh ones, each keeping its own high-water mark resident:
+        // peak memory would depend on thread timing.
+        for w in workers {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     // Collect in expansion order. Every index below the lowest erroring

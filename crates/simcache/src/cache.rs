@@ -193,11 +193,13 @@ fn admit(
 
 /// The simulated page cache.
 ///
-/// Every resident page has one slot in a slab, holding its key, its
-/// prefetched bit, its dirty instant and the LRU links; each file has
-/// one index from page to slot, in 64-page chunks, beside its
-/// readahead state. A hit costs one probe for the file per call and one
-/// chunk probe per page.
+/// Every resident page has one slot in a slab, holding its key and its
+/// dirty instant, plus a prefetched bit in a bitset beside the slab and
+/// (under LRU) a link record in the policy's own table; each file has
+/// one index from page to slot, in 64-page chunks, beside its readahead
+/// state. A hit costs one probe for the file per call and one chunk
+/// probe per page, then reads only the page's prefetched bit and
+/// whatever the policy keeps: it never opens the slot itself.
 ///
 /// # Examples
 ///
@@ -344,9 +346,7 @@ impl PageCache {
                 Some(slot) => {
                     self.stats.hits += 1;
                     out.hit_pages += 1;
-                    let s = self.slots.get_mut(slot);
-                    if s.prefetched {
-                        s.prefetched = false;
+                    if self.slots.take_prefetched(slot) {
                         self.stats.prefetch_hits += 1;
                     }
                     policy.touch(&mut self.slots, slot);

@@ -28,42 +28,44 @@ pub type SlotId = u32;
 /// The null slot: ends the LRU list.
 pub(crate) const NIL: SlotId = SlotId::MAX;
 
-/// One resident page: its identity and every per-page state the cache
-/// and its replacement policy keep.
+/// One resident page's cold state: what eviction, writeback, fsync and
+/// invalidation read, and a hit never does.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
     pub(crate) key: PageKey,
-    /// Brought in by readahead and not yet read.
-    pub(crate) prefetched: bool,
     /// When the page was first dirtied; `None` while clean.
     pub(crate) dirtied: Option<Nanos>,
-    /// LRU list links towards the least and the most recently used end
-    /// (only the LRU policy uses them).
-    pub(crate) prev: SlotId,
-    pub(crate) next: SlotId,
 }
 
 /// The page cache's slab: one slot per resident page, which the page
 /// keeps from insertion until eviction or invalidation. Freed slots are
 /// reused, so the slab grows with the peak resident set, never with the
 /// configured capacity.
+///
+/// Per-page state is split by how often a hit reads it. The cold
+/// slots (key and dirty instant) live here, beside one prefetched bit
+/// per slot; the LRU links live in [`Lru`](crate::lru::Lru), indexed
+/// by the same slot ids.
 #[derive(Debug, Default)]
 pub struct Slots {
     slots: Vec<Slot>,
+    /// Brought in by readahead and not yet read: bit `s % 64` of word
+    /// `s / 64` for slot `s`.
+    prefetched: Vec<u64>,
     free: Vec<SlotId>,
+}
+
+/// The word of [`Slots::prefetched`] holding slot `s`'s bit, and the
+/// bit's mask.
+fn bit_of(s: SlotId) -> (usize, u64) {
+    ((s / 64) as usize, 1 << (s % 64))
 }
 
 impl Slots {
     /// Hands out a slot for a newly resident, clean page.
     pub(crate) fn alloc(&mut self, key: PageKey, prefetched: bool) -> SlotId {
-        let slot = Slot {
-            key,
-            prefetched,
-            dirtied: None,
-            prev: NIL,
-            next: NIL,
-        };
-        match self.free.pop() {
+        let slot = Slot { key, dirtied: None };
+        let s = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = slot;
                 s
@@ -74,9 +76,19 @@ impl Slots {
                     .filter(|&s| s != NIL)
                     .expect("fewer than 2^32 - 1 resident pages");
                 self.slots.push(slot);
+                if s % 64 == 0 {
+                    self.prefetched.push(0);
+                }
                 s
             }
+        };
+        let (word, mask) = bit_of(s);
+        if prefetched {
+            self.prefetched[word] |= mask;
+        } else {
+            self.prefetched[word] &= !mask;
         }
+        s
     }
 
     /// Returns a slot whose page left the cache.
@@ -92,6 +104,7 @@ impl Slots {
     /// Drops every slot.
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
+        self.prefetched.clear();
         self.free.clear();
     }
 
@@ -106,6 +119,16 @@ impl Slots {
     /// The key of the page in slot `s`.
     pub(crate) fn key(&self, s: SlotId) -> PageKey {
         self.get(s).key
+    }
+
+    /// Clears slot `s`'s prefetched bit, reporting whether it was set:
+    /// the first read of a prefetched page.
+    pub(crate) fn take_prefetched(&mut self, s: SlotId) -> bool {
+        let (word, mask) = bit_of(s);
+        let bits = &mut self.prefetched[word];
+        let was = *bits & mask != 0;
+        *bits &= !mask;
+        was
     }
 }
 

@@ -13,8 +13,8 @@ use crate::page::{PageKey, SlotId, Slots};
 /// The cache owns residency: it hands every resident page a slot in
 /// its [`Slots`] and tells the policy about the page by slot. The
 /// policy decides only the order of eviction; it may keep that order
-/// in the slots' LRU links (as [`Lru`](crate::lru::Lru) does) or in
-/// structures of its own keyed by page. Implementations must uphold
+/// in a table indexed by slot id (as [`Lru`](crate::lru::Lru) does) or
+/// in structures of its own keyed by page. Implementations must uphold
 /// two invariants, checked by the shared conformance tests:
 ///
 /// 1. `evict` returns a page previously inserted and not yet evicted or

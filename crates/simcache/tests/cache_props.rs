@@ -1,6 +1,6 @@
 //! Property-style tests for the page cache: the readahead window bound,
 //! no double flush in writeback, dirty accounting under every policy,
-//! and hit/miss accounting.
+//! hit/miss accounting, and prefetch-hit accounting under slot reuse.
 //!
 //! Each property runs a fixed budget of randomized cases drawn from the
 //! repo's own deterministic [`Rng`] (the proptest crate is unvendored);
@@ -154,4 +154,73 @@ fn cache_lookup_accounting() {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, requested, "seed {seed}");
     }
+}
+
+/// A page's prefetched mark belongs to the page, not to the slot it
+/// occupies: under every policy, with caches small enough that slots
+/// are reused many times over, `prefetch_hits` counts exactly the
+/// first demand reads of pages that readahead brought in and that have
+/// stayed resident since. Writes do not consume the mark.
+#[test]
+fn prefetch_hits_match_a_model_of_the_prefetched_set() {
+    const FILE_PAGES: u64 = 96;
+    let (mut hits, mut evictions) = (0, 0);
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let policy = PolicyKind::ALL[(seed % 4) as usize];
+        let mut cache = PageCache::new(CacheConfig {
+            capacity_pages: 4 + rng.below(28),
+            policy,
+            readahead: ReadaheadConfig {
+                initial_window: len(&mut rng, 4),
+                max_window: 4 + rng.below(28),
+                enabled: true,
+            },
+            writeback: WritebackConfig::default(),
+        });
+        // Pages prefetched and not yet read, while they stay resident.
+        let mut prefetched: HashSet<(u64, u64)> = HashSet::new();
+        let mut want = 0;
+        let mut next = [0u64; 2];
+        for _ in 0..len(&mut rng, 299) {
+            let f = rng.below(2) as usize;
+            let file = f as u64 + 1;
+            let page = rng.below(FILE_PAGES);
+            match rng.below(10) {
+                0..=6 => {
+                    // Two reads in three continue the file's stream.
+                    let first = if rng.below(3) == 0 { page } else { next[f] };
+                    let count = len(&mut rng, 4).min(FILE_PAGES - first);
+                    next[f] = (first + count) % FILE_PAGES;
+                    for p in first..first + count {
+                        want += u64::from(prefetched.remove(&(file, p)));
+                    }
+                    let out = cache.read(file, first, count, FILE_PAGES, Nanos::ZERO);
+                    prefetched.extend(out.prefetch_pages.iter().map(|&p| (file, p)));
+                }
+                7 => {
+                    cache.write(file, page, 1, Nanos::ZERO);
+                }
+                8 => cache.invalidate_page(file, page),
+                _ => {
+                    cache.invalidate_file(file);
+                    next[f] = 0;
+                }
+            }
+            prefetched.retain(|&(file, p)| cache.is_resident(file, p));
+            assert_eq!(
+                cache.stats().prefetch_hits,
+                want,
+                "seed {seed} ({}): prefetch hits diverged",
+                policy.name()
+            );
+        }
+        let s = cache.stats();
+        hits += s.prefetch_hits;
+        evictions += s.evicted_clean + s.evicted_dirty;
+    }
+    assert!(
+        hits > 0 && evictions > 0,
+        "{hits} prefetch hits, {evictions} evictions"
+    );
 }

@@ -330,7 +330,15 @@ impl StorageStack {
         for &block in &meta.reads {
             let out = self.cache.read(META_FILE, block, 1, u64::MAX, issue);
             for _ in &out.miss_pages {
-                lat += self.media_at(IoRequest::read(block, 1), issue + lat)?;
+                match self.media_at(IoRequest::read(block, 1), issue + lat) {
+                    Ok(d) => lat += d,
+                    Err(e) => {
+                        // The dirty pages the insertion evicted are no
+                        // longer cached: they still go to media.
+                        self.write_pages_to_media_at(&out.writeback_pages, issue);
+                        return Err(e);
+                    }
+                }
             }
             lat += self.write_pages_to_media_at(&out.writeback_pages, issue);
         }
@@ -1069,6 +1077,43 @@ mod tests {
             "the evicted dirty pages never reached media"
         );
         assert_eq!(s.cache().dirty_pages(), 62);
+    }
+
+    #[test]
+    fn failed_metadata_read_still_writes_back_the_dirty_pages_it_evicted() {
+        use rb_simcache::policy::PolicyKind;
+        use rb_simcache::readahead::ReadaheadConfig;
+        use rb_simcache::writeback::WritebackConfig;
+        let mut s = StorageStack::new(
+            Box::new(Ext2Fs::new(Ext2Config::for_blocks(262_144))),
+            CacheConfig {
+                capacity_pages: 64,
+                policy: PolicyKind::Lru,
+                readahead: ReadaheadConfig::disabled(),
+                writeback: WritebackConfig::default(),
+            },
+            Box::new(Hdd::new(HddConfig::maxtor_7l250s0_like())),
+            StackConfig::default(),
+        );
+        s.mkdir("/d").unwrap();
+        s.create("/d/f").unwrap();
+        let fd = s.open("/d/f").unwrap();
+        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
+        // 64 dirty data pages push every metadata block out.
+        s.write(fd, Bytes::ZERO, Bytes::kib(256)).unwrap();
+        assert_eq!(s.cache().dirty_pages(), 64);
+        s.install_faults(FaultSpec::parse("eio:1").unwrap(), 7);
+        let (evicted0, writes0) = (s.cache().stats().evicted_dirty, s.disk_stats().writes);
+        // The path walk's first block misses, evicts a dirty page, and
+        // its media read fails.
+        assert!(s.stat("/d/f").is_err());
+        assert_eq!(s.cache().stats().evicted_dirty - evicted0, 1);
+        assert_eq!(
+            s.disk_stats().writes - writes0,
+            1,
+            "the evicted dirty page never reached media"
+        );
+        assert_eq!(s.cache().dirty_pages(), 63);
     }
 
     #[test]
