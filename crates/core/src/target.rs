@@ -370,6 +370,49 @@ mod tests {
         assert_eq!(t.now() - t0, Nanos::from_micros(99));
     }
 
+    /// Shrinking a cache that holds dirty pages writes the evicted ones
+    /// back, and the target clock moves by exactly the device time that
+    /// took; a clean shrink costs nothing.
+    #[test]
+    fn dirty_shrink_charges_its_writeback_to_the_clock() {
+        use rb_simcache::cache::CacheConfig;
+        use rb_simcache::policy::PolicyKind;
+        use rb_simcache::readahead::ReadaheadConfig;
+        use rb_simcache::writeback::WritebackConfig;
+        use rb_simdisk::hdd::{Hdd, HddConfig};
+        use rb_simfs::ext2::{Ext2Config, Ext2Fs};
+        use rb_simfs::stack::StackConfig;
+        let mut t = SimTarget::new(StorageStack::new(
+            Box::new(Ext2Fs::new(Ext2Config::for_blocks(262_144))),
+            CacheConfig {
+                capacity_pages: 64,
+                policy: PolicyKind::Lru,
+                readahead: ReadaheadConfig::disabled(),
+                writeback: WritebackConfig::default(),
+            },
+            Box::new(Hdd::new(HddConfig::maxtor_7l250s0_like())),
+            StackConfig::default(),
+        ));
+        t.create("/f").unwrap();
+        let fd = t.open("/f").unwrap();
+        t.set_size(fd, Bytes::mib(1)).unwrap();
+        t.write(fd, Bytes::ZERO, Bytes::kib(256)).unwrap();
+        assert_eq!(t.stack().cache().dirty_pages(), 64);
+
+        let (t0, busy0) = (t.now(), t.stack().disk_stats().busy);
+        t.set_cache_capacity_pages(16);
+        let spent = t.stack().disk_stats().busy - busy0;
+        assert!(
+            spent > Nanos::ZERO,
+            "the evicted dirty pages never reached media"
+        );
+        assert_eq!(t.now() - t0, spent);
+
+        let t1 = t.now();
+        t.set_cache_capacity_pages(16);
+        assert_eq!(t.now(), t1, "a clean shrink moved the clock");
+    }
+
     #[test]
     fn real_target_round_trip() {
         let dir = std::env::temp_dir().join(format!("rb-target-test-{}", std::process::id()));
