@@ -1193,6 +1193,27 @@ mod tests {
         assert_eq!(first.index, 0);
         assert_eq!(first.op, "stat /missing");
         assert!(first.to_string().contains("stat /missing"));
+
+        // Random multi-stream traces, afap and timed: every entry ends
+        // up counted once, as an op or as an error, and any error is
+        // reported. A failure names the case to replay it with.
+        for case in 0..64u64 {
+            let trace = random_trace(case);
+            for timing in [Timing::Afap, Timing::Faithful] {
+                let mut target = MemTarget::new();
+                let r = replay_with(&mut target, &trace, &ReplayConfig { timing, seed: case });
+                assert_eq!(
+                    r.ops + r.errors,
+                    trace.len() as u64,
+                    "case {case} timing {timing}"
+                );
+                assert_eq!(
+                    r.first_error.is_some(),
+                    r.errors > 0,
+                    "case {case} timing {timing}"
+                );
+            }
+        }
     }
 
     #[test]

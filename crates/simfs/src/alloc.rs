@@ -523,4 +523,64 @@ mod tests {
         let mut e = ExtentAllocator::new(10);
         assert!(matches!(e.alloc(11, 0), Err(SimError::NoSpace)));
     }
+
+    /// Seeded sequences of up to 119 allocations (1-63 blocks at a
+    /// random goal) and frees of the newest live run on a 1024-block
+    /// device: no block is handed out twice, and the free count stays
+    /// exact. A failure names its seed; `Rng::new(seed)` replays it.
+    fn check_disjoint_runs<A>(
+        new: impl Fn() -> A,
+        alloc: impl Fn(&mut A, u64, BlockNo) -> SimResult<Vec<Run>>,
+        free: impl Fn(&mut A, Run) -> SimResult<()>,
+        free_blocks: impl Fn(&A) -> u64,
+    ) {
+        use rb_simcore::rng::Rng;
+        const TOTAL: u64 = 1024;
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let mut a = new();
+            let mut live: Vec<Run> = Vec::new();
+            let mut occupied = vec![false; TOTAL as usize];
+            for _ in 0..1 + rng.below(119) {
+                let (count, goal) = (1 + rng.below(63), rng.below(TOTAL));
+                if rng.below(2) == 0 && !live.is_empty() {
+                    let r = live.pop().unwrap();
+                    free(&mut a, r).unwrap();
+                    for b in r.start..r.start + r.len {
+                        occupied[b as usize] = false;
+                    }
+                } else if let Ok(runs) = alloc(&mut a, count, goal) {
+                    for r in runs {
+                        for b in r.start..r.start + r.len {
+                            assert!(!occupied[b as usize], "seed {seed}: {b} allocated twice");
+                            occupied[b as usize] = true;
+                        }
+                        live.push(r);
+                    }
+                }
+                let used = occupied.iter().filter(|&&x| x).count() as u64;
+                assert_eq!(free_blocks(&a), TOTAL - used, "seed {seed}: free count");
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_allocator_disjoint_runs() {
+        check_disjoint_runs(
+            || BitmapAllocator::new(1024, 128),
+            BitmapAllocator::alloc,
+            BitmapAllocator::free,
+            BitmapAllocator::free_blocks,
+        );
+    }
+
+    #[test]
+    fn extent_allocator_disjoint_runs() {
+        check_disjoint_runs(
+            || ExtentAllocator::new(1024),
+            ExtentAllocator::alloc,
+            ExtentAllocator::free,
+            ExtentAllocator::free_blocks,
+        );
+    }
 }

@@ -794,4 +794,30 @@ mod tests {
         assert_eq!(f.attr(ino).unwrap().blocks, 0);
         assert!(f.map(ino, 0, 1).is_err());
     }
+
+    /// Seeded sets of 1-11 files of 1-199 blocks: every logical block
+    /// of every file maps to its own physical block, shared with no
+    /// other block of any file. A failure names its seed.
+    #[test]
+    fn ext2_mapping_is_injective() {
+        use rb_simcore::rng::Rng;
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let mut f = Ext2Fs::new(Ext2Config::for_blocks(16_384));
+            let mut seen = std::collections::HashSet::new();
+            for i in 0..1 + rng.below(11) {
+                let blocks = 1 + rng.below(199);
+                let (ino, _) = f.create(&format!("/f{i}")).unwrap();
+                f.set_size(ino, Bytes::kib(4) * blocks).unwrap();
+                let mut l = 0;
+                while l < blocks {
+                    let e = f.map(ino, l, u64::MAX).unwrap();
+                    for b in e.physical..e.physical + e.len {
+                        assert!(seen.insert(b), "seed {seed}: block {b} mapped twice");
+                    }
+                    l += e.len;
+                }
+            }
+        }
+    }
 }

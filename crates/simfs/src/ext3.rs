@@ -296,4 +296,37 @@ mod tests {
         assert_eq!(f.name(), "ext3");
         assert_eq!(f.cluster_pages(), 4);
     }
+
+    /// Seeded sequences of up to 39 creates, unlinks and resizes over 20
+    /// names: every journal write of every transaction lands inside the
+    /// journal region. A failure names its seed.
+    #[test]
+    fn ext3_journal_containment() {
+        use rb_simcore::rng::Rng;
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let mut f = Ext3Fs::new(Ext3Config::for_blocks(32_768));
+            let journal = f.journal_start()..f.journal_start() + f.journal_len();
+            let mut live = std::collections::HashSet::new();
+            for _ in 0..1 + rng.below(39) {
+                let n = rng.below(20);
+                let path = format!("/p{n}");
+                let meta = match rng.below(3) {
+                    0 if live.insert(n) => f.create(&path).ok().map(|(_, m)| m),
+                    1 if live.remove(&n) => f.unlink(&path).ok(),
+                    2 if live.contains(&n) => {
+                        let (ino, _) = f.lookup(&path).unwrap();
+                        f.set_size(ino, Bytes::kib(4) * rng.below(256)).ok()
+                    }
+                    _ => None,
+                };
+                for b in meta.iter().flat_map(|m| m.journal_writes.iter()) {
+                    assert!(
+                        journal.contains(b),
+                        "seed {seed}: journal write {b} outside {journal:?}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -525,6 +525,76 @@ mod tests {
         let spec = t.make_spec("/dir/file").unwrap();
         let (ino, _) = t.resolve_spec(&spec).unwrap();
         assert_eq!(ino, f);
+
+        // Seeded cases: up to 5 directories and 5 files with 1-2 letter
+        // names, probed by up to 23 random valid and invalid paths
+        // (absolute with 1-3 components that may be `.`/`..`, relative,
+        // or `/`). Interned and string resolution must agree on the
+        // inode, the traversal and the error text, for the path and its
+        // parent. A failure names its seed; `Rng::new(seed)` replays it.
+        use rb_simcore::rng::Rng;
+        let word = |rng: &mut Rng, letters: &[u8]| -> String {
+            (0..1 + rng.below(2))
+                .map(|_| letters[rng.below(letters.len() as u64) as usize] as char)
+                .collect()
+        };
+        for seed in 0..128 {
+            let mut rng = Rng::new(seed);
+            let mut t = Tree::new();
+            let mut dirs = vec![ROOT_INO];
+            for _ in 0..rng.below(6) {
+                let name = word(&mut rng, b"abc");
+                if let Ok(ino) = t.insert_child(dirs[dirs.len() / 2], &name, true) {
+                    dirs.push(ino);
+                }
+            }
+            for _ in 0..rng.below(6) {
+                let name = word(&mut rng, b"abcde");
+                let _ = t.insert_child(dirs[dirs.len() - 1], &name, false);
+            }
+            for _ in 0..1 + rng.below(23) {
+                let probe = match rng.below(3) {
+                    0 => (0..1 + rng.below(3))
+                        .map(|_| format!("/{}", word(&mut rng, b"abcde.")))
+                        .collect(),
+                    1 => word(&mut rng, b"abcde"),
+                    _ => "/".to_string(),
+                };
+                let via_string = t.resolve(&probe);
+                let via_spec = t.make_spec(&probe).and_then(|s| t.resolve_spec(&s));
+                match (via_string, via_spec) {
+                    (Ok((ia, ta)), Ok((ib, tb))) => {
+                        assert_eq!(
+                            (ia, ta.as_slice()),
+                            (ib, tb.as_slice()),
+                            "seed {seed}: {probe}"
+                        )
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a.to_string(), b.to_string(), "seed {seed}: {probe}")
+                    }
+                    (a, b) => panic!("seed {seed}: {probe}: string {a:?} vs spec {b:?}"),
+                }
+                let via_string = t
+                    .resolve_parent(&probe)
+                    .map(|(p, name, tr)| (p, name.to_string(), tr));
+                let via_spec = t.make_spec(&probe).and_then(|s| {
+                    t.resolve_parent_spec(&s)
+                        .map(|(p, leaf, tr)| (p, t.name(leaf).to_string(), tr.to_vec()))
+                });
+                match (via_string, via_spec) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "seed {seed}: parent of {probe}"),
+                    (Err(a), Err(b)) => {
+                        assert_eq!(
+                            a.to_string(),
+                            b.to_string(),
+                            "seed {seed}: parent of {probe}"
+                        )
+                    }
+                    (a, b) => panic!("seed {seed}: parent of {probe}: string {a:?} vs spec {b:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -237,4 +237,84 @@ mod tests {
         assert_eq!(a.journal_writes, vec![9]);
         assert_eq!(a.total_blocks(), 5);
     }
+
+    /// Runs `CASES` seeded sequences of up to 59 random creates,
+    /// unlinks, grows, shrinks and lookups over 20 names against a file
+    /// system and a naive model (name -> blocks), checking that the
+    /// namespace and every live file's block count agree after each op.
+    /// A failure names its seed; `Rng::new(seed)` replays it.
+    fn check_against_model(format: impl Fn() -> Box<dyn FileSystem>) {
+        use rb_simcore::rng::Rng;
+        use std::collections::HashMap;
+        const CASES: u64 = 64;
+        for seed in 0..CASES {
+            let mut rng = Rng::new(seed);
+            let mut fs = format();
+            let mut model: HashMap<u64, u64> = HashMap::new();
+            for _ in 0..1 + rng.below(59) {
+                let f = rng.below(20);
+                let path = format!("/p{f}");
+                match rng.below(5) {
+                    0 => {
+                        let created = fs.create(&path);
+                        if model.contains_key(&f) {
+                            assert!(created.is_err(), "seed {seed}: double create of {path}");
+                        } else if created.is_ok() {
+                            model.insert(f, 0);
+                        }
+                    }
+                    1 => {
+                        let removed = fs.unlink(&path);
+                        let live = model.remove(&f).is_some();
+                        assert_eq!(removed.is_ok(), live, "seed {seed}: unlink of {path}");
+                    }
+                    2 => {
+                        let blocks = 1 + rng.below(511);
+                        if model.contains_key(&f) {
+                            let (ino, _) = fs.lookup(&path).unwrap();
+                            if fs.set_size(ino, Bytes::kib(4) * blocks).is_ok() {
+                                model.insert(f, blocks);
+                            }
+                        }
+                    }
+                    3 => {
+                        let blocks = rng.below(512);
+                        if let Some(&cur) = model.get(&f) {
+                            let target = blocks.min(cur);
+                            let (ino, _) = fs.lookup(&path).unwrap();
+                            fs.set_size(ino, Bytes::kib(4) * target).unwrap();
+                            model.insert(f, target);
+                        }
+                    }
+                    _ => {
+                        let found = fs.lookup(&path).is_ok();
+                        assert_eq!(found, model.contains_key(&f), "seed {seed}: lookup {path}");
+                    }
+                }
+                for (&f, &blocks) in &model {
+                    let (ino, _) = fs.lookup(&format!("/p{f}")).unwrap();
+                    let attr = fs.attr(ino).unwrap();
+                    assert_eq!(attr.blocks, blocks, "seed {seed}: blocks of /p{f}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ext2_matches_model() {
+        use crate::ext2::{Ext2Config, Ext2Fs};
+        check_against_model(|| Box::new(Ext2Fs::new(Ext2Config::for_blocks(32_768))));
+    }
+
+    #[test]
+    fn ext3_matches_model() {
+        use crate::ext3::{Ext3Config, Ext3Fs};
+        check_against_model(|| Box::new(Ext3Fs::new(Ext3Config::for_blocks(32_768))));
+    }
+
+    #[test]
+    fn xfs_matches_model() {
+        use crate::xfs::{XfsConfig, XfsFs};
+        check_against_model(|| Box::new(XfsFs::new(XfsConfig::for_blocks(32_768))));
+    }
 }

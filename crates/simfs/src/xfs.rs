@@ -629,4 +629,36 @@ mod tests {
         assert_eq!(e.len, 1);
         assert!(f.map(ino, 256, 1).is_err());
     }
+
+    /// Seeded sequences of up to 19 resizes (0-1999 blocks) of one file:
+    /// after each, its extents stay on the device and cover exactly its
+    /// block count, and nothing maps past the end. A failure names its
+    /// seed.
+    #[test]
+    fn mapping_covers_exact_size() {
+        use rb_simcore::rng::Rng;
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let mut f = XfsFs::new(XfsConfig::for_blocks(32_768));
+            let (ino, _) = f.create("/f").unwrap();
+            for _ in 0..1 + rng.below(19) {
+                let blocks = rng.below(2000);
+                if f.set_size(ino, Bytes::kib(4) * blocks).is_err() {
+                    continue; // out of space is fine
+                }
+                let mut covered = 0;
+                while covered < blocks {
+                    let e = f.map(ino, covered, u64::MAX).unwrap();
+                    assert!(e.len >= 1, "seed {seed}: empty extent");
+                    assert!(e.physical + e.len <= 32_768, "seed {seed}: off the device");
+                    covered += e.len;
+                }
+                assert_eq!(covered, blocks, "seed {seed}");
+                assert!(
+                    f.map(ino, blocks, 1).is_err() || blocks == 0,
+                    "seed {seed}: maps past the end"
+                );
+            }
+        }
+    }
 }

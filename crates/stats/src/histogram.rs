@@ -295,6 +295,53 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 15);
         assert_eq!(a.count(6), 12); // 100 ns is bucket 6
+
+        // Seeded cases: three histograms of 0-199 samples each, below
+        // 2^63. Merging adds totals and every bucket, keeps fractions
+        // summing to one, and is associative bucket for bucket and in
+        // its quantiles. A failure names its seed.
+        use rb_simcore::rng::Rng;
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let mut build = || {
+                let mut h = Log2Histogram::new();
+                for _ in 0..rng.below(200) {
+                    h.record(Nanos::from_nanos(rng.below(u64::MAX / 2)));
+                }
+                h
+            };
+            let (a, b, c) = (build(), build(), build());
+            let mut ab = a.clone();
+            ab.merge(&b);
+            assert_eq!(ab.total(), a.total() + b.total(), "seed {seed}");
+            for k in 0..BUCKETS {
+                assert_eq!(
+                    ab.count(k),
+                    a.count(k) + b.count(k),
+                    "seed {seed}: bucket {k}"
+                );
+            }
+            if ab.total() > 0 {
+                let sum: f64 = (0..BUCKETS).map(|k| ab.fraction(k)).sum();
+                assert!(
+                    (sum - 1.0).abs() < 1e-9,
+                    "seed {seed}: fractions sum to {sum}"
+                );
+            }
+            let mut left = ab;
+            left.merge(&c);
+            let mut bc = b.clone();
+            bc.merge(&c);
+            let mut right = a.clone();
+            right.merge(&bc);
+            assert_eq!(left.total(), right.total(), "seed {seed}");
+            for k in 0..BUCKETS {
+                assert_eq!(left.count(k), right.count(k), "seed {seed}: bucket {k}");
+            }
+            for q in [0.5, 0.99, 0.999] {
+                assert_eq!(left.quantile(q), right.quantile(q), "seed {seed}: q {q}");
+            }
+        }
     }
 
     #[test]

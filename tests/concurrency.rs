@@ -14,8 +14,12 @@ use rocketbench::core::campaign::{run_campaign, Personality, SweepSpec};
 use rocketbench::core::prelude::*;
 use rocketbench::core::testbed;
 use rocketbench::replay::{replay_with, ReplayConfig};
+use rocketbench::simcore::rng::Rng;
 use rocketbench::simcore::time::Nanos;
 use rocketbench::simcore::units::Bytes;
+
+/// Seeded cases per generated-input property.
+const CASES: u64 = 8;
 
 fn golden(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -118,6 +122,41 @@ fn process_axis_is_jobs_deterministic() {
     assert_eq!(serial.to_json().to_string(), sharded.to_json().to_string());
     let again = run_campaign(&spec, 4).expect("repeat");
     assert_eq!(sharded.to_csv(), again.to_csv());
+
+    // Seeded cases: a random seed, 1-5 processes and 1-4 jobs. One
+    // varmail run repeats bit for bit, and a one-cell-per-axis-value
+    // campaign is byte-identical at one worker and at `jobs`. A failure
+    // names its case; `Rng::new(case)` replays it.
+    for case in 0..CASES {
+        let mut rng = Rng::new(case);
+        let processes = 1 + rng.below(5) as u32;
+        let seed = rng.next_u64();
+        let jobs = 1 + rng.below(4) as usize;
+        let run = || {
+            let mut t = testbed::paper_ext2(Bytes::mib(256), seed);
+            let w = personalities::varmail(10);
+            let rec = Engine::run(&mut t, &w, &quick_cfg(1, seed, processes)).unwrap();
+            (rec.ops, rec.errors, rec.duration, rec.histogram.clone())
+        };
+        assert_eq!(run(), run(), "case {case}");
+        let mut plan = RunPlan::quick(seed);
+        plan.protocol = Protocol::FixedRuns(1);
+        plan.duration = Nanos::from_secs(1);
+        let spec = SweepSpec {
+            name: "prop".into(),
+            personalities: vec![Personality::Varmail],
+            file_counts: vec![10],
+            filesystems: vec![FsKind::Ext2],
+            cache_capacities: vec![Bytes::mib(32)],
+            processes: vec![1, processes],
+            plan,
+            device: Bytes::mib(256),
+            ..SweepSpec::default()
+        };
+        let serial = run_campaign(&spec, 1).expect("jobs=1");
+        let sharded = run_campaign(&spec, jobs).expect("jobs=N");
+        assert_eq!(serial.to_csv(), sharded.to_csv(), "case {case}");
+    }
 }
 
 /// Seed-determinism and seed-sensitivity of a single multi-process run.

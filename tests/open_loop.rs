@@ -243,6 +243,58 @@ fn arrival_axis_is_jobs_deterministic() {
     assert_eq!(serial.to_json().to_string(), sharded.to_json().to_string());
     let again = run_campaign(&spec, 4).expect("repeat");
     assert_eq!(sharded.to_csv(), again.to_csv());
+
+    // Seeded cases: a random seed, a Poisson rate of 100-4,999/s and
+    // 1-4 jobs. One varmail run accounts for every offered request and
+    // repeats its ledger and tail exactly, and a closed-plus-open
+    // campaign is byte-identical at one worker and at `jobs`. A failure
+    // names its case; `Rng::new(case)` replays it.
+    for case in 0..8 {
+        let mut rng = Rng::new(case);
+        let rate = 100 + rng.below(4_900);
+        let seed = rng.next_u64();
+        let jobs = 1 + rng.below(4) as usize;
+        let run = || {
+            let mut t = testbed::paper_ext2(Bytes::mib(256), seed);
+            let w = personalities::varmail(10);
+            let cfg = EngineConfig {
+                duration: Nanos::from_secs(1),
+                prewarm: false,
+                cores: 2,
+                ..open_cfg(1, seed, Arrival::Poisson { rate })
+            };
+            Engine::run(&mut t, &w, &cfg).unwrap().open_loop.unwrap()
+        };
+        let first = run();
+        assert_eq!(
+            first.offered,
+            first.completed + first.failed + first.dropped,
+            "case {case}"
+        );
+        assert_eq!(first, run(), "case {case}");
+        let mut plan = RunPlan::quick(seed);
+        plan.protocol = Protocol::FixedRuns(1);
+        plan.duration = Nanos::from_secs(1);
+        let spec = SweepSpec {
+            name: "prop".into(),
+            personalities: vec![Personality::Varmail],
+            file_counts: vec![10],
+            filesystems: vec![FsKind::Ext2],
+            cache_capacities: vec![Bytes::mib(32)],
+            arrivals: vec![Arrival::Closed, Arrival::Poisson { rate }],
+            plan,
+            device: Bytes::mib(256),
+            ..SweepSpec::default()
+        };
+        let serial = run_campaign(&spec, 1).expect("jobs=1");
+        let sharded = run_campaign(&spec, jobs).expect("jobs=N");
+        assert_eq!(serial.to_csv(), sharded.to_csv(), "case {case}");
+        assert_eq!(
+            serial.to_json().to_string(),
+            sharded.to_json().to_string(),
+            "case {case}"
+        );
+    }
 }
 
 /// Seed-determinism and seed-sensitivity of a single open-loop run:
