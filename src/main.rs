@@ -95,10 +95,12 @@ fn parse_size(s: &str) -> Result<Bytes, String> {
         Some('G') | Some('g') => (&s[..s.len() - 1], 1024 * 1024 * 1024),
         _ => (s, 1),
     };
-    digits
+    let n = digits
         .parse::<u64>()
-        .map(|n| Bytes::new(n * mult))
-        .map_err(|e| format!("bad size {s:?}: {e}"))
+        .map_err(|e| format!("bad size {s:?}: {e}"))?;
+    n.checked_mul(mult)
+        .map(Bytes::new)
+        .ok_or_else(|| format!("bad size {s:?}: more than {} bytes", u64::MAX))
 }
 
 /// Builds the flight-recorder configuration from `--metrics true`,
@@ -156,10 +158,12 @@ fn parse_duration(s: &str) -> Result<Nanos, String> {
         Some('m') => (&s[..s.len() - 1], 60),
         _ => (s, 1),
     };
-    digits
+    let n = digits
         .parse::<u64>()
-        .map(|n| Nanos::from_secs(n * mult))
-        .map_err(|e| format!("bad duration {s:?}: {e}"))
+        .map_err(|e| format!("bad duration {s:?}: {e}"))?;
+    n.checked_mul(mult)
+        .map(Nanos::from_secs)
+        .ok_or_else(|| format!("bad duration {s:?}: more than {} seconds", u64::MAX))
 }
 
 /// Builds a target from `sim:ext2` / `sim:ext3` / `sim:xfs` /
@@ -180,17 +184,9 @@ fn make_target(spec: &str, device: Bytes, seed: u64) -> Result<Box<dyn Target>, 
 }
 
 fn make_workload(name: &str, size: Bytes, files: u64) -> Result<Workload, String> {
-    Ok(match name {
-        "randomread" => personalities::random_read(size),
-        "seqread" => personalities::sequential_read(size),
-        "randomwrite" => personalities::random_write(size),
-        "webserver" => personalities::webserver(files),
-        "fileserver" => personalities::fileserver(files),
-        "varmail" => personalities::varmail(files),
-        "postmark" => personalities::postmark(files),
-        "metadata" => personalities::metadata_only(files),
-        other => return Err(format!("unknown workload {other:?}")),
-    })
+    Personality::parse(name)
+        .map(|p| p.workload(size, files))
+        .ok_or_else(|| format!("unknown workload {name:?}"))
 }
 
 fn cmd_bench(opts: &Opts) -> Result<(), String> {
@@ -969,6 +965,9 @@ mod tests {
         assert_eq!(parse_size("2G").unwrap(), Bytes::gib(2));
         assert!(parse_size("x").is_err());
         assert!(parse_size("12Q").is_err());
+        // 2^34 GiB is 2^64 bytes: refused, not wrapped to 0.
+        let err = parse_size("17179869184G").unwrap_err();
+        assert!(err.contains("17179869184G"), "{err}");
     }
 
     #[test]
@@ -977,6 +976,8 @@ mod tests {
         assert_eq!(parse_duration("30s").unwrap(), Nanos::from_secs(30));
         assert_eq!(parse_duration("5m").unwrap(), Nanos::from_secs(300));
         assert!(parse_duration("abc").is_err());
+        let err = parse_duration("307445734561825861m").unwrap_err();
+        assert!(err.contains("307445734561825861m"), "{err}");
     }
 
     #[test]
