@@ -11,34 +11,35 @@
 //! re-exports it alongside the two canonical implementations.
 
 use rb_simcore::error::{SimError, SimResult};
-use rb_simcore::time::Nanos;
+use rb_simcore::time::{Nanos, VirtualClock};
 use rb_simcore::units::Bytes;
 use rb_simfs::intern::PathId;
 use rb_simfs::stack::{Fd, OpCost, StorageStack};
 
 pub use rb_replay::target::Target;
 
-/// The simulated storage stack as a target.
+/// The simulated storage stack as a target, with the virtual clock a
+/// serial driver runs on.
 pub struct SimTarget {
     stack: StorageStack,
+    clock: VirtualClock,
     label: String,
 }
 
 impl SimTarget {
-    /// Wraps a stack.
+    /// Wraps a stack; the clock starts at zero.
     pub fn new(stack: StorageStack) -> Self {
         let label = format!("sim:{}", stack.fs().name());
-        SimTarget { stack, label }
+        SimTarget {
+            stack,
+            clock: VirtualClock::new(),
+            label,
+        }
     }
 
     /// The underlying stack.
     pub fn stack(&self) -> &StorageStack {
         &self.stack
-    }
-
-    /// Mutable access for experiment-specific surgery.
-    pub fn stack_mut(&mut self) -> &mut StorageStack {
-        &mut self.stack
     }
 
     /// The stack-level [`PathId`] for an op: the driver's pre-resolved
@@ -51,19 +52,20 @@ impl SimTarget {
     }
 }
 
-/// The stack executes every op at the caller's instant and its private
-/// clock moves only through [`Target::advance`].
+/// The stack executes every op at the caller's instant. The clock moves
+/// through [`Target::advance`] and by the writeback a cache resize
+/// forces, nothing else.
 impl Target for SimTarget {
     fn name(&self) -> String {
         self.label.clone()
     }
 
     fn now(&self) -> Nanos {
-        self.stack.now()
+        self.clock.now()
     }
 
     fn advance(&mut self, d: Nanos) {
-        self.stack.advance(d);
+        self.clock.advance(d);
     }
 
     fn supports_timed(&self) -> bool {
@@ -129,7 +131,10 @@ impl Target for SimTarget {
     }
 
     fn set_cache_capacity_pages(&mut self, pages: u64) {
-        self.stack.set_cache_capacity_pages(pages);
+        let spent = self
+            .stack
+            .set_cache_capacity_pages_at(pages, self.clock.now());
+        self.clock.advance(spent);
     }
 
     fn cache_hit_ratio(&self) -> Option<f64> {

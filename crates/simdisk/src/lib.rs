@@ -3,8 +3,8 @@
 //! Deterministic models of the storage media under a file system: a
 //! mechanical HDD (seek curve, rotational position, zoned bit recording,
 //! track buffer, write cache) calibrated to the paper's Maxtor 7L250S0
-//! testbed drive, a channel-parallel flash SSD, a DRAM disk, and the
-//! classic single-queue I/O schedulers.
+//! testbed drive, a channel-parallel flash SSD, a DRAM disk, and a
+//! tiered device that caches one under another.
 //!
 //! The paper's case study needs exactly one property from this layer: a
 //! *huge, variable* gap between media access (~8–16 ms) and memory access
@@ -28,7 +28,6 @@
 pub mod device;
 pub mod geometry;
 pub mod hdd;
-pub mod sched;
 pub mod ssd;
 pub mod tiered;
 
@@ -37,7 +36,6 @@ pub mod prelude {
     pub use crate::device::{BlockDevice, DeviceStats, IoKind, IoRequest};
     pub use crate::geometry::{Chs, Geometry, Zone};
     pub use crate::hdd::{Hdd, HddConfig};
-    pub use crate::sched::{Completion, IoQueue, Pending, SchedPolicy};
     pub use crate::ssd::{RamDisk, Ssd, SsdConfig};
     pub use crate::tiered::{TierConfig, TieredDevice};
 }

@@ -1,4 +1,4 @@
-//! The storage stack: file system + page cache + block device + clock.
+//! The storage stack: file system + page cache + block device.
 //!
 //! The paper's framing is that a file system is "middleware" whose
 //! measured behaviour is the interaction of the layers above and below
@@ -7,6 +7,11 @@
 //! fetch granularity, maps logical blocks to physical extents, services
 //! them on the device, and charges a memory-copy cost — each step a
 //! separately configurable, separately measurable contribution.
+//!
+//! Every operation runs at an instant its caller passes in and returns
+//! what it cost; the stack keeps no clock. Time lives in the driver: a
+//! serial caller issues the next op when the last one finished, a
+//! discrete-event scheduler at instants of its own.
 
 use crate::intern::{PathId, PathSpec};
 use crate::vfs::{FileSystem, InodeNo, MetaIo};
@@ -16,7 +21,7 @@ use rb_simcache::page::{FileId, PageKey};
 use rb_simcore::error::{SimError, SimResult};
 use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::rng::Rng;
-use rb_simcore::time::{Nanos, VirtualClock};
+use rb_simcore::time::Nanos;
 use rb_simcore::units::{page_span, Bytes, PageNo};
 use rb_simdisk::device::{BlockDevice, IoRequest};
 
@@ -57,11 +62,11 @@ impl Default for StackConfig {
 /// One operation's simulated cost, decomposed into the two contention
 /// domains of the discrete-event scheduler.
 ///
-/// Returned by the time-parameterized `*_at` operations: `cpu` is work
-/// a core performs (syscall entry, memory copies), `device` is media
-/// service time (demand fetches, writeback, journal commits). A serial
-/// caller charges `total()` to its clock; a multi-process scheduler
-/// queues `cpu` on a core token and `device` on the shared device.
+/// Returned by every `*_at` operation: `cpu` is work a core performs
+/// (syscall entry, memory copies), `device` is media service time
+/// (demand fetches, writeback, journal commits). A serial caller charges
+/// `total()` to its clock; a multi-process scheduler queues `cpu` on a
+/// core token and `device` on the shared device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCost {
     /// Core-side cost: syscall overhead plus user-buffer copies.
@@ -115,11 +120,15 @@ pub struct StackStats {
 ///
 /// # Examples
 ///
+/// A serial caller issues each operation when the previous one
+/// finished:
+///
 /// ```
 /// use rb_simfs::ext2::{Ext2Config, Ext2Fs};
 /// use rb_simfs::stack::{StackConfig, StorageStack};
 /// use rb_simcache::cache::CacheConfig;
 /// use rb_simdisk::hdd::{Hdd, HddConfig};
+/// use rb_simcore::time::Nanos;
 /// use rb_simcore::units::Bytes;
 ///
 /// let mut stack = StorageStack::new(
@@ -128,18 +137,19 @@ pub struct StackStats {
 ///     Box::new(Hdd::new(HddConfig::maxtor_7l250s0_like())),
 ///     StackConfig::default(),
 /// );
-/// stack.create("/f").unwrap();
-/// let fd = stack.open("/f").unwrap();
-/// stack.set_size_fd(fd, Bytes::mib(1)).unwrap();
-/// let cold = stack.read(fd, Bytes::ZERO, Bytes::kib(8)).unwrap();
-/// let warm = stack.read(fd, Bytes::ZERO, Bytes::kib(8)).unwrap();
+/// let f = stack.resolve_path("/f").unwrap();
+/// let mut now = stack.create_id_at(f, Nanos::ZERO).unwrap().total();
+/// let (fd, cost) = stack.open_id_at(f, now).unwrap();
+/// now += cost.total();
+/// now += stack.set_size_fd_at(fd, Bytes::mib(1), now).unwrap().total();
+/// let cold = stack.read_at(fd, Bytes::ZERO, Bytes::kib(8), now).unwrap().total();
+/// let warm = stack.read_at(fd, Bytes::ZERO, Bytes::kib(8), now + cold).unwrap().total();
 /// assert!(warm < cold, "cache hit must be faster than the miss");
 /// ```
 pub struct StorageStack {
     fs: Box<dyn FileSystem>,
     cache: PageCache,
     disk: Box<dyn BlockDevice>,
-    clock: VirtualClock,
     config: StackConfig,
     open: FnvHashMap<Fd, InodeNo>,
     paths: PathTable,
@@ -181,7 +191,6 @@ impl StorageStack {
             fs,
             cache: PageCache::new(cache),
             disk,
-            clock: VirtualClock::new(),
             config,
             open: Default::default(),
             paths: PathTable::default(),
@@ -272,16 +281,6 @@ impl StorageStack {
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.clock.now()
-    }
-
-    /// Advances virtual time (think time between operations).
-    pub fn advance(&mut self, d: Nanos) {
-        self.clock.advance(d);
-    }
-
     /// The file-system layer.
     pub fn fs(&self) -> &dyn FileSystem {
         self.fs.as_ref()
@@ -302,12 +301,12 @@ impl StorageStack {
         self.stats
     }
 
-    /// Resizes the page cache (memory-pressure jitter). Evicted dirty
-    /// pages are written back synchronously.
-    pub fn set_cache_capacity_pages(&mut self, pages: u64) {
+    /// Resizes the page cache at instant `issue` (memory-pressure
+    /// jitter). Evicted dirty pages are written back synchronously;
+    /// returns the media time that took, for the caller to charge.
+    pub fn set_cache_capacity_pages_at(&mut self, pages: u64, issue: Nanos) -> Nanos {
         let dirty = self.cache.set_capacity_pages(pages);
-        let lat = self.write_pages_to_media_at(&dirty, self.clock.now());
-        self.clock.advance(lat);
+        self.write_pages_to_media_at(&dirty, issue)
     }
 
     /// Drops every cached page (`echo 3 > drop_caches`).
@@ -453,26 +452,8 @@ impl StorageStack {
         Ok(id)
     }
 
-    /// The pre-interned spec behind a [`PathId`].
-    pub fn path_spec(&self, id: PathId) -> &PathSpec {
-        &self.paths.specs[id.index()]
-    }
-
-    /// Creates a regular file.
-    pub fn create(&mut self, path: &str) -> SimResult<Nanos> {
-        let id = self.resolve_path(path)?;
-        self.create_id(id)
-    }
-
-    /// [`StorageStack::create`] for a pre-resolved path.
-    pub fn create_id(&mut self, id: PathId) -> SimResult<Nanos> {
-        let cost = self.create_id_at(id, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::create`] at instant `issue`, without advancing
-    /// the stack clock (the discrete-event form; see [`OpCost`]).
+    /// Creates a regular file at the resolved path `id`, at instant
+    /// `issue` (see [`OpCost`]).
     pub fn create_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (_, meta) = self.fs.create_spec(&self.paths.specs[id.index()])?;
         let device = self.run_meta_at(&meta, issue)?;
@@ -483,20 +464,7 @@ impl StorageStack {
         })
     }
 
-    /// Creates a directory.
-    pub fn mkdir(&mut self, path: &str) -> SimResult<Nanos> {
-        let id = self.resolve_path(path)?;
-        self.mkdir_id(id)
-    }
-
-    /// [`StorageStack::mkdir`] for a pre-resolved path.
-    pub fn mkdir_id(&mut self, id: PathId) -> SimResult<Nanos> {
-        let cost = self.mkdir_id_at(id, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::mkdir`] at instant `issue` (discrete-event form).
+    /// Creates a directory at the resolved path `id`, at instant `issue`.
     pub fn mkdir_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (_, meta) = self.fs.mkdir_spec(&self.paths.specs[id.index()])?;
         let device = self.run_meta_at(&meta, issue)?;
@@ -507,20 +475,8 @@ impl StorageStack {
         })
     }
 
-    /// Removes a file and drops its cached pages.
-    pub fn unlink(&mut self, path: &str) -> SimResult<Nanos> {
-        let id = self.resolve_path(path)?;
-        self.unlink_id(id)
-    }
-
-    /// [`StorageStack::unlink`] for a pre-resolved path.
-    pub fn unlink_id(&mut self, id: PathId) -> SimResult<Nanos> {
-        let cost = self.unlink_id_at(id, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::unlink`] at instant `issue` (discrete-event form).
+    /// Removes the file at the resolved path `id` and drops its cached
+    /// pages, at instant `issue`.
     pub fn unlink_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (ino, meta) = self.fs.unlink_spec(&self.paths.specs[id.index()])?;
         self.cache.invalidate_file(ino);
@@ -532,20 +488,8 @@ impl StorageStack {
         })
     }
 
-    /// Stats a path.
-    pub fn stat(&mut self, path: &str) -> SimResult<Nanos> {
-        let id = self.resolve_path(path)?;
-        self.stat_id(id)
-    }
-
-    /// [`StorageStack::stat`] for a pre-resolved path.
-    pub fn stat_id(&mut self, id: PathId) -> SimResult<Nanos> {
-        let cost = self.stat_id_at(id, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::stat`] at instant `issue` (discrete-event form).
+    /// Stats the resolved path `id` at instant `issue`, charging the
+    /// path walk.
     pub fn stat_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (_, meta) = self.fs.lookup_spec(&self.paths.specs[id.index()])?;
         let device = self.run_meta_at(&meta, issue)?;
@@ -556,41 +500,8 @@ impl StorageStack {
         })
     }
 
-    /// Counts a directory's entries, charging the full listing's
-    /// metadata traffic (the hot, allocation-free readdir form).
-    pub fn readdir(&mut self, path: &str) -> SimResult<(u64, Nanos)> {
-        let id = self.resolve_path(path)?;
-        let (entries, meta) = self.fs.readdir_spec(&self.paths.specs[id.index()])?;
-        let lat = self.config.syscall_overhead + self.run_meta_at(&meta, self.clock.now())?;
-        self.clock.advance(lat);
-        self.stats.meta_ops += 1;
-        Ok((entries, lat))
-    }
-
-    /// Lists a directory's sorted entry names (allocates; same charge
-    /// as [`StorageStack::readdir`]).
-    pub fn readdir_names(&mut self, path: &str) -> SimResult<(Vec<String>, Nanos)> {
-        let (names, meta) = self.fs.readdir_names(path)?;
-        let lat = self.config.syscall_overhead + self.run_meta_at(&meta, self.clock.now())?;
-        self.clock.advance(lat);
-        self.stats.meta_ops += 1;
-        Ok((names, lat))
-    }
-
-    /// Opens a file, resolving and charging the path walk.
-    pub fn open(&mut self, path: &str) -> SimResult<Fd> {
-        let id = self.resolve_path(path)?;
-        self.open_id(id)
-    }
-
-    /// [`StorageStack::open`] for a pre-resolved path.
-    pub fn open_id(&mut self, id: PathId) -> SimResult<Fd> {
-        let (fd, cost) = self.open_id_at(id, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(fd)
-    }
-
-    /// [`StorageStack::open`] at instant `issue` (discrete-event form).
+    /// Opens the file at the resolved path `id` at instant `issue`,
+    /// charging the path walk; returns the new handle with the cost.
     pub fn open_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<(Fd, OpCost)> {
         let (ino, meta) = self.fs.lookup_spec(&self.paths.specs[id.index()])?;
         let device = self.run_meta_at(&meta, issue)?;
@@ -622,16 +533,8 @@ impl StorageStack {
             .ok_or_else(|| SimError::InvalidOperation(format!("bad fd {fd}")))
     }
 
-    /// Grows/truncates an open file (allocation + metadata, journaled on
-    /// journaling systems).
-    pub fn set_size_fd(&mut self, fd: Fd, size: Bytes) -> SimResult<Nanos> {
-        let cost = self.set_size_fd_at(fd, size, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::set_size_fd`] at instant `issue` (discrete-event
-    /// form).
+    /// Grows or truncates an open file at instant `issue` (allocation
+    /// plus metadata, journaled on journaling systems).
     pub fn set_size_fd_at(&mut self, fd: Fd, size: Bytes, issue: Nanos) -> SimResult<OpCost> {
         let ino = self.ino_of(fd)?;
         let attr = self.fs.attr(ino)?;
@@ -648,19 +551,12 @@ impl StorageStack {
         })
     }
 
-    /// Reads `len` bytes at `offset`, returning the operation latency.
+    /// Reads `len` bytes at `offset` at instant `issue`: the cache
+    /// outcome is decided at `issue` and media requests are serviced
+    /// from `issue` onward.
     ///
     /// Reads past end of file are clamped (POSIX short read); a read at
     /// or past EOF costs only the syscall overhead.
-    pub fn read(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
-        let cost = self.read_at(fd, offset, len, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::read`] at instant `issue` (discrete-event form):
-    /// the cache outcome is decided at `issue`, media requests are
-    /// serviced from `issue` onward, and the clock is left untouched.
     pub fn read_at(
         &mut self,
         fd: Fd,
@@ -738,14 +634,9 @@ impl StorageStack {
         Ok(OpCost { cpu, device })
     }
 
-    /// Writes `len` bytes at `offset`, extending the file if needed.
-    pub fn write(&mut self, fd: Fd, offset: Bytes, len: Bytes) -> SimResult<Nanos> {
-        let cost = self.write_at(fd, offset, len, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::write`] at instant `issue` (discrete-event form).
+    /// Writes `len` bytes at `offset` at instant `issue`, extending the
+    /// file if needed. The data lands in the page cache; only the dirty
+    /// pages it evicts go to media.
     pub fn write_at(
         &mut self,
         fd: Fd,
@@ -778,14 +669,8 @@ impl StorageStack {
         Ok(OpCost { cpu, device })
     }
 
-    /// Flushes an open file's dirty pages and metadata to media.
-    pub fn fsync(&mut self, fd: Fd) -> SimResult<Nanos> {
-        let cost = self.fsync_at(fd, self.clock.now())?;
-        self.clock.advance(cost.total());
-        Ok(cost.total())
-    }
-
-    /// [`StorageStack::fsync`] at instant `issue` (discrete-event form).
+    /// Flushes an open file's dirty pages and metadata to media at
+    /// instant `issue`; an injected media error reaches the caller.
     pub fn fsync_at(&mut self, fd: Fd, issue: Nanos) -> SimResult<OpCost> {
         let ino = self.ino_of(fd)?;
         let dirty = self.cache.fsync(ino);
@@ -797,20 +682,12 @@ impl StorageStack {
         })
     }
 
-    /// Background writeback tick: flushes until the writeback policy's
-    /// goals are met (under the dirty ratio, no expired pages), as the
-    /// kernel flusher thread does. Returns the media time spent, which
-    /// is charged to the timeline — writeback interference is real.
-    pub fn writeback_tick(&mut self) -> Nanos {
-        let total = self.writeback_tick_at(self.clock.now());
-        self.clock.advance(total);
-        total
-    }
-
-    /// [`StorageStack::writeback_tick`] at instant `issue`: the flusher
-    /// pass starts at `issue`, each flushed batch pushes the expiry
-    /// horizon forward by its own media time, and the clock is left to
-    /// the caller (discrete-event form).
+    /// Background writeback pass at instant `issue`: flushes until the
+    /// writeback policy's goals are met (under the dirty ratio, no
+    /// expired pages), as the kernel flusher thread does. Each flushed
+    /// batch pushes the expiry horizon forward by its own media time.
+    /// Returns the media time spent, for the caller to charge to its
+    /// timeline: writeback interference is real.
     pub fn writeback_tick_at(&mut self, issue: Nanos) -> Nanos {
         let mut total = Nanos::ZERO;
         loop {
@@ -872,7 +749,6 @@ impl std::fmt::Debug for StorageStack {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageStack")
             .field("fs", &self.fs.name())
-            .field("now", &self.clock.now())
             .field("resident_pages", &self.cache.resident_pages())
             .finish()
     }
@@ -899,14 +775,48 @@ mod tests {
         stack_with(Box::new(Ext2Fs::new(Ext2Config::for_blocks(262_144)))) // 1 GiB
     }
 
+    /// A 64-page LRU cache with readahead off, over a 1 GiB ext2.
+    fn tiny_cache_stack() -> StorageStack {
+        use rb_simcache::policy::PolicyKind;
+        use rb_simcache::readahead::ReadaheadConfig;
+        use rb_simcache::writeback::WritebackConfig;
+        StorageStack::new(
+            Box::new(Ext2Fs::new(Ext2Config::for_blocks(262_144))),
+            CacheConfig {
+                capacity_pages: 64,
+                policy: PolicyKind::Lru,
+                readahead: ReadaheadConfig::disabled(),
+                writeback: WritebackConfig::default(),
+            },
+            Box::new(Hdd::new(HddConfig::maxtor_7l250s0_like())),
+            StackConfig::default(),
+        )
+    }
+
+    /// Creates, opens and sizes `path` back to back from instant
+    /// `issue`, as a serial caller does; returns the handle and the
+    /// instant the last op finished.
+    fn sized_file(s: &mut StorageStack, path: &str, size: Bytes, issue: Nanos) -> (Fd, Nanos) {
+        let id = s.resolve_path(path).unwrap();
+        let mut now = issue + s.create_id_at(id, issue).unwrap().total();
+        let (fd, cost) = s.open_id_at(id, now).unwrap();
+        now += cost.total();
+        now += s.set_size_fd_at(fd, size, now).unwrap().total();
+        (fd, now)
+    }
+
     #[test]
     fn hit_vs_miss_latency_gap() {
         let mut s = ext2_stack();
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::mib(10)).unwrap();
-        let miss = s.read(fd, Bytes::mib(5), Bytes::kib(8)).unwrap();
-        let hit = s.read(fd, Bytes::mib(5), Bytes::kib(8)).unwrap();
+        let (fd, now) = sized_file(&mut s, "/f", Bytes::mib(10), Nanos::ZERO);
+        let miss = s
+            .read_at(fd, Bytes::mib(5), Bytes::kib(8), now)
+            .unwrap()
+            .total();
+        let hit = s
+            .read_at(fd, Bytes::mib(5), Bytes::kib(8), now + miss)
+            .unwrap()
+            .total();
         assert!(miss.as_millis() >= 1, "miss {miss} should touch the disk");
         assert!(hit.as_micros() < 100, "hit {hit} should be memory-speed");
         // The paper's three-orders-of-magnitude gap.
@@ -916,29 +826,32 @@ mod tests {
     #[test]
     fn eof_semantics() {
         let mut s = ext2_stack();
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::kib(8)).unwrap();
+        let (fd, now) = sized_file(&mut s, "/f", Bytes::kib(8), Nanos::ZERO);
         // Read at EOF: cheap, no disk.
-        let lat = s.read(fd, Bytes::kib(8), Bytes::kib(8)).unwrap();
+        let lat = s
+            .read_at(fd, Bytes::kib(8), Bytes::kib(8), now)
+            .unwrap()
+            .total();
         assert!(lat.as_micros() < 10);
         // Read straddling EOF: clamped to one page.
         let reads0 = s.disk_stats().reads;
-        s.read(fd, Bytes::kib(4), Bytes::kib(8)).unwrap();
+        s.read_at(fd, Bytes::kib(4), Bytes::kib(8), now + lat)
+            .unwrap();
         assert!(s.disk_stats().reads > reads0);
     }
 
     #[test]
     fn writes_are_cached_then_fsync_hits_disk() {
         let mut s = ext2_stack();
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
+        let (fd, now) = sized_file(&mut s, "/f", Bytes::mib(1), Nanos::ZERO);
         let writes0 = s.disk_stats().writes;
-        let wlat = s.write(fd, Bytes::ZERO, Bytes::kib(64)).unwrap();
+        let wlat = s
+            .write_at(fd, Bytes::ZERO, Bytes::kib(64), now)
+            .unwrap()
+            .total();
         assert!(wlat.as_micros() < 500, "buffered write {wlat} too slow");
         assert_eq!(s.disk_stats().writes, writes0, "write went to media early");
-        let flat = s.fsync(fd).unwrap();
+        let flat = s.fsync_at(fd, now + wlat).unwrap().total();
         assert!(s.disk_stats().writes > writes0, "fsync reached media");
         assert!(flat > wlat);
     }
@@ -946,13 +859,15 @@ mod tests {
     #[test]
     fn unlink_drops_cache() {
         let mut s = ext2_stack();
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
-        s.read(fd, Bytes::ZERO, Bytes::kib(64)).unwrap();
+        let (fd, now) = sized_file(&mut s, "/f", Bytes::mib(1), Nanos::ZERO);
+        let lat = s
+            .read_at(fd, Bytes::ZERO, Bytes::kib(64), now)
+            .unwrap()
+            .total();
         assert!(s.cache().resident_pages() > 0);
         s.close(fd).unwrap();
-        s.unlink("/f").unwrap();
+        let id = s.resolve_path("/f").unwrap();
+        s.unlink_id_at(id, now + lat).unwrap();
         // Only metadata pages may remain.
         assert!(s.cache().resident_pages() <= 8);
     }
@@ -960,11 +875,9 @@ mod tests {
     #[test]
     fn cluster_fetch_warms_neighbours() {
         let mut s = ext2_stack(); // ext2: cluster_pages = 2
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
+        let (fd, now) = sized_file(&mut s, "/f", Bytes::mib(1), Nanos::ZERO);
         // Read page 5 only (4 KiB); cluster 2 pulls page 4 too.
-        s.read(fd, Bytes::kib(20), Bytes::kib(4)).unwrap();
+        s.read_at(fd, Bytes::kib(20), Bytes::kib(4), now).unwrap();
         let ino = 3; // first created inode after root in a fresh tree
         assert!(s.cache().is_resident(ino, 5));
         assert!(
@@ -976,11 +889,9 @@ mod tests {
     #[test]
     fn xfs_cluster_is_larger() {
         let mut s = stack_with(Box::new(XfsFs::new(XfsConfig::for_blocks(262_144))));
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
+        let (fd, now) = sized_file(&mut s, "/f", Bytes::mib(1), Nanos::ZERO);
         let r0 = s.cache().stats();
-        s.read(fd, Bytes::kib(68), Bytes::kib(4)).unwrap();
+        s.read_at(fd, Bytes::kib(68), Bytes::kib(4), now).unwrap();
         let r1 = s.cache().stats();
         // One demand miss, but a 16-page cluster inserted.
         assert_eq!(r1.misses - r0.misses, 1);
@@ -991,7 +902,8 @@ mod tests {
     fn journaled_create_writes_sequential_journal() {
         let mut s = stack_with(Box::new(Ext3Fs::new(Ext3Config::for_blocks(262_144))));
         let w0 = s.disk_stats().writes;
-        s.create("/f").unwrap();
+        let id = s.resolve_path("/f").unwrap();
+        s.create_id_at(id, Nanos::ZERO).unwrap();
         // Journal writes are synchronous media writes.
         assert!(s.disk_stats().writes > w0);
     }
@@ -999,28 +911,28 @@ mod tests {
     #[test]
     fn sequential_read_faster_than_random_per_byte() {
         let mut s = ext2_stack();
-        s.create("/seq").unwrap();
-        let fd = s.open("/seq").unwrap();
-        s.set_size_fd(fd, Bytes::mib(64)).unwrap();
+        let (fd, mut now) = sized_file(&mut s, "/seq", Bytes::mib(64), Nanos::ZERO);
         // Sequential pass.
-        let t0 = s.now();
+        let t0 = now;
         let io = Bytes::kib(64);
         let mut off = Bytes::ZERO;
         while off < Bytes::mib(16) {
-            s.read(fd, off, io).unwrap();
+            now += s.read_at(fd, off, io, now).unwrap().total();
             off += io;
         }
-        let seq_time = s.now() - t0;
+        let seq_time = now - t0;
         // Random pass over a fresh, uncached region of equal volume.
         s.drop_caches();
-        use rb_simcore::rng::Rng;
         let mut rng = Rng::new(3);
-        let t1 = s.now();
+        let t1 = now;
         for _ in 0..256 {
             let page = 4096 + rng.below(4096); // within 16..32 MiB region
-            s.read(fd, Bytes::kib(4) * page, io).unwrap();
+            now += s
+                .read_at(fd, Bytes::kib(4) * page, io, now)
+                .unwrap()
+                .total();
         }
-        let rnd_time = s.now() - t1;
+        let rnd_time = now - t1;
         assert!(
             seq_time.as_nanos() * 3 < rnd_time.as_nanos(),
             "sequential {seq_time} not ≫ faster than random {rnd_time}"
@@ -1030,13 +942,18 @@ mod tests {
     #[test]
     fn stats_count_ops() {
         let mut s = ext2_stack();
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::kib(64)).unwrap();
-        s.read(fd, Bytes::ZERO, Bytes::kib(8)).unwrap();
-        s.write(fd, Bytes::ZERO, Bytes::kib(8)).unwrap();
-        s.fsync(fd).unwrap();
-        s.stat("/f").unwrap();
+        let (fd, mut now) = sized_file(&mut s, "/f", Bytes::kib(64), Nanos::ZERO);
+        now += s
+            .read_at(fd, Bytes::ZERO, Bytes::kib(8), now)
+            .unwrap()
+            .total();
+        now += s
+            .write_at(fd, Bytes::ZERO, Bytes::kib(8), now)
+            .unwrap()
+            .total();
+        now += s.fsync_at(fd, now).unwrap().total();
+        let id = s.resolve_path("/f").unwrap();
+        s.stat_id_at(id, now).unwrap();
         let st = s.stats();
         assert_eq!(st.reads, 1);
         assert_eq!(st.writes, 1);
@@ -1046,30 +963,20 @@ mod tests {
 
     #[test]
     fn failed_read_still_writes_back_the_dirty_pages_it_evicted() {
-        use rb_simcache::policy::PolicyKind;
-        use rb_simcache::readahead::ReadaheadConfig;
-        use rb_simcache::writeback::WritebackConfig;
-        let mut s = StorageStack::new(
-            Box::new(Ext2Fs::new(Ext2Config::for_blocks(262_144))),
-            CacheConfig {
-                capacity_pages: 64,
-                policy: PolicyKind::Lru,
-                readahead: ReadaheadConfig::disabled(),
-                writeback: WritebackConfig::default(),
-            },
-            Box::new(Hdd::new(HddConfig::maxtor_7l250s0_like())),
-            StackConfig::default(),
-        );
-        s.create("/f").unwrap();
-        let fd = s.open("/f").unwrap();
-        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
+        let mut s = tiny_cache_stack();
+        let (fd, now) = sized_file(&mut s, "/f", Bytes::mib(1), Nanos::ZERO);
         // 64 dirty data pages fill the cache.
-        s.write(fd, Bytes::ZERO, Bytes::kib(256)).unwrap();
+        let lat = s
+            .write_at(fd, Bytes::ZERO, Bytes::kib(256), now)
+            .unwrap()
+            .total();
         assert_eq!(s.cache().dirty_pages(), 64);
         s.install_faults(FaultSpec::parse("eio:1").unwrap(), 7);
         let (evicted0, writes0) = (s.cache().stats().evicted_dirty, s.disk_stats().writes);
         // A two-page miss evicts two dirty pages, then its media read fails.
-        assert!(s.read(fd, Bytes::kib(512), Bytes::kib(8)).is_err());
+        assert!(s
+            .read_at(fd, Bytes::kib(512), Bytes::kib(8), now + lat)
+            .is_err());
         assert_eq!(s.cache().stats().evicted_dirty - evicted0, 2);
         assert_eq!(
             s.disk_stats().writes - writes0,
@@ -1081,32 +988,22 @@ mod tests {
 
     #[test]
     fn failed_metadata_read_still_writes_back_the_dirty_pages_it_evicted() {
-        use rb_simcache::policy::PolicyKind;
-        use rb_simcache::readahead::ReadaheadConfig;
-        use rb_simcache::writeback::WritebackConfig;
-        let mut s = StorageStack::new(
-            Box::new(Ext2Fs::new(Ext2Config::for_blocks(262_144))),
-            CacheConfig {
-                capacity_pages: 64,
-                policy: PolicyKind::Lru,
-                readahead: ReadaheadConfig::disabled(),
-                writeback: WritebackConfig::default(),
-            },
-            Box::new(Hdd::new(HddConfig::maxtor_7l250s0_like())),
-            StackConfig::default(),
-        );
-        s.mkdir("/d").unwrap();
-        s.create("/d/f").unwrap();
-        let fd = s.open("/d/f").unwrap();
-        s.set_size_fd(fd, Bytes::mib(1)).unwrap();
+        let mut s = tiny_cache_stack();
+        let d = s.resolve_path("/d").unwrap();
+        let now = s.mkdir_id_at(d, Nanos::ZERO).unwrap().total();
+        let (fd, now) = sized_file(&mut s, "/d/f", Bytes::mib(1), now);
         // 64 dirty data pages push every metadata block out.
-        s.write(fd, Bytes::ZERO, Bytes::kib(256)).unwrap();
+        let lat = s
+            .write_at(fd, Bytes::ZERO, Bytes::kib(256), now)
+            .unwrap()
+            .total();
         assert_eq!(s.cache().dirty_pages(), 64);
         s.install_faults(FaultSpec::parse("eio:1").unwrap(), 7);
         let (evicted0, writes0) = (s.cache().stats().evicted_dirty, s.disk_stats().writes);
         // The path walk's first block misses, evicts a dirty page, and
         // its media read fails.
-        assert!(s.stat("/d/f").is_err());
+        let f = s.resolve_path("/d/f").unwrap();
+        assert!(s.stat_id_at(f, now + lat).is_err());
         assert_eq!(s.cache().stats().evicted_dirty - evicted0, 1);
         assert_eq!(
             s.disk_stats().writes - writes0,
@@ -1119,15 +1016,19 @@ mod tests {
     #[test]
     fn bad_fd_is_reported() {
         let mut s = ext2_stack();
-        assert!(s.read(99, Bytes::ZERO, Bytes::kib(4)).is_err());
+        assert!(s
+            .read_at(99, Bytes::ZERO, Bytes::kib(4), Nanos::ZERO)
+            .is_err());
         assert!(s.close(99).is_err());
     }
 
+    /// Work costs time: a caller's clock moves past a create.
     #[test]
     fn virtual_time_advances_with_work() {
         let mut s = ext2_stack();
-        let t0 = s.now();
-        s.create("/f").unwrap();
-        assert!(s.now() > t0);
+        let id = s.resolve_path("/f").unwrap();
+        let t0 = Nanos::ZERO;
+        let now = t0 + s.create_id_at(id, t0).unwrap().total();
+        assert!(now > t0);
     }
 }

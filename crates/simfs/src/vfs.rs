@@ -245,7 +245,7 @@ mod tests {
     /// A failure names its seed; `Rng::new(seed)` replays it.
     fn check_against_model(format: impl Fn() -> Box<dyn FileSystem>) {
         use rb_simcore::rng::Rng;
-        use std::collections::HashMap;
+        use std::collections::hash_map::{Entry, HashMap};
         const CASES: u64 = 64;
         for seed in 0..CASES {
             let mut rng = Rng::new(seed);
@@ -257,10 +257,15 @@ mod tests {
                 match rng.below(5) {
                     0 => {
                         let created = fs.create(&path);
-                        if model.contains_key(&f) {
-                            assert!(created.is_err(), "seed {seed}: double create of {path}");
-                        } else if created.is_ok() {
-                            model.insert(f, 0);
+                        match model.entry(f) {
+                            Entry::Occupied(_) => {
+                                assert!(created.is_err(), "seed {seed}: double create of {path}")
+                            }
+                            Entry::Vacant(v) => {
+                                if created.is_ok() {
+                                    v.insert(0);
+                                }
+                            }
                         }
                     }
                     1 => {
@@ -270,10 +275,10 @@ mod tests {
                     }
                     2 => {
                         let blocks = 1 + rng.below(511);
-                        if model.contains_key(&f) {
+                        if let Entry::Occupied(mut e) = model.entry(f) {
                             let (ino, _) = fs.lookup(&path).unwrap();
                             if fs.set_size(ino, Bytes::kib(4) * blocks).is_ok() {
-                                model.insert(f, blocks);
+                                e.insert(blocks);
                             }
                         }
                     }
