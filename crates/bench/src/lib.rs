@@ -6,9 +6,7 @@
 //! timing policies on every file system. Each prints the rows/series
 //! the paper reports and drops machine-readable `.csv`/`.dat` files
 //! under `results/`. `perfgate` times the harness's scenarios and, in
-//! its `layer/*` rows, the simulator's layers one call at a time;
-//! criterion benches cover the harness's ablation studies (cache
-//! policies, I/O schedulers, allocators).
+//! its `layer/*` rows, the simulator's layers one call at a time.
 //!
 //! Run `cargo run -p rb-bench --release --bin fig1 -- --quick` for a
 //! smoke pass or without `--quick` for the paper protocol.

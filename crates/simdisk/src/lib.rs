@@ -4,7 +4,7 @@
 //! mechanical HDD (seek curve, rotational position, zoned bit recording,
 //! track buffer, write cache) calibrated to the paper's Maxtor 7L250S0
 //! testbed drive, a channel-parallel flash SSD, a DRAM disk, and a
-//! tiered device that caches one under another.
+//! tiered device (a flash read cache in front of a disk).
 //!
 //! The paper's case study needs exactly one property from this layer: a
 //! *huge, variable* gap between media access (~8–16 ms) and memory access
