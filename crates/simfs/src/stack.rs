@@ -635,8 +635,8 @@ impl StorageStack {
     }
 
     /// Writes `len` bytes at `offset` at instant `issue`, extending the
-    /// file if needed. The data lands in the page cache; only the dirty
-    /// pages it evicts go to media.
+    /// file if needed. The data lands in the page cache; the dirty pages
+    /// its insertion evicts are written back.
     pub fn write_at(
         &mut self,
         fd: Fd,
