@@ -527,11 +527,12 @@ mod tests {
         assert_eq!(ino, f);
 
         // Seeded cases: up to 5 directories and 5 files with 1-2 letter
-        // names, probed by up to 23 random valid and invalid paths
-        // (absolute with 1-3 components that may be `.`/`..`, relative,
-        // or `/`). Interned and string resolution must agree on the
-        // inode, the traversal and the error text, for the path and its
-        // parent. A failure names its seed; `Rng::new(seed)` replays it.
+        // names, probed by up to 23 paths: random ones (absolute with 1-3
+        // components that may be `.`/`..`, relative, or `/`) and
+        // existing ones, bare or with one more random component.
+        // Interned and string resolution must agree on the inode, the
+        // traversal and the error text, for the path and its parent. A
+        // failure names its seed; `Rng::new(seed)` replays it.
         use rb_simcore::rng::Rng;
         let word = |rng: &mut Rng, letters: &[u8]| -> String {
             (0..1 + rng.below(2))
@@ -541,24 +542,39 @@ mod tests {
         for seed in 0..128 {
             let mut rng = Rng::new(seed);
             let mut t = Tree::new();
-            let mut dirs = vec![ROOT_INO];
+            let mut dirs = vec![(ROOT_INO, String::new())];
+            let mut known = Vec::new();
             for _ in 0..rng.below(6) {
                 let name = word(&mut rng, b"abc");
-                if let Ok(ino) = t.insert_child(dirs[dirs.len() / 2], &name, true) {
-                    dirs.push(ino);
+                let (parent, prefix) = dirs[dirs.len() / 2].clone();
+                if let Ok(ino) = t.insert_child(parent, &name, true) {
+                    dirs.push((ino, format!("{prefix}/{name}")));
+                    known.push(format!("{prefix}/{name}"));
                 }
             }
             for _ in 0..rng.below(6) {
                 let name = word(&mut rng, b"abcde");
-                let _ = t.insert_child(dirs[dirs.len() - 1], &name, false);
+                let (parent, prefix) = &dirs[dirs.len() - 1];
+                if t.insert_child(*parent, &name, false).is_ok() {
+                    known.push(format!("{prefix}/{name}"));
+                }
             }
             for _ in 0..1 + rng.below(23) {
-                let probe = match rng.below(3) {
+                let probe = match rng.below(5) {
                     0 => (0..1 + rng.below(3))
                         .map(|_| format!("/{}", word(&mut rng, b"abcde.")))
                         .collect(),
                     1 => word(&mut rng, b"abcde"),
-                    _ => "/".to_string(),
+                    2 => "/".to_string(),
+                    _ if known.is_empty() => "/".to_string(),
+                    k => {
+                        let path = &known[rng.below(known.len() as u64) as usize];
+                        if k == 3 {
+                            path.clone()
+                        } else {
+                            format!("{path}/{}", word(&mut rng, b"abcde"))
+                        }
+                    }
                 };
                 let via_string = t.resolve(&probe);
                 let via_spec = t.make_spec(&probe).and_then(|s| t.resolve_spec(&s));

@@ -258,7 +258,6 @@ fn arrival_axis_is_jobs_deterministic() {
             let mut t = testbed::paper_ext2(Bytes::mib(256), seed);
             let w = personalities::varmail(10);
             let cfg = EngineConfig {
-                duration: Nanos::from_secs(1),
                 prewarm: false,
                 cores: 2,
                 ..open_cfg(1, seed, Arrival::Poisson { rate })
