@@ -18,9 +18,6 @@ use rocketbench::simcore::rng::Rng;
 use rocketbench::simcore::time::Nanos;
 use rocketbench::simcore::units::Bytes;
 
-/// Seeded cases per generated-input property.
-const CASES: u64 = 8;
-
 fn golden(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
@@ -127,7 +124,7 @@ fn process_axis_is_jobs_deterministic() {
     // varmail run repeats bit for bit, and a one-cell-per-axis-value
     // campaign is byte-identical at one worker and at `jobs`. A failure
     // names its case; `Rng::new(case)` replays it.
-    for case in 0..CASES {
+    for case in 0..8 {
         let mut rng = Rng::new(case);
         let processes = 1 + rng.below(5) as u32;
         let seed = rng.next_u64();
