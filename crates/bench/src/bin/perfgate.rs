@@ -22,11 +22,14 @@
 //!
 //! After them come the `layer/*` rows: one simulator layer called in a
 //! tight loop (the RNG, the HDD service model, a page-cache read under
-//! each replacement policy, a histogram record, and a page-cache hit at
-//! Figure 1's cliff size), in unit `calls`, so each row also records
-//! ns/call as median and IQR. They price the layers an end-to-end run
-//! folds into its callers: the page cache is a concrete type inside the
-//! storage stack, so no outside wrapper can time it.
+//! each replacement policy, a histogram record, a page-cache hit at
+//! Figure 1's cliff size, ext3 namespace ops in a 1,000-entry
+//! directory, 2-block allocations on a fragmented 1 GiB ext2 bitmap,
+//! and the replay's seeded merge of a 21,503-entry trace), in unit
+//! `calls`, so each row also records ns/call as median and IQR. They
+//! price the layers an end-to-end run folds into its callers: the page
+//! cache is a concrete type inside the storage stack, so no outside
+//! wrapper can time it.
 //!
 //! By default each scenario runs in its own child process (`--only`
 //! re-invocation), so a heavyweight scenario cannot pollute the heap or
@@ -57,7 +60,7 @@ use rb_core::sched::Arrival;
 use rb_core::testbed;
 use rb_core::workload::{personalities, Engine, EngineConfig};
 use rb_obs::ObsConfig;
-use rb_replay::{apply, replay_with, ReplayConfig, Timing, Trace, Transform};
+use rb_replay::{apply, replay_with, schedule, ReplayConfig, Timing, Trace, Transform};
 use rb_simcache::cache::{CacheConfig, PageCache};
 use rb_simcache::policy::PolicyKind;
 use rb_simcache::readahead::ReadaheadConfig;
@@ -68,7 +71,12 @@ use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
 use rb_simdisk::device::{BlockDevice, IoRequest};
 use rb_simdisk::hdd::{Hdd, HddConfig};
+use rb_simfs::alloc::{BitmapAllocator, Run};
+use rb_simfs::ext3::{Ext3Config, Ext3Fs};
+use rb_simfs::intern::PathSpec;
+use rb_simfs::vfs::FileSystem;
 use rb_stats::histogram::Log2Histogram;
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -190,9 +198,49 @@ fn cliff_cache() -> PageCache {
     cache
 }
 
+/// Files in the namespace row's directory.
+const NAMESPACE_FILES: usize = 1000;
+
+/// A fresh 1 GiB ext3 holding `/d` with `NAMESPACE_FILES` files, the
+/// files' interned paths, and one more interned name in `/d` that does
+/// not exist yet.
+fn namespace_fs() -> (Ext3Fs, Vec<PathSpec>, PathSpec) {
+    let mut fs = Ext3Fs::new(Ext3Config::for_blocks(262_144));
+    fs.mkdir("/d").expect("mkdir /d");
+    let files: Vec<PathSpec> = (0..NAMESPACE_FILES)
+        .map(|i| fs.intern_path(&format!("/d/f{i}")).expect("intern"))
+        .collect();
+    for spec in &files {
+        fs.create_spec(spec).expect("create");
+    }
+    let spare = fs.intern_path("/d/spare").expect("intern");
+    (fs, files, spare)
+}
+
+/// Live 2-block allocations the bitmap row keeps before it frees the
+/// oldest.
+const BITMAP_LIVE: usize = 4096;
+
+/// A 1 GiB ext2 bitmap (262,144 blocks in 8,192-block groups),
+/// fragmented: filled front to back in runs of 1-4 blocks, then every
+/// other run freed, so half the device is free in holes of 1-4 blocks.
+fn fragmented_bitmap() -> BitmapAllocator {
+    let mut alloc = BitmapAllocator::new(262_144, 8192);
+    let mut rng = Rng::new(6);
+    let mut runs = Vec::new();
+    while alloc.free_blocks() > 0 {
+        let len = (1 + rng.below(4)).min(alloc.free_blocks());
+        runs.extend(alloc.alloc(len, 0).expect("fill"));
+    }
+    for run in runs.into_iter().step_by(2) {
+        alloc.free(run).expect("fragment");
+    }
+    alloc
+}
+
 /// Scenario names, in run order (the parent dispatches children by
 /// name without constructing the scenarios themselves).
-const SCENARIO_NAMES: [&str; 20] = [
+const SCENARIO_NAMES: [&str; 23] = [
     "fig1-quick",
     "sweep-4x4",
     "replay-x32",
@@ -213,6 +261,9 @@ const SCENARIO_NAMES: [&str; 20] = [
     "layer/cache-read-mixed-arc",
     "layer/histogram-record",
     "layer/cache-cliff-hit",
+    "layer/fs-namespace",
+    "layer/bitmap-alloc",
+    "layer/replay-merge",
 ];
 
 /// The warm pass of `sweep-warm` must be at least this many times
@@ -610,6 +661,48 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         let out = cache.read(1, page, 2, CLIFF_FILE_PAGES, Nanos::ZERO);
         assert_eq!(out.hit_pages, 2, "a cliff-sized cache must hold its file");
         out.hit_pages
+    }));
+    // ext3 namespace ops through the `*_spec` forms, as the storage
+    // stack calls them: in turn a create, a lookup of one of the 1,000
+    // files, and an unlink of what the create made, so the directory
+    // holds 1,000 or 1,001 entries. The file system builds on the
+    // row's first (untimed) call.
+    let (mut ns, mut rng, mut turn) = (None, Rng::new(7), 0u64);
+    all.push(layer("layer/fs-namespace", 300_000, move || {
+        let (fs, files, spare) = ns.get_or_insert_with(namespace_fs);
+        turn = (turn + 1) % 3;
+        let meta = match turn {
+            1 => fs.create_spec(spare).expect("create").1,
+            2 => {
+                let file = &files[rng.below(NAMESPACE_FILES as u64) as usize];
+                fs.lookup_spec(file).expect("lookup").1
+            }
+            _ => fs.unlink_spec(spare).expect("unlink").1,
+        };
+        meta.total_blocks() as u64
+    }));
+    // One 2-block allocation at a random goal on the fragmented bitmap,
+    // plus the free of the oldest live one once `BITMAP_LIVE` are held.
+    let (mut bitmap, mut live, mut rng) = (None, VecDeque::<Run>::new(), Rng::new(8));
+    all.push(layer("layer/bitmap-alloc", 1_000_000, move || {
+        let alloc = bitmap.get_or_insert_with(fragmented_bitmap);
+        let runs = alloc
+            .alloc(2, rng.below(alloc.total()))
+            .expect("a half-free bitmap has room");
+        let first = runs[0].start;
+        live.extend(runs);
+        while live.len() > BITMAP_LIVE {
+            let oldest = live.pop_front().expect("non-empty");
+            alloc.free(oldest).expect("free a live run");
+        }
+        first
+    }));
+    // The replay's seeded merge alone: `schedule` of golden_v2 scaled
+    // ×1024 (21,503 entries on 2,048 streams), afap, as replay-scaled
+    // runs it before its first op.
+    let trace = scaled_golden(1024);
+    all.push(layer("layer/replay-merge", 20, move || {
+        schedule(&trace, Timing::Afap, 0).len() as u64
     }));
     all
 }
