@@ -227,13 +227,19 @@ const NONE: u32 = u32::MAX;
 /// A stream's head is *unblocked* once its count of unfinished
 /// predecessors reaches zero; [`Plan::finish`] reports each head the
 /// moment that happens, so no consumer has to rescan the streams.
+///
+/// Every array is flat and indexed by entry or by dense stream index:
+/// the streams' queues share one vector, each stream a slice of it.
 struct Plan {
     /// Dense index of each entry's stream: its position among the
     /// trace's sorted stream ids.
     stream: Vec<u32>,
-    /// Each stream's entries in program order.
-    queues: Vec<Vec<u32>>,
-    /// Each stream's next entry, as a position in its queue.
+    /// Every stream's entries in program order, stream after stream:
+    /// stream `s`'s queue is `queue[start[s]..start[s + 1]]`.
+    queue: Vec<u32>,
+    /// Where each stream's queue starts in `queue`, then `queue.len()`.
+    start: Vec<u32>,
+    /// Each stream's next entry, as a position in `queue`.
     cursor: Vec<u32>,
     /// Each entry's path, as a dense index in order of first use: the
     /// slot of its resolved id and of its open handle.
@@ -265,8 +271,9 @@ impl Plan {
             .collect();
         let mut plan = Plan {
             stream: Vec::with_capacity(n),
-            queues: vec![Vec::new(); ids.len()],
-            cursor: vec![0; ids.len()],
+            queue: Vec::new(),
+            start: vec![0; ids.len() + 1],
+            cursor: Vec::new(),
             path: Vec::with_capacity(n),
             deps: Vec::with_capacity(n),
             first_dependent: vec![NONE; n],
@@ -303,7 +310,7 @@ impl Plan {
             }
             let s = stream_index[&e.stream];
             plan.stream.push(s);
-            plan.queues[s as usize].push(i as u32);
+            plan.start[s as usize + 1] += 1;
             plan.path.push(match prev {
                 Some(j) => plan.path[j as usize],
                 None => {
@@ -314,11 +321,23 @@ impl Plan {
             plan.deps.push(deps);
             plan.pending.push(pending);
         }
+        // The per-stream counts become offsets, and a second pass lays
+        // each stream's entries out in trace order.
+        for s in 1..plan.start.len() {
+            plan.start[s] += plan.start[s - 1];
+        }
+        plan.cursor = plan.start[..ids.len()].to_vec();
+        let mut fill = plan.cursor.clone();
+        plan.queue = vec![0; n];
+        for (i, &s) in plan.stream.iter().enumerate() {
+            plan.queue[fill[s as usize] as usize] = i as u32;
+            fill[s as usize] += 1;
+        }
         plan
     }
 
     fn streams(&self) -> usize {
-        self.queues.len()
+        self.cursor.len()
     }
 
     /// Pre-resolves every distinct path once, in order of first use
@@ -359,9 +378,8 @@ impl Plan {
 
     /// Stream `s`'s next entry, if it has one left.
     fn head(&self, s: usize) -> Option<usize> {
-        self.queues[s]
-            .get(self.cursor[s] as usize)
-            .map(|&i| i as usize)
+        let at = self.cursor[s];
+        (at < self.start[s + 1]).then(|| self.queue[at as usize] as usize)
     }
 
     /// True once every happens-before predecessor of entry `i` has
@@ -401,16 +419,17 @@ impl Plan {
     }
 }
 
-/// The seeded merge's runnable stream heads, as a Fenwick tree of 0/1
-/// counts over a fixed ranking of every entry by (due time, stream
-/// index, trace index).
+/// The seeded merge's runnable stream heads, as bits in a fixed ranking
+/// of every entry by (due time, stream index, trace index).
 ///
 /// The ranking puts the runnable heads that share the earliest due
 /// time first, in stream-index order — the order the merge draws from.
-/// A descent to the first runnable rank gives that due time, a prefix
+/// Rank `r` is bit `r % 64` of `words[r / 64]`, and a Fenwick tree over
+/// the words counts the set bits: 513 nodes for a 21,503-entry trace. A
+/// descent to the first runnable rank gives that due time, a prefix
 /// count gives how many heads share it, and a second descent finds the
-/// drawn one, so each pick costs O(log n) instead of a scan of every
-/// stream.
+/// drawn one, each descent ending in a select within one word, so each
+/// pick costs O(log n) instead of a scan of every stream.
 struct ReadySet {
     /// Each entry's rank.
     rank: Vec<u32>,
@@ -418,9 +437,27 @@ struct ReadySet {
     entry: Vec<u32>,
     /// For each rank, one past the last rank with the same due time.
     tie_end: Vec<u32>,
-    /// Fenwick tree over ranks, 1-based and padded to a power of two:
-    /// `tree[k]` counts the runnable ranks in `(k - lowbit(k), k]`.
+    /// The runnable ranks, one bit each.
+    words: Vec<u64>,
+    /// Fenwick tree over the words, 1-based and padded to a power of
+    /// two: `tree[k]` counts the runnable ranks in words
+    /// `(k - lowbit(k), k]`.
     tree: Vec<u32>,
+}
+
+/// The position of the `nth` set bit (0-based) of `word`, which has
+/// more than `nth` set bits: halve the window by popcount six times.
+fn select(mut word: u64, mut nth: u32) -> u32 {
+    let mut pos = 0;
+    for width in [32, 16, 8, 4, 2, 1] {
+        let low = (word & ((1 << width) - 1)).count_ones();
+        if nth >= low {
+            nth -= low;
+            word >>= width;
+            pos += width;
+        }
+    }
+    pos
 }
 
 impl ReadySet {
@@ -431,9 +468,9 @@ impl ReadySet {
             .iter()
             .map(|e| timing.due(e.at).unwrap_or(Nanos::ZERO))
             .collect();
-        // The queues laid end to end are in (stream, trace index)
-        // order; a stable sort by due time completes the ranking.
-        let mut entry = plan.queues.concat();
+        // The queue is in (stream, trace index) order; a stable sort by
+        // due time completes the ranking.
+        let mut entry = plan.queue.clone();
         entry.sort_by_key(|&i| due[i as usize]);
         let n = entry.len();
         let mut rank = vec![0; n];
@@ -445,16 +482,19 @@ impl ReadySet {
             let end = (tie_end.len() + tied.len()) as u32;
             tie_end.resize(tie_end.len() + tied.len(), end);
         }
+        let words = n.div_ceil(64);
         ReadySet {
             rank,
             entry,
             tie_end,
-            tree: vec![0; n.next_power_of_two() + 1],
+            words: vec![0; words],
+            tree: vec![0; words.next_power_of_two() + 1],
         }
     }
 
-    fn add(&mut self, i: usize, delta: i32) {
-        let mut k = self.rank[i] as usize + 1;
+    /// Adds `delta` to word `w`'s count.
+    fn add(&mut self, w: usize, delta: i32) {
+        let mut k = w + 1;
         while k < self.tree.len() {
             self.tree[k] = self.tree[k].wrapping_add_signed(delta);
             k += k & k.wrapping_neg();
@@ -462,17 +502,26 @@ impl ReadySet {
     }
 
     fn insert(&mut self, i: usize) {
-        self.add(i, 1);
+        let r = self.rank[i] as usize;
+        self.words[r / 64] |= 1 << (r % 64);
+        self.add(r / 64, 1);
     }
 
     fn remove(&mut self, i: usize) {
-        self.add(i, -1);
+        let r = self.rank[i] as usize;
+        self.words[r / 64] &= !(1 << (r % 64));
+        self.add(r / 64, -1);
     }
 
     /// How many runnable entries rank below `end`.
     fn count_below(&self, end: u32) -> u32 {
-        let mut k = end as usize;
-        let mut count = 0;
+        let (w, bit) = (end as usize / 64, end % 64);
+        let mut count = if bit == 0 {
+            0
+        } else {
+            (self.words[w] & ((1 << bit) - 1)).count_ones()
+        };
+        let mut k = w;
         while k > 0 {
             count += self.tree[k];
             k &= k - 1;
@@ -495,7 +544,7 @@ impl ReadySet {
             }
             step /= 2;
         }
-        pos as u32
+        (pos * 64) as u32 + select(self.words[pos], nth)
     }
 
     /// The merge's pick: the runnable entries sharing the earliest due

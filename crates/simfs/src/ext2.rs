@@ -9,10 +9,9 @@
 
 use crate::alloc::{BitmapAllocator, Run};
 use crate::intern::{PathSpec, Symbol};
-use crate::tree::{Tree, ROOT_INO};
+use crate::tree::Tree;
 use crate::vfs::{Extent, FileAttr, FileSystem, InodeNo, MetaIo};
 use rb_simcore::error::{SimError, SimResult};
-use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::units::{BlockNo, Bytes};
 
 /// Ext2 model configuration.
@@ -51,6 +50,11 @@ const DIRENTS_PER_BLOCK: u64 = 64;
 
 /// The ext2-like file system.
 ///
+/// Each inode's block group and indirect blocks live on the inode
+/// itself ([`Inode::group`](crate::tree::Inode::group),
+/// [`Inode::indirect`](crate::tree::Inode::indirect)), in the
+/// namespace's inode slab.
+///
 /// # Examples
 ///
 /// ```
@@ -73,14 +77,14 @@ pub struct Ext2Fs {
     group_free: Vec<u64>,
     /// Inodes allocated per group.
     group_inodes: Vec<u64>,
-    /// Which group each inode's metadata lives in.
-    ino_group: FnvHashMap<InodeNo, u64>,
-    /// Indirect mapping blocks owned by each file.
-    indirect: FnvHashMap<InodeNo, Vec<BlockNo>>,
 }
 
 impl Ext2Fs {
     /// Formats a new file system ("mkfs").
+    ///
+    /// # Panics
+    ///
+    /// If `config.total_blocks` is 0: the root inode needs a group.
     pub fn new(config: Ext2Config) -> Self {
         let groups = config.total_blocks.div_ceil(config.blocks_per_group);
         let mut alloc = BitmapAllocator::new(config.total_blocks, config.blocks_per_group);
@@ -90,7 +94,9 @@ impl Ext2Fs {
             let start = g * config.blocks_per_group;
             let end = ((g + 1) * config.blocks_per_group).min(config.total_blocks);
             for b in start..(start + meta_per_group).min(end) {
-                // Freshly formatted: reservation cannot fail.
+                // Each block below `end <= total_blocks` is reserved
+                // once, on a fresh bitmap: it is in range and free, so
+                // the reservation cannot fail.
                 alloc.reserve(b).expect("mkfs reservation");
             }
             group_free[g as usize] = end.saturating_sub(start + meta_per_group);
@@ -101,10 +107,8 @@ impl Ext2Fs {
             alloc,
             group_free,
             group_inodes: vec![0; groups as usize],
-            ino_group: FnvHashMap::default(),
-            indirect: FnvHashMap::default(),
         };
-        fs.ino_group.insert(ROOT_INO, 0);
+        // The root sits in group 0, where a fresh inode starts.
         fs.group_inodes[0] = 1;
         fs
     }
@@ -188,11 +192,9 @@ impl Ext2Fs {
                 check_run(run.start, run.len, node.ino)?;
                 data_blocks += run.len;
             }
-            if let Some(ind) = self.indirect.get(&node.ino) {
-                for &b in ind {
-                    check_run(b, 1, node.ino)?;
-                    data_blocks += 1;
-                }
+            for &b in &node.indirect {
+                check_run(b, 1, node.ino)?;
+                data_blocks += 1;
             }
         }
         let expected_free = total
@@ -220,8 +222,13 @@ impl Ext2Fs {
         group * self.config.blocks_per_group + 2
     }
 
+    /// Block group of a live inode (0 for any other number).
+    fn group_of(&self, ino: InodeNo) -> u64 {
+        self.tree.get(ino).map_or(0, |node| node.group)
+    }
+
     fn inode_table_block(&self, ino: InodeNo) -> BlockNo {
-        let group = self.ino_group.get(&ino).copied().unwrap_or(0);
+        let group = self.group_of(ino);
         let slot = ino % self.config.inodes_per_group;
         group * self.config.blocks_per_group + 3 + slot / INODES_PER_BLOCK
     }
@@ -240,7 +247,7 @@ impl Ext2Fs {
                 .max_by_key(|&g| self.group_free[g as usize])
                 .unwrap_or(0)
         } else {
-            let start = self.ino_group.get(&parent).copied().unwrap_or(0);
+            let start = self.group_of(parent);
             (0..groups)
                 .map(|i| (start + i) % groups)
                 .find(|&g| self.group_inodes[g as usize] < self.config.inodes_per_group)
@@ -298,7 +305,7 @@ impl Ext2Fs {
             .div_ceil(DIRENTS_PER_BLOCK * crate::tree::DIRENT_SIZE);
         let have = node.blocks();
         if needed > have {
-            let group = self.ino_group.get(&dir).copied().unwrap_or(0);
+            let group = node.group;
             let goal = node
                 .runs
                 .last()
@@ -379,7 +386,7 @@ impl FileSystem for Ext2Fs {
         self.charge_lookup(&traversed, &comps[..comps.len() - 1], &mut meta);
         let group = self.pick_group(parent, false);
         let ino = self.tree.insert_child_sym(parent, name, false)?;
-        self.ino_group.insert(ino, group);
+        self.tree.get_mut(ino)?.group = group;
         self.group_inodes[group as usize] += 1;
         self.ensure_dir_blocks(parent, &mut meta)?;
         meta.writes.push(self.inode_bitmap_block(group));
@@ -401,7 +408,7 @@ impl FileSystem for Ext2Fs {
         self.charge_lookup(&traversed, &comps[..comps.len() - 1], &mut meta);
         let group = self.pick_group(parent, true);
         let ino = self.tree.insert_child_sym(parent, name, true)?;
-        self.ino_group.insert(ino, group);
+        self.tree.get_mut(ino)?.group = group;
         self.group_inodes[group as usize] += 1;
         self.ensure_dir_blocks(parent, &mut meta)?;
         meta.writes.push(self.inode_bitmap_block(group));
@@ -418,20 +425,18 @@ impl FileSystem for Ext2Fs {
         let mut meta = MetaIo::default();
         let comps = spec.components();
         self.charge_lookup(&traversed, &comps[..comps.len() - 1], &mut meta);
-        let (ino, runs) = self.tree.remove_child_sym(parent, name)?;
-        for r in &runs {
+        let node = self.tree.remove_child_sym(parent, name)?;
+        for r in &node.runs {
             self.alloc.free(*r)?;
         }
-        self.charge_free(&runs, &mut meta);
-        if let Some(ind) = self.indirect.remove(&ino) {
-            for b in ind {
-                self.alloc.free(Run { start: b, len: 1 })?;
-                let g = self.group_of_block(b);
-                self.group_free[g as usize] += 1;
-                meta.writes.push(self.block_bitmap_block(g));
-            }
+        self.charge_free(&node.runs, &mut meta);
+        for &b in &node.indirect {
+            self.alloc.free(Run { start: b, len: 1 })?;
+            let g = self.group_of_block(b);
+            self.group_free[g as usize] += 1;
+            meta.writes.push(self.block_bitmap_block(g));
         }
-        let group = self.ino_group.remove(&ino).unwrap_or(0);
+        let (ino, group) = (node.ino, node.group);
         self.group_inodes[group as usize] = self.group_inodes[group as usize].saturating_sub(1);
         meta.writes.push(self.inode_bitmap_block(group));
         meta.writes.push(self.inode_table_block(parent));
@@ -495,21 +500,23 @@ impl FileSystem for Ext2Fs {
         let mut meta = MetaIo::default();
         meta.writes.push(self.inode_table_block(ino));
         if need > have {
-            let group = self.ino_group.get(&ino).copied().unwrap_or(0);
             let goal = node
                 .runs
                 .last()
                 .map(|r| r.start + r.len)
-                .unwrap_or_else(|| self.data_goal(group));
+                .unwrap_or_else(|| self.data_goal(node.group));
+            let have_ind = node.indirect.len() as u64;
             let runs = self.alloc.alloc(need - have, goal)?;
             // Indirect mapping blocks — allocated before the data runs are
             // committed so a failure can roll everything back.
             let want_ind = Self::indirect_needed(need);
-            let have_ind = self.indirect.get(&ino).map_or(0, |v| v.len() as u64);
             let ind_runs = if want_ind > have_ind {
                 match self.alloc.alloc(want_ind - have_ind, goal) {
                     Ok(r) => r,
                     Err(e) => {
+                        // `runs` came from the bitmap a moment ago: in
+                        // range, disjoint and still allocated, so
+                        // freeing them cannot fail.
                         for r in &runs {
                             self.alloc.free(*r).expect("rollback of fresh alloc");
                         }
@@ -528,13 +535,10 @@ impl FileSystem for Ext2Fs {
                     _ => node.runs.push(r),
                 }
             }
-            if !ind_runs.is_empty() {
-                let entry = self.indirect.entry(ino).or_default();
-                for r in ind_runs {
-                    for b in r.start..r.start + r.len {
-                        entry.push(b);
-                        meta.writes.push(b);
-                    }
+            for r in ind_runs {
+                for b in r.start..r.start + r.len {
+                    node.indirect.push(b);
+                    meta.writes.push(b);
                 }
             }
         } else if need < have {
@@ -565,10 +569,8 @@ impl FileSystem for Ext2Fs {
             self.charge_free(&freed, &mut meta);
             // Release now-surplus indirect blocks.
             let want_ind = Self::indirect_needed(need) as usize;
-            let surplus: Vec<BlockNo> = match self.indirect.get_mut(&ino) {
-                Some(ind) if ind.len() > want_ind => ind.split_off(want_ind),
-                _ => Vec::new(),
-            };
+            let ind = &mut self.tree.get_mut(ino)?.indirect;
+            let surplus = ind.split_off(want_ind.min(ind.len()));
             for b in surplus {
                 self.alloc.free(Run { start: b, len: 1 })?;
                 let g = self.group_of_block(b);
@@ -725,11 +727,11 @@ mod tests {
         let (ino, _) = f.create("/big").unwrap();
         // 12 direct + more: 5000 blocks needs ceil(4988/1024) = 5 indirect.
         let meta = f.set_size(ino, Bytes::kib(4) * 5000).unwrap();
-        assert_eq!(f.indirect.get(&ino).map(|v| v.len()), Some(5));
+        assert_eq!(f.tree.get(ino).map(|n| n.indirect.len()).ok(), Some(5));
         assert!(meta.writes.len() >= 5);
         // Shrinking under the direct limit frees them.
         f.set_size(ino, Bytes::kib(4) * 10).unwrap();
-        assert_eq!(f.indirect.get(&ino).map(|v| v.len()).unwrap_or(0), 0);
+        assert_eq!(f.tree.get(ino).map(|n| n.indirect.len()).unwrap_or(0), 0);
         assert_eq!(f.attr(ino).unwrap().blocks, 10);
     }
 
@@ -741,7 +743,7 @@ mod tests {
         let (fa, _) = f.create("/d1/a").unwrap();
         let (fb, _) = f.create("/d1/b").unwrap();
         // Files in the same directory share a group.
-        assert_eq!(f.ino_group[&fa], f.ino_group[&fb]);
+        assert_eq!(f.tree.get(fa).unwrap().group, f.tree.get(fb).unwrap().group);
     }
 
     #[test]

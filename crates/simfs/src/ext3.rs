@@ -60,6 +60,10 @@ pub struct Ext3Fs {
 impl Ext3Fs {
     /// Formats a new file system with the journal in the middle of the
     /// device (where mkfs.ext3 tends to land it on a fresh disk).
+    ///
+    /// # Panics
+    ///
+    /// If `config.ext2.total_blocks` is 0, as [`Ext2Fs::new`] does.
     pub fn new(config: Ext3Config) -> Self {
         let mut inner = Ext2Fs::new(config.ext2.clone());
         let total = config.ext2.total_blocks;
@@ -71,7 +75,8 @@ impl Ext3Fs {
         let mut first = None;
         while reserved < jlen && start < total {
             if !inner.allocator().is_allocated(start) {
-                // Direct reservation through a scoped helper.
+                // `start < total` and the block is free, the only two
+                // things a reservation checks: it cannot fail.
                 inner
                     .reserve_journal_block(start)
                     .expect("journal reservation");
@@ -98,6 +103,11 @@ impl Ext3Fs {
     /// Journal region length in blocks.
     pub fn journal_len(&self) -> u64 {
         self.journal_blocks
+    }
+
+    /// Shared namespace (test access).
+    pub fn tree(&self) -> &crate::tree::Tree {
+        self.inner.tree()
     }
 
     /// Wraps a mutation's metadata writes in a journal transaction.

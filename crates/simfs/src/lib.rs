@@ -32,6 +32,9 @@ pub mod alloc;
 pub mod ext2;
 pub mod ext3;
 pub mod intern;
+#[cfg(test)]
+mod oracle;
+mod slab;
 pub mod stack;
 pub mod tree;
 pub mod vfs;

@@ -13,10 +13,11 @@
 
 use crate::alloc::Run;
 use crate::intern::{Interner, PathSpec, Symbol};
+use crate::slab::Slab;
 use rb_simcore::error::{SimError, SimResult};
 use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::inline::InlineVec;
-use rb_simcore::units::Bytes;
+use rb_simcore::units::{BlockNo, Bytes};
 
 use crate::vfs::InodeNo;
 
@@ -42,6 +43,13 @@ pub struct Inode {
     pub dir: Option<FnvHashMap<Symbol, InodeNo>>,
     /// Parent directory inode (self for the root).
     pub parent: InodeNo,
+    /// The group the file system placed this inode in: its block group
+    /// on ext2 and ext3, its allocation group on xfs. Zero until the
+    /// file system sets it.
+    pub group: u64,
+    /// Indirect mapping blocks (ext2 and ext3), in the order the file
+    /// grew them; empty elsewhere.
+    pub indirect: Vec<BlockNo>,
 }
 
 impl Inode {
@@ -75,9 +83,16 @@ impl Inode {
 }
 
 /// The namespace: an inode table plus path resolution.
+///
+/// The inode table is a slab indexed by inode number, in chunks of 64
+/// numbers. Inode numbers come from a counter and are never reused, so
+/// a lookup is an index rather than a hash, and a chunk is freed once
+/// every inode in it is gone. Each inode carries what its file system
+/// keeps per inode (its group, its indirect blocks), so the file
+/// systems need no side tables keyed by inode number.
 #[derive(Debug, Clone)]
 pub struct Tree {
-    inodes: FnvHashMap<InodeNo, Inode>,
+    inodes: Slab<Inode>,
     interner: Interner,
     next_ino: InodeNo,
     root: InodeNo,
@@ -95,7 +110,7 @@ impl Default for Tree {
 impl Tree {
     /// Creates a namespace containing only `/`.
     pub fn new() -> Self {
-        let mut inodes = FnvHashMap::default();
+        let mut inodes = Slab::default();
         inodes.insert(
             ROOT_INO,
             Inode {
@@ -104,6 +119,8 @@ impl Tree {
                 runs: Vec::new(),
                 dir: Some(FnvHashMap::default()),
                 parent: ROOT_INO,
+                group: 0,
+                indirect: Vec::new(),
             },
         );
         Tree {
@@ -132,20 +149,26 @@ impl Tree {
     /// Immutable inode access.
     pub fn get(&self, ino: InodeNo) -> SimResult<&Inode> {
         self.inodes
-            .get(&ino)
+            .get(ino)
             .ok_or_else(|| SimError::NotFound(format!("inode {ino}")))
     }
 
     /// Mutable inode access.
     pub fn get_mut(&mut self, ino: InodeNo) -> SimResult<&mut Inode> {
         self.inodes
-            .get_mut(&ino)
+            .get_mut(ino)
             .ok_or_else(|| SimError::NotFound(format!("inode {ino}")))
     }
 
-    /// Iterates all inodes.
+    /// Iterates all inodes, in inode-number order.
     pub fn iter(&self) -> impl Iterator<Item = &Inode> {
         self.inodes.values()
+    }
+
+    /// Chunks the inode slab holds.
+    #[cfg(test)]
+    pub(crate) fn inode_chunks(&self) -> usize {
+        self.inodes.chunks()
     }
 
     /// Fsck-style namespace walk: every inode must be reachable from
@@ -160,11 +183,11 @@ impl Tree {
         while let Some(ino) = queue.pop_front() {
             let node = self
                 .inodes
-                .get(&ino)
+                .get(ino)
                 .ok_or_else(|| format!("directory entry points at missing inode {ino}"))?;
             if let Some(dir) = &node.dir {
                 for (&name, &child) in dir {
-                    let c = self.inodes.get(&child).ok_or_else(|| {
+                    let c = self.inodes.get(child).ok_or_else(|| {
                         format!(
                             "dirent {:?} in inode {ino} points at missing inode {child}",
                             self.name(name)
@@ -300,7 +323,7 @@ impl Tree {
     /// full path and checking for success.
     pub fn has_child(&self, parent: InodeNo, name: Symbol) -> bool {
         self.inodes
-            .get(&parent)
+            .get(parent)
             .and_then(|n| n.dir.as_ref())
             .is_some_and(|d| d.contains_key(&name))
     }
@@ -384,6 +407,8 @@ impl Tree {
                 None
             },
             parent,
+            group: 0,
+            indirect: Vec::new(),
         };
         self.inodes.insert(ino, node);
         let pdir = self
@@ -399,7 +424,7 @@ impl Tree {
     }
 
     /// Removes `name` from `parent` and deletes the inode, returning its
-    /// data runs for the allocator to free.
+    /// number and data runs for the allocator to free.
     ///
     /// Directories must be empty.
     pub fn remove_child(&mut self, parent: InodeNo, name: &str) -> SimResult<(InodeNo, Vec<Run>)> {
@@ -407,15 +432,14 @@ impl Tree {
             .interner
             .lookup(name)
             .ok_or_else(|| SimError::NotFound(name.to_string()))?;
-        self.remove_child_sym(parent, sym)
+        let node = self.remove_child_sym(parent, sym)?;
+        Ok((node.ino, node.runs))
     }
 
-    /// [`Tree::remove_child`] with a pre-interned name.
-    pub fn remove_child_sym(
-        &mut self,
-        parent: InodeNo,
-        name: Symbol,
-    ) -> SimResult<(InodeNo, Vec<Run>)> {
+    /// [`Tree::remove_child`] with a pre-interned name, returning the
+    /// removed inode itself: its runs, group and indirect blocks are
+    /// the caller's to free.
+    pub fn remove_child_sym(&mut self, parent: InodeNo, name: Symbol) -> SimResult<Inode> {
         let ino = {
             let pdir = self
                 .get(parent)?
@@ -431,8 +455,10 @@ impl Tree {
                 return Err(SimError::NotEmpty(self.name(name).to_string()));
             }
         }
-        let runs = self.get(ino)?.runs.clone();
-        self.inodes.remove(&ino);
+        let node = self
+            .inodes
+            .remove(ino)
+            .ok_or_else(|| SimError::NotFound(format!("inode {ino}")))?;
         if let Some(pdir) = self.get_mut(parent)?.dir.as_mut() {
             pdir.remove(&name);
         }
@@ -441,7 +467,7 @@ impl Tree {
             .size
             .saturating_sub(Bytes::new(DIRENT_SIZE));
         self.get_mut(parent)?.size = psize;
-        Ok((ino, runs))
+        Ok(node)
     }
 
     /// Number of entries in a directory (the counted readdir form).
@@ -711,6 +737,202 @@ mod tests {
         let f = t.resolve("/a").unwrap().0;
         assert!(t.read_names(f).is_err());
         assert!(t.dir_len(f).is_err());
+    }
+
+    /// An inode as plain values, its directory sorted by name symbol.
+    type InodeView = (
+        InodeNo,
+        Bytes,
+        Vec<Run>,
+        Option<Vec<(Symbol, InodeNo)>>,
+        InodeNo,
+        u64,
+        Vec<BlockNo>,
+    );
+
+    fn view(n: &Inode) -> InodeView {
+        let dir = n.dir.as_ref().map(|d| {
+            let mut entries: Vec<_> = d.iter().map(|(&s, &i)| (s, i)).collect();
+            entries.sort_unstable();
+            entries
+        });
+        let (runs, indirect) = (n.runs.clone(), n.indirect.clone());
+        (n.ino, n.size, runs, dir, n.parent, n.group, indirect)
+    }
+
+    /// Seeded histories of up to 199 namespace ops, run on the slab
+    /// tree and on the hash-map tree it replaced
+    /// (`crate::oracle::HashTree`), compared return value for return
+    /// value after every op: inserts of files and directories (under
+    /// directories, files, dead and never-issued numbers, with fresh
+    /// and taken names), removals by name and by symbol (present,
+    /// missing, non-empty), inode reads and writes, resolutions by
+    /// string and by spec of the path and its parent, existence probes,
+    /// directory counts and listings, the live count, the reachability
+    /// walk, the layout metric and the inodes themselves. A failure
+    /// names its seed and step.
+    #[test]
+    fn matches_the_hash_map_oracle() {
+        use crate::oracle::HashTree;
+        use rb_simcore::rng::Rng;
+        let word = |rng: &mut Rng| -> String {
+            (0..1 + rng.below(2))
+                .map(|_| b"abcd"[rng.below(4) as usize] as char)
+                .collect()
+        };
+        for seed in 0..300 {
+            let mut rng = Rng::new(seed);
+            let (mut new, mut old) = (Tree::new(), HashTree::new());
+            // Every number an insert has issued; each insert issues one.
+            let mut issued = ROOT_INO;
+            let mut known = vec![(ROOT_INO, String::new())];
+            for step in 0..1 + rng.below(200) {
+                let at = format!("seed {seed} step {step}");
+                let name = word(&mut rng);
+                let (parent, prefix) = if rng.below(4) == 0 {
+                    (rng.below(issued + 3), String::from("/x"))
+                } else {
+                    known[rng.below(known.len() as u64) as usize].clone()
+                };
+                match rng.below(9) {
+                    0..=2 => {
+                        let is_dir = rng.below(2) == 0;
+                        let a = new.insert_child(parent, &name, is_dir);
+                        let b = old.insert_child(parent, &name, is_dir);
+                        assert_eq!(a, b, "{at}: insert {name} under {parent}");
+                        issued += 1;
+                        if let Ok(ino) = a {
+                            known.push((ino, format!("{prefix}/{name}")));
+                        }
+                    }
+                    3 => {
+                        let a = new.remove_child(parent, &name);
+                        let b = old.remove_child(parent, &name);
+                        assert_eq!(a, b, "{at}: remove {name} from {parent}");
+                    }
+                    4 => {
+                        let (sa, sb) = (new.intern(&name), old.intern(&name));
+                        assert_eq!(sa, sb, "{at}: intern {name}");
+                        let a = new.remove_child_sym(parent, sa).map(|n| (n.ino, n.runs));
+                        let b = old.remove_child_sym(parent, sb);
+                        assert_eq!(a, b, "{at}: remove {name} from {parent} by symbol");
+                    }
+                    5 => {
+                        let ino = rng.below(issued + 3);
+                        let size = Bytes::new(rng.below(1 << 20));
+                        let runs: Vec<Run> = (0..rng.below(4))
+                            .map(|_| Run {
+                                start: rng.below(10_000),
+                                len: 1 + rng.below(50),
+                            })
+                            .collect();
+                        let (group, indirect) = (rng.below(8), vec![rng.below(10_000)]);
+                        let a = new.get_mut(ino).map(|n| {
+                            (n.size, n.runs, n.group, n.indirect) =
+                                (size, runs.clone(), group, indirect.clone());
+                        });
+                        let b = old.get_mut(ino).map(|n| {
+                            (n.size, n.runs, n.group, n.indirect) = (size, runs, group, indirect);
+                        });
+                        assert_eq!(a, b, "{at}: write inode {ino}");
+                    }
+                    6 => {
+                        let path = match rng.below(4) {
+                            0 => format!("{prefix}/{name}"),
+                            1 => prefix.clone(),
+                            2 => format!("{prefix}/./{name}"),
+                            _ => name.clone(),
+                        };
+                        let a = new.resolve(&path);
+                        assert_eq!(a, old.resolve(&path), "{at}: resolve {path}");
+                        let a = new.resolve_parent(&path);
+                        assert_eq!(a, old.resolve_parent(&path), "{at}: parent of {path}");
+                        let (sa, sb) = (new.make_spec(&path), old.make_spec(&path));
+                        assert_eq!(sa.is_ok(), sb.is_ok(), "{at}: spec of {path}");
+                        if let (Ok(sa), Ok(sb)) = (sa, sb) {
+                            let a = new.resolve_spec(&sa).map(|(i, t)| (i, t.to_vec()));
+                            let b = old.resolve_spec(&sb).map(|(i, t)| (i, t.to_vec()));
+                            assert_eq!(a, b, "{at}: resolve spec {path}");
+                            let a = new
+                                .resolve_parent_spec(&sa)
+                                .map(|(i, s, t)| (i, s, t.to_vec()));
+                            let b = old
+                                .resolve_parent_spec(&sb)
+                                .map(|(i, s, t)| (i, s, t.to_vec()));
+                            assert_eq!(a, b, "{at}: parent spec of {path}");
+                        }
+                    }
+                    _ => {
+                        let (sa, sb) = (new.intern(&name), old.intern(&name));
+                        assert_eq!(
+                            new.has_child(parent, sa),
+                            old.has_child(parent, sb),
+                            "{at}: has {name} in {parent}"
+                        );
+                        assert_eq!(new.dir_len(parent), old.dir_len(parent), "{at}: dir_len");
+                        assert_eq!(
+                            new.read_names(parent),
+                            old.read_names(parent),
+                            "{at}: names"
+                        );
+                    }
+                }
+                let ino = rng.below(issued + 3);
+                assert_eq!(
+                    new.get(ino).map(view),
+                    old.get(ino).map(view),
+                    "{at}: inode {ino}"
+                );
+                assert_eq!(
+                    (new.len(), new.is_empty()),
+                    (old.len(), old.is_empty()),
+                    "{at}: len"
+                );
+                assert_eq!(new.check_reachable(), old.check_reachable(), "{at}: walk");
+                assert_eq!(
+                    new.avg_file_extents().to_bits(),
+                    old.avg_file_extents().to_bits(),
+                    "{at}: extents"
+                );
+                let mut all: Vec<InodeView> = old.iter().map(view).collect();
+                all.sort_by_key(|v| v.0);
+                assert!(new.iter().map(view).eq(all), "{at}: inodes");
+            }
+        }
+    }
+
+    /// Creating and unlinking 10,000 files leaves the inode slab no
+    /// larger than it started, besides the empty chunk the inode counter
+    /// is filling, on every file system.
+    #[test]
+    fn memory_follows_live_inodes() {
+        use crate::ext2::{Ext2Config, Ext2Fs};
+        use crate::ext3::{Ext3Config, Ext3Fs};
+        use crate::vfs::FileSystem;
+        use crate::xfs::{XfsConfig, XfsFs};
+        fn churn<F: FileSystem>(mut fs: F, tree: impl Fn(&F) -> &Tree) {
+            let name = fs.name();
+            let before = tree(&fs).inode_chunks();
+            let specs: Vec<PathSpec> = (0..10_000)
+                .map(|i| fs.intern_path(&format!("/f{i}")).unwrap())
+                .collect();
+            for spec in &specs {
+                fs.create_spec(spec).unwrap();
+            }
+            assert!(tree(&fs).inode_chunks() > before, "{name}: no chunk grew");
+            for spec in &specs {
+                fs.unlink_spec(spec).unwrap();
+            }
+            let after = tree(&fs).inode_chunks();
+            assert!(
+                after <= before + 1,
+                "{name}: {after} chunks, {before} before"
+            );
+            assert_eq!(tree(&fs).len(), 1, "{name}: only the root is left");
+        }
+        churn(Ext2Fs::new(Ext2Config::for_blocks(262_144)), Ext2Fs::tree);
+        churn(Ext3Fs::new(Ext3Config::for_blocks(262_144)), Ext3Fs::tree);
+        churn(XfsFs::new(XfsConfig::for_blocks(262_144)), XfsFs::tree);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 
 use crate::alloc::{ExtentAllocator, Run};
 use crate::intern::PathSpec;
-use crate::tree::{Tree, ROOT_INO};
+use crate::tree::Tree;
 use crate::vfs::{Extent, FileAttr, FileSystem, InodeNo, MetaIo};
 use rb_simcore::error::{SimError, SimResult};
-use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::units::{BlockNo, Bytes};
 
 /// XFS model configuration.
@@ -30,6 +29,15 @@ pub struct XfsConfig {
 }
 
 impl XfsConfig {
+    /// The smallest device, in blocks, that [`XfsConfig::for_blocks`]
+    /// formats (5.4 MiB). Allocation group 0, a quarter of the device,
+    /// must hold 260 header and inode-chunk blocks and the log: at
+    /// 1,384 blocks it has 346, exactly 260 plus a log of 1,384 / 16 =
+    /// 86 blocks; at 1,383 it has 345, one short. Above it the group
+    /// grows four times as fast as the log, so every larger device
+    /// formats too.
+    pub const MIN_BLOCKS: u64 = 1384;
+
     /// Defaults for the given device size.
     pub fn for_blocks(total_blocks: u64) -> Self {
         XfsConfig {
@@ -38,6 +46,14 @@ impl XfsConfig {
             log_blocks: 4096.min(total_blocks / 16).max(64),
             cluster_pages: 16,
         }
+    }
+
+    /// Whether [`XfsFs::new`] can format this configuration: allocation
+    /// group 0 must hold the group headers, the inode chunk and the
+    /// log.
+    pub fn formats(&self) -> bool {
+        let ag_size = self.total_blocks / self.allocation_groups.max(1);
+        ag_size >= AG_HEADER_BLOCKS + AG_INODE_BLOCKS + self.log_blocks.min(ag_size / 2).max(1)
     }
 }
 
@@ -49,6 +65,10 @@ struct AllocGroup {
 }
 
 /// The xfs-like file system.
+///
+/// Each inode's allocation group lives on the inode itself
+/// ([`Inode::group`](crate::tree::Inode::group)), in the namespace's
+/// inode slab.
 ///
 /// # Examples
 ///
@@ -69,8 +89,6 @@ pub struct XfsFs {
     config: XfsConfig,
     tree: Tree,
     ags: Vec<AllocGroup>,
-    /// AG of each inode.
-    ino_ag: FnvHashMap<InodeNo, u64>,
     /// Round-robin cursor for directory placement.
     next_dir_ag: u64,
     /// Log region (in AG 0).
@@ -89,6 +107,13 @@ const AG_INODE_BLOCKS: u64 = 256;
 
 impl XfsFs {
     /// Formats a new file system.
+    ///
+    /// # Panics
+    ///
+    /// If the configuration does not [format](XfsConfig::formats):
+    /// allocation group 0 is too small for the group headers, the inode
+    /// chunk and the log. A [`XfsConfig::for_blocks`] configuration
+    /// formats from [`XfsConfig::MIN_BLOCKS`] blocks up.
     pub fn new(config: XfsConfig) -> Self {
         let ag_count = config.allocation_groups.max(1);
         let ag_size = config.total_blocks / ag_count;
@@ -101,6 +126,9 @@ impl XfsFs {
                 ag_size
             };
             let mut alloc = ExtentAllocator::new(len);
+            // The first reservation on a fresh allocator of `len` blocks,
+            // and no longer than `len`: it fails only when `len` is 0,
+            // which makes group 0 too small to format (see `# Panics`).
             alloc
                 .reserve(0, (AG_HEADER_BLOCKS + AG_INODE_BLOCKS).min(len))
                 .expect("mkfs reservation");
@@ -109,21 +137,22 @@ impl XfsFs {
         // Log lives in AG 0 right after the headers.
         let log_blocks = config.log_blocks.min(ag_size / 2).max(1);
         let log_start = AG_HEADER_BLOCKS + AG_INODE_BLOCKS;
+        // Everything in group 0 from `log_start` on is still free, so
+        // this fails only when the group ends before the log does: the
+        // configuration does not format (see `# Panics`).
         ags[0]
             .alloc
             .reserve(log_start, log_blocks)
             .expect("log reservation");
-        let mut fs = XfsFs {
+        // The root sits in AG 0, where a fresh inode starts.
+        XfsFs {
             config,
             tree: Tree::new(),
             ags,
-            ino_ag: FnvHashMap::default(),
             next_dir_ag: 1,
             log_start,
             log_head: 0,
-        };
-        fs.ino_ag.insert(ROOT_INO, 0);
-        fs
+        }
     }
 
     /// Number of allocation groups.
@@ -136,13 +165,27 @@ impl XfsFs {
         self.log_start
     }
 
+    /// Shared namespace (test access).
+    pub fn tree(&self) -> &Tree {
+        &self.tree
+    }
+
     fn ag_of_block(&self, b: BlockNo) -> u64 {
         let ag_size = self.config.total_blocks / self.ag_count();
         (b / ag_size.max(1)).min(self.ag_count() - 1)
     }
 
+    /// AG of a live inode (0 for any other number).
+    fn ag_of(&self, ino: InodeNo) -> u64 {
+        self.tree.get(ino).map_or(0, |node| node.group)
+    }
+
     fn inode_table_block(&self, ino: InodeNo) -> BlockNo {
-        let ag = self.ino_ag.get(&ino).copied().unwrap_or(0);
+        self.inode_table_block_in(self.ag_of(ino), ino)
+    }
+
+    /// Inode-table block of inode `ino` in AG `ag`.
+    fn inode_table_block_in(&self, ag: u64, ino: InodeNo) -> BlockNo {
         let slot = ino % (AG_INODE_BLOCKS * INODES_PER_BLOCK);
         self.ags[ag as usize].start + AG_HEADER_BLOCKS + slot / INODES_PER_BLOCK
     }
@@ -157,7 +200,7 @@ impl XfsFs {
             self.next_dir_ag += 1;
             ag
         } else {
-            self.ino_ag.get(&parent).copied().unwrap_or(0)
+            self.ag_of(parent)
         }
     }
 
@@ -189,7 +232,10 @@ impl XfsFs {
             }
         }
         if left > 0 {
-            // Roll back partial allocation.
+            // Roll back partial allocation. Each run came from group
+            // `g`, so it lies in `[g * ag_size, g * ag_size + len)`,
+            // which `ag_of_block` maps back to `g`, and it was
+            // allocated in this call: the free cannot fail.
             for r in &out {
                 let g = self.ag_of_block(r.start) as usize;
                 let base = self.ags[g].start;
@@ -335,7 +381,7 @@ impl FileSystem for XfsFs {
         self.charge_lookup(&traversed, &mut meta);
         let ag = self.pick_ag(parent, false);
         let ino = self.tree.insert_child_sym(parent, name, false)?;
-        self.ino_ag.insert(ino, ag);
+        self.tree.get_mut(ino)?.group = ag;
         meta.writes.push(self.inode_table_block(ino));
         meta.writes.push(self.inode_table_block(parent));
         Ok((ino, self.log(meta)))
@@ -350,7 +396,7 @@ impl FileSystem for XfsFs {
         self.charge_lookup(&traversed, &mut meta);
         let ag = self.pick_ag(parent, true);
         let ino = self.tree.insert_child_sym(parent, name, true)?;
-        self.ino_ag.insert(ino, ag);
+        self.tree.get_mut(ino)?.group = ag;
         meta.writes.push(self.inode_table_block(ino));
         meta.writes.push(self.inode_table_block(parent));
         Ok((ino, self.log(meta)))
@@ -360,17 +406,16 @@ impl FileSystem for XfsFs {
         let (parent, name, traversed) = self.tree.resolve_parent_spec(spec)?;
         let mut meta = MetaIo::default();
         self.charge_lookup(&traversed, &mut meta);
-        let (ino, runs) = self.tree.remove_child_sym(parent, name)?;
-        self.free_blocks_runs(&runs)?;
-        for r in &runs {
+        let node = self.tree.remove_child_sym(parent, name)?;
+        self.free_blocks_runs(&node.runs)?;
+        for r in &node.runs {
             meta.writes
                 .push(self.freespace_root_block(self.ag_of_block(r.start)));
         }
         meta.writes.push(self.inode_table_block(parent));
-        let it = self.inode_table_block(ino);
-        meta.writes.push(it);
-        self.ino_ag.remove(&ino);
-        Ok((ino, self.log(meta)))
+        meta.writes
+            .push(self.inode_table_block_in(node.group, node.ino));
+        Ok((node.ino, self.log(meta)))
     }
 
     fn rmdir_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
@@ -418,7 +463,7 @@ impl FileSystem for XfsFs {
         let mut meta = MetaIo::default();
         meta.writes.push(self.inode_table_block(ino));
         if need > have {
-            let ag = self.ino_ag.get(&ino).copied().unwrap_or(0);
+            let ag = node.group;
             let goal = node.runs.last().map(|r| r.start + r.len).unwrap_or(0);
             // Delayed allocation: the whole growth lands in one request,
             // so best-fit can find a single extent.
@@ -534,7 +579,7 @@ mod tests {
         let mut ags = Vec::new();
         for i in 0..4 {
             let (ino, _) = f.mkdir(&format!("/d{i}")).unwrap();
-            ags.push(f.ino_ag[&ino]);
+            ags.push(f.tree.get(ino).unwrap().group);
         }
         let distinct: std::collections::HashSet<u64> = ags.iter().copied().collect();
         assert_eq!(distinct.len(), 4, "dirs not spread: {ags:?}");
@@ -546,12 +591,12 @@ mod tests {
         let (d, _) = f.mkdir("/d").unwrap();
         let (a, _) = f.create("/d/a").unwrap();
         let (b, _) = f.create("/d/b").unwrap();
-        assert_eq!(f.ino_ag[&a], f.ino_ag[&d]);
-        assert_eq!(f.ino_ag[&b], f.ino_ag[&d]);
+        assert_eq!(f.tree.get(a).unwrap().group, f.tree.get(d).unwrap().group);
+        assert_eq!(f.tree.get(b).unwrap().group, f.tree.get(d).unwrap().group);
         // Their data lands inside the AG.
         f.set_size(a, Bytes::mib(1)).unwrap();
         let e = f.map(a, 0, 1).unwrap();
-        assert_eq!(f.ag_of_block(e.physical), f.ino_ag[&a]);
+        assert_eq!(f.ag_of_block(e.physical), f.tree.get(a).unwrap().group);
     }
 
     #[test]
@@ -628,6 +673,25 @@ mod tests {
         let e = f.map(ino, 255, 10).unwrap();
         assert_eq!(e.len, 1);
         assert!(f.map(ino, 256, 1).is_err());
+    }
+
+    /// The smallest default-configured device formats and the one
+    /// block below it panics, at the log reservation; every size from
+    /// the minimum up formats, and `formats` agrees with `new` on both
+    /// sides.
+    #[test]
+    fn smallest_device_formats_and_one_block_less_panics() {
+        let min = XfsConfig::MIN_BLOCKS;
+        assert!(XfsConfig::for_blocks(min).formats());
+        assert!(!XfsConfig::for_blocks(min - 1).formats());
+        let mut f = XfsFs::new(XfsConfig::for_blocks(min));
+        let (ino, _) = f.create("/f").unwrap();
+        f.set_size(ino, Bytes::kib(4) * 16).unwrap();
+        f.fsck().expect("consistent");
+        let below = std::panic::catch_unwind(|| XfsFs::new(XfsConfig::for_blocks(min - 1)));
+        assert!(below.is_err(), "{} blocks formatted", min - 1);
+        assert!((0..min).all(|t| !XfsConfig::for_blocks(t).formats()));
+        assert!((min..300_000).all(|t| XfsConfig::for_blocks(t).formats()));
     }
 
     /// Seeded sequences of up to 19 resizes (0-1999 blocks) of one file:
