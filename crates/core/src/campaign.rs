@@ -303,7 +303,8 @@ pub struct SweepSpec {
     /// the campaign seed; each cell derives its own base seed from it.
     pub plan: RunPlan,
     /// Minimum formatted device size (grown per cell when a file would
-    /// not fit comfortably).
+    /// not fit comfortably, or when the cell's file system needs more
+    /// to format).
     pub device: Bytes,
     /// Optional shared run budget for the whole campaign. Divided
     /// evenly across cells *before* execution (each cell's protocol is
@@ -1402,7 +1403,8 @@ pub(crate) fn run_cell(
 /// cell's seed and axes (its protocol capped at the cell's share
 /// `run_cap` of the run budget, its cache controlled unless the cell's
 /// capacity is zero), and the device its targets are formatted on, kept
-/// comfortably larger than `working_set`.
+/// comfortably larger than `working_set` and at least as large as the
+/// cell's file system formats.
 fn cell_setup(
     spec: &SweepSpec,
     cell: &Cell,
@@ -1427,7 +1429,8 @@ fn cell_setup(
     };
     let device = spec
         .device
-        .max(Bytes::new(working_set.as_u64().saturating_mul(2)));
+        .max(Bytes::new(working_set.as_u64().saturating_mul(2)))
+        .max(cell.fs.min_device());
     (plan, device)
 }
 
@@ -2167,5 +2170,37 @@ mod tests {
         let report = run_campaign(&spec, 1).unwrap();
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].errors, 0, "fileset did not fit the device");
+    }
+
+    /// A cell's device grows to the smallest its file system formats:
+    /// one block short of xfs's minimum becomes the minimum, the
+    /// minimum itself stays, and ext2 keeps a device that small. A
+    /// 4 MiB xfs sweep, which used to panic in mkfs, runs.
+    #[test]
+    fn device_grows_to_what_the_file_system_formats() {
+        use rb_simcore::units::PAGE_SIZE;
+        use rb_simfs::xfs::XfsConfig;
+        let min = PAGE_SIZE * XfsConfig::MIN_BLOCKS;
+        let mut spec = tiny_spec();
+        spec.file_sizes = vec![Bytes::kib(4)];
+        spec.filesystems = vec![FsKind::Ext2, FsKind::Xfs];
+        for (device, xfs_device) in [(min - PAGE_SIZE, min), (min, min)] {
+            spec.device = device;
+            for cell in spec.expand() {
+                let (_, grown) = cell_setup(&spec, &cell, cell.file_size, None);
+                let want = if cell.fs == FsKind::Xfs {
+                    xfs_device
+                } else {
+                    device
+                };
+                assert_eq!(grown, want, "{} on a {device} device", cell.fs.name());
+            }
+        }
+        spec.filesystems = vec![FsKind::Xfs];
+        spec.file_sizes = vec![Bytes::mib(1)];
+        spec.device = Bytes::mib(4);
+        let report = run_campaign(&spec, 1).unwrap();
+        assert_eq!(report.cells.len(), 1);
+        assert_eq!(report.cells[0].errors, 0);
     }
 }

@@ -49,7 +49,20 @@ impl FsKind {
         }
     }
 
+    /// The smallest device this kind formats: one block for ext2 and
+    /// ext3, [`XfsConfig::MIN_BLOCKS`] (5.4 MiB) for xfs.
+    pub fn min_device(self) -> Bytes {
+        match self {
+            FsKind::Ext2 | FsKind::Ext3 => PAGE_SIZE,
+            FsKind::Xfs => PAGE_SIZE * XfsConfig::MIN_BLOCKS,
+        }
+    }
+
     /// Formats a file system of this kind over `device_blocks` blocks.
+    ///
+    /// # Panics
+    ///
+    /// If `device_blocks` is less than [`FsKind::min_device`] holds.
     pub fn format(self, device_blocks: u64) -> Box<dyn FileSystem> {
         match self {
             FsKind::Ext2 => Box::new(Ext2Fs::new(Ext2Config::for_blocks(device_blocks))),

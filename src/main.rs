@@ -1021,6 +1021,20 @@ mod tests {
         }
     }
 
+    /// A sweep on a device too small for xfs to format grows the
+    /// device instead of panicking in mkfs, as ext2 already ran.
+    #[test]
+    fn xfs_sweep_on_a_tiny_device_runs() {
+        for fs in ["xfs", "ext2"] {
+            let line = format!(
+                "sweep --workloads randomread --sizes 1M --fs {fs} --device 4M \
+                 --duration 2s --window 1s --runs 1"
+            );
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            dispatch(&args).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
+    }
+
     /// Every command takes exactly the flags its usage lines list.
     #[test]
     fn accepted_flags_match_usage() {
