@@ -179,11 +179,12 @@ pub fn welch_t(a: &[f64], b: &[f64]) -> Option<WelchT> {
     let mean_diff = ma.mean() - mb.mean();
     let se2 = va / na + vb / nb;
     if se2 <= 0.0 {
-        // Both samples constant.
+        // Both samples constant: t is infinite, signed as the means
+        // differ.
         let t = if mean_diff.abs() < f64::EPSILON {
             0.0
         } else {
-            f64::INFINITY
+            f64::INFINITY.copysign(mean_diff)
         };
         let p = if t == 0.0 { 1.0 } else { 0.0 };
         return Some(WelchT {
@@ -214,6 +215,17 @@ pub fn welch_t(a: &[f64], b: &[f64]) -> Option<WelchT> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Swapping the samples negates t, also when both samples are
+    /// constant and t is infinite.
+    #[test]
+    fn welch_t_is_antisymmetric_for_constant_samples() {
+        let (low, high) = ([3.0, 3.0, 3.0], [5.0, 5.0]);
+        let (ab, ba) = (welch_t(&low, &high).unwrap(), welch_t(&high, &low).unwrap());
+        assert_eq!(ab.t, -ba.t);
+        assert_eq!(ab.t, f64::NEG_INFINITY);
+        assert_eq!((ab.p_value, ba.p_value), (0.0, 0.0));
+    }
 
     #[test]
     fn ln_gamma_known_values() {
