@@ -110,7 +110,7 @@ impl BitmapAllocator {
     }
 
     /// The first free block in `from..end` (see [`Self::next_with`]).
-    fn next_free(&self, from: u64, end: u64) -> u64 {
+    pub(crate) fn next_free(&self, from: u64, end: u64) -> u64 {
         self.next_with(u64::MAX, from, end)
     }
 
@@ -151,6 +151,23 @@ impl BitmapAllocator {
         self.mark(block, block + 1, true);
         self.free -= 1;
         Ok(())
+    }
+
+    /// Marks every free block of `start..end` allocated (mkfs metadata
+    /// and journals), a word at a time, returning how many it took.
+    /// Blocks past the device are ignored.
+    pub(crate) fn reserve_free(&mut self, start: BlockNo, end: BlockNo) -> u64 {
+        let end = end.min(self.total);
+        let mut taken = 0;
+        let mut b = self.next_free(start, end);
+        while b < end {
+            let run_end = self.next_allocated(b, end);
+            self.mark(b, run_end, true);
+            taken += run_end - b;
+            b = self.next_free(run_end, end);
+        }
+        self.free -= taken;
+        taken
     }
 
     /// Allocates `count` blocks near `goal`, returning the runs found.
@@ -582,7 +599,9 @@ mod tests {
     /// Seeded histories of up to 299 ops on the word bitmap and on the
     /// byte-per-block bitmap it replaced (`crate::oracle::ByteBitmap`),
     /// compared return value for return value after every op:
-    /// reservations, allocations of 0-99 blocks at any goal, frees of
+    /// reservations of a block and of every free block in a range (the
+    /// oracle reserving them one by one), allocations of 0-99 blocks at
+    /// any goal, frees of
     /// live runs, of random runs (double frees, which still free the
     /// blocks before the first free one, and runs past the end), the
     /// fragmentation metric, the counts and every block's bit. Devices
@@ -600,10 +619,26 @@ mod tests {
             let mut live: Vec<Run> = Vec::new();
             for step in 0..1 + rng.below(300) {
                 let at = format!("seed {seed} ({total} blocks, groups of {group}) step {step}");
-                match rng.below(7) {
+                match rng.below(8) {
                     0 => {
                         let b = rng.below(total + 2);
                         assert_eq!(new.reserve(b), old.reserve(b), "{at}: reserve {b}");
+                    }
+                    7 => {
+                        let start = rng.below(total + 2);
+                        let end = start + rng.below(200);
+                        let mut free_in_range = 0;
+                        for b in start..end.min(total) {
+                            if !old.is_allocated(b) {
+                                old.reserve(b).unwrap();
+                                free_in_range += 1;
+                            }
+                        }
+                        assert_eq!(
+                            new.reserve_free(start, end),
+                            free_in_range,
+                            "{at}: reserve the free blocks of {start}..{end}"
+                        );
                     }
                     1..=3 => {
                         let (count, goal) = (rng.below(100), rng.below(total + 10));

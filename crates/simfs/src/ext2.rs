@@ -93,12 +93,7 @@ impl Ext2Fs {
         for g in 0..groups {
             let start = g * config.blocks_per_group;
             let end = ((g + 1) * config.blocks_per_group).min(config.total_blocks);
-            for b in start..(start + meta_per_group).min(end) {
-                // Each block below `end <= total_blocks` is reserved
-                // once, on a fresh bitmap: it is in range and free, so
-                // the reservation cannot fail.
-                alloc.reserve(b).expect("mkfs reservation");
-            }
+            alloc.reserve_free(start, (start + meta_per_group).min(end));
             group_free[g as usize] = end.saturating_sub(start + meta_per_group);
         }
         let mut fs = Ext2Fs {
@@ -123,12 +118,20 @@ impl Ext2Fs {
         self.group_free.len() as u64
     }
 
-    /// Reserves one block for an embedded journal (ext3 mkfs support).
-    pub(crate) fn reserve_journal_block(&mut self, b: BlockNo) -> SimResult<()> {
-        self.alloc.reserve(b)?;
-        let g = self.group_of_block(b);
-        self.group_free[g as usize] = self.group_free[g as usize].saturating_sub(1);
-        Ok(())
+    /// Reserves the free blocks of `start..end` for an embedded journal
+    /// (ext3 mkfs support), returning how many it took.
+    pub(crate) fn reserve_journal(&mut self, start: BlockNo, end: BlockNo) -> u64 {
+        let mut taken = 0;
+        let mut b = start;
+        while b < end.min(self.config.total_blocks) {
+            let g = self.group_of_block(b);
+            let group_end = ((g + 1) * self.config.blocks_per_group).min(end);
+            let n = self.alloc.reserve_free(b, group_end);
+            self.group_free[g as usize] = self.group_free[g as usize].saturating_sub(n);
+            taken += n;
+            b = group_end;
+        }
+        taken
     }
 
     /// Underlying allocator (test and aging access).

@@ -69,27 +69,18 @@ impl Ext3Fs {
         let total = config.ext2.total_blocks;
         let jlen = config.journal_blocks.min(total / 2);
         // Reserve a contiguous journal region starting at mid-device,
-        // skipping group metadata blocks.
-        let mut start = total / 2;
-        let mut reserved = 0;
-        let mut first = None;
+        // skipping group metadata blocks: the first `jlen` free blocks
+        // from there on.
+        let first = inner.allocator().next_free(total / 2, total);
+        let (mut start, mut reserved) = (first, 0);
         while reserved < jlen && start < total {
-            if !inner.allocator().is_allocated(start) {
-                // `start < total` and the block is free, the only two
-                // things a reservation checks: it cannot fail.
-                inner
-                    .reserve_journal_block(start)
-                    .expect("journal reservation");
-                if first.is_none() {
-                    first = Some(start);
-                }
-                reserved += 1;
-            }
-            start += 1;
+            let end = start + (jlen - reserved);
+            reserved += inner.reserve_journal(start, end);
+            start = end;
         }
         Ext3Fs {
             inner,
-            journal_start: first.unwrap_or(total / 2),
+            journal_start: if reserved > 0 { first } else { total / 2 },
             journal_blocks: reserved.max(1),
             journal_head: 0,
         }
@@ -105,8 +96,9 @@ impl Ext3Fs {
         self.journal_blocks
     }
 
-    /// Shared namespace (test access).
-    pub fn tree(&self) -> &crate::tree::Tree {
+    /// Shared namespace.
+    #[cfg(test)]
+    pub(crate) fn tree(&self) -> &crate::tree::Tree {
         self.inner.tree()
     }
 
@@ -305,6 +297,49 @@ mod tests {
         assert!(e.len >= 256, "ext3 data extents fragmented: {}", e.len);
         assert_eq!(f.name(), "ext3");
         assert_eq!(f.cluster_pages(), 4);
+    }
+
+    /// The journal is the first `journal_blocks` free blocks from
+    /// mid-device on, as reserving them block by block finds them, on
+    /// devices from one block to 1 GiB, whole groups and partial ones.
+    #[test]
+    fn journal_is_the_first_free_blocks_from_mid_device() {
+        for total in [
+            1, 2, 130, 1_000, 8_192, 8_259, 16_384, 16_450, 65_536, 70_001, 262_144,
+        ] {
+            let config = Ext3Config::for_blocks(total);
+            let f = Ext3Fs::new(config.clone());
+            let mut bitmap = Ext2Fs::new(config.ext2.clone()).allocator().clone();
+            let jlen = config.journal_blocks.min(total / 2);
+            let (mut start, mut reserved, mut first) = (total / 2, 0, None);
+            while reserved < jlen && start < total {
+                if !bitmap.is_allocated(start) {
+                    bitmap.reserve(start).unwrap();
+                    first.get_or_insert(start);
+                    reserved += 1;
+                }
+                start += 1;
+            }
+            assert_eq!(
+                f.journal_start(),
+                first.unwrap_or(total / 2),
+                "{total} blocks"
+            );
+            assert_eq!(f.journal_len(), reserved.max(1), "{total} blocks");
+            assert_eq!(
+                f.used(),
+                Bytes::kib(4) * (total - bitmap.free_blocks()),
+                "{total} blocks"
+            );
+            for b in 0..total {
+                assert_eq!(
+                    f.inner.allocator().is_allocated(b),
+                    bitmap.is_allocated(b),
+                    "{total} blocks: block {b}"
+                );
+            }
+            f.check_consistency().expect("consistent");
+        }
     }
 
     /// Seeded sequences of up to 39 creates, unlinks and resizes over 20

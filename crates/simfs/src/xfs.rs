@@ -47,14 +47,6 @@ impl XfsConfig {
             cluster_pages: 16,
         }
     }
-
-    /// Whether [`XfsFs::new`] can format this configuration: allocation
-    /// group 0 must hold the group headers, the inode chunk and the
-    /// log.
-    pub fn formats(&self) -> bool {
-        let ag_size = self.total_blocks / self.allocation_groups.max(1);
-        ag_size >= AG_HEADER_BLOCKS + AG_INODE_BLOCKS + self.log_blocks.min(ag_size / 2).max(1)
-    }
 }
 
 /// Per-AG block bookkeeping.
@@ -110,10 +102,11 @@ impl XfsFs {
     ///
     /// # Panics
     ///
-    /// If the configuration does not [format](XfsConfig::formats):
-    /// allocation group 0 is too small for the group headers, the inode
-    /// chunk and the log. A [`XfsConfig::for_blocks`] configuration
-    /// formats from [`XfsConfig::MIN_BLOCKS`] blocks up.
+    /// If allocation group 0, `total_blocks / allocation_groups` blocks
+    /// long, cannot hold the 260 group-header and inode-chunk blocks
+    /// plus the log (`log_blocks`, capped at half the group). A
+    /// [`XfsConfig::for_blocks`] configuration formats from
+    /// [`XfsConfig::MIN_BLOCKS`] blocks up.
     pub fn new(config: XfsConfig) -> Self {
         let ag_count = config.allocation_groups.max(1);
         let ag_size = config.total_blocks / ag_count;
@@ -165,8 +158,9 @@ impl XfsFs {
         self.log_start
     }
 
-    /// Shared namespace (test access).
-    pub fn tree(&self) -> &Tree {
+    /// Shared namespace.
+    #[cfg(test)]
+    pub(crate) fn tree(&self) -> &Tree {
         &self.tree
     }
 
@@ -675,23 +669,21 @@ mod tests {
         assert!(f.map(ino, 256, 1).is_err());
     }
 
-    /// The smallest default-configured device formats and the one
-    /// block below it panics, at the log reservation; every size from
-    /// the minimum up formats, and `formats` agrees with `new` on both
-    /// sides.
+    /// The smallest default-configured device formats, as do the next
+    /// 4,096 sizes and a few far larger, and the one block below it
+    /// panics.
     #[test]
     fn smallest_device_formats_and_one_block_less_panics() {
         let min = XfsConfig::MIN_BLOCKS;
-        assert!(XfsConfig::for_blocks(min).formats());
-        assert!(!XfsConfig::for_blocks(min - 1).formats());
+        for t in (min..min + 4096).chain([65_536, 1 << 20, 1 << 24]) {
+            XfsFs::new(XfsConfig::for_blocks(t));
+        }
         let mut f = XfsFs::new(XfsConfig::for_blocks(min));
         let (ino, _) = f.create("/f").unwrap();
         f.set_size(ino, Bytes::kib(4) * 16).unwrap();
         f.fsck().expect("consistent");
         let below = std::panic::catch_unwind(|| XfsFs::new(XfsConfig::for_blocks(min - 1)));
         assert!(below.is_err(), "{} blocks formatted", min - 1);
-        assert!((0..min).all(|t| !XfsConfig::for_blocks(t).formats()));
-        assert!((min..300_000).all(|t| XfsConfig::for_blocks(t).formats()));
     }
 
     /// Seeded sequences of up to 19 resizes (0-1999 blocks) of one file:
