@@ -15,8 +15,8 @@ const CHUNK: usize = 64;
 
 /// A map from counter-issued numbers to values, indexed by number.
 ///
-/// Chunk `base + c` lives at `chunks[c]`; a lookup is one division, one
-/// bounds check and one pointer hop. The directory itself costs 16
+/// Chunk `base + c` lives at `chunks[c]`; a lookup is one division, two
+/// bounds checks and one pointer hop. The directory itself costs 16
 /// bytes per 64 numbers from the lowest live chunk to the highest chunk
 /// ever used: it drops leading chunks as they empty, and keeps the gaps
 /// above them, where a counter that only moves up would otherwise

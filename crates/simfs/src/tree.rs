@@ -87,7 +87,8 @@ impl Inode {
 /// The inode table is a slab indexed by inode number, in chunks of 64
 /// numbers. Inode numbers come from a counter and are never reused, so
 /// a lookup is an index rather than a hash, and a chunk is freed once
-/// every inode in it is gone. Each inode carries what its file system
+/// every inode in it is gone (the highest only once the counter has
+/// moved past it). Each inode carries what its file system
 /// keeps per inode (its group, its indirect blocks), so the file
 /// systems need no side tables keyed by inode number.
 #[derive(Debug, Clone)]
