@@ -53,8 +53,9 @@ impl<T> Slab<T> {
     /// slot in that chunk.
     #[inline]
     fn locate(&self, key: u64) -> (usize, usize) {
-        let chunk = (key / CHUNK as u64).wrapping_sub(self.base) as usize;
-        (chunk, key as usize % CHUNK)
+        let chunk = (key / CHUNK as u64).wrapping_sub(self.base);
+        let slot = (key % CHUNK as u64) as usize;
+        (usize::try_from(chunk).unwrap_or(usize::MAX), slot)
     }
 
     /// The value under `key`.
