@@ -62,7 +62,7 @@ impl FsKind {
     ///
     /// # Panics
     ///
-    /// If `device_blocks` is less than [`FsKind::min_device`] holds.
+    /// If `device_blocks` is below [`FsKind::min_device`], in blocks.
     pub fn format(self, device_blocks: u64) -> Box<dyn FileSystem> {
         match self {
             FsKind::Ext2 => Box::new(Ext2Fs::new(Ext2Config::for_blocks(device_blocks))),
