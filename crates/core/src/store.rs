@@ -526,6 +526,20 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `exists` is the `--resume` precondition: a missing or empty
+    /// directory holds no store, and `open` makes one before any save.
+    #[test]
+    fn exists_once_opened_even_before_a_save() {
+        let dir = tmpdir("exists");
+        assert!(!ResultStore::exists(&dir), "missing directory");
+        fs::create_dir_all(&dir).expect("mkdir");
+        assert!(!ResultStore::exists(&dir), "empty directory");
+        let store = ResultStore::open(&dir).expect("open");
+        assert!(ResultStore::exists(&dir), "opened store");
+        assert_eq!(store.record_count(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn tampered_record_degrades_to_miss() {
         let dir = tmpdir("tamper");

@@ -1035,6 +1035,29 @@ mod tests {
         }
     }
 
+    /// `--resume` on a directory that holds no store is refused on one
+    /// line before any cell runs.
+    #[test]
+    fn resume_from_an_empty_directory_is_refused() {
+        let dir = std::env::temp_dir().join(format!("rb-cli-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let line = format!(
+            "sweep --workloads randomread --sizes 1M --duration 2s --window 1s --runs 1 \
+             --store {} --resume true",
+            dir.display()
+        );
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let error = dispatch(&args).expect_err(&line);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            error.starts_with("nothing to resume: ")
+                && error.contains(&dir.display().to_string())
+                && !error.contains('\n'),
+            "{error}"
+        );
+    }
+
     /// Every command takes exactly the flags its usage lines list.
     #[test]
     fn accepted_flags_match_usage() {
