@@ -56,7 +56,7 @@ use rb_stats::summary::Summary;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A named workload personality — the campaign's workload axis.
 ///
@@ -1612,35 +1612,23 @@ pub struct CampaignRun {
     pub stats: CampaignStats,
 }
 
-/// Where a finished cell's result lives, per execution slot. With a
-/// store attached this is all a worker retains per cell — the record
-/// itself streams to disk — so execution memory is O(jobs), not
-/// O(cells) of recordings.
-enum CellOutcome {
-    /// Served from the store (verified hit); nothing retained.
-    Cached,
-    /// Executed live and streamed to the store; nothing retained.
-    Stored,
-    /// Executed live, result held in memory (no store configured).
-    Held(Box<CellResult>),
-}
-
 /// Runs every cell of `spec`, sharded across `jobs` worker threads.
 ///
 /// Workers pull cells from a shared atomic cursor (work stealing keeps
 /// long cells from serializing the tail); each worker builds its own
-/// simulated targets, so no simulation state is shared. Results land in
-/// per-cell slots indexed by expansion order, which makes the aggregate
-/// independent of scheduling: the same spec yields byte-identical
-/// reports at any job count.
+/// simulated targets, so no simulation state is shared. Each worker
+/// keeps the results it produced, tagged with their expansion index,
+/// and the report places them in expansion order, which makes the
+/// aggregate independent of scheduling: the same spec yields
+/// byte-identical reports at any job count.
 ///
 /// With [`CampaignOptions::store`] set, each cell is first probed in
-/// the content-addressed store (verified hits skip execution entirely)
-/// and each miss is executed and streamed to disk as one fsync'd
-/// record before the worker moves on. The report is then assembled
-/// from the store's records in expansion (deterministic key) order, so
-/// its bytes are identical whether cells came from cache or live runs,
-/// at any `--jobs` count.
+/// the content-addressed store (a verified hit is the cell's result,
+/// and it is not executed) and each miss is executed and streamed to
+/// disk as one fsync'd record before the worker moves on. A record
+/// round-trips its cell exactly, so the report's bytes are the same
+/// whether cells came from cache or live runs, at any `--jobs` count.
+/// No recording outlives its run; the report keeps every cell's row.
 pub fn run_campaign_with(
     spec: &SweepSpec,
     jobs: usize,
@@ -1687,24 +1675,29 @@ pub fn run_campaign_with(
     let jobs = jobs.clamp(1, cells.len());
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<SimResult<CellOutcome>>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
+    let mut slots: Vec<Option<SimResult<(CellResult, bool)>>> =
+        cells.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(jobs);
         for _ in 0..jobs {
-            workers.push(scope.spawn(|| loop {
-                // A failed cell aborts the campaign: don't burn the rest
-                // of the grid computing results that will be discarded.
-                if failed.load(Ordering::Relaxed) {
-                    break;
+            workers.push(scope.spawn(|| {
+                let mut done = Vec::new();
+                loop {
+                    // A failed cell aborts the campaign: don't burn the
+                    // rest of the grid computing results that will be
+                    // discarded.
+                    if failed.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = cells.get(i) else { break };
+                    let result = execute_slot(spec, cell, run_cap, store.as_ref(), read_cache);
+                    if result.is_err() {
+                        failed.store(true, Ordering::Relaxed);
+                    }
+                    done.push((i, result));
                 }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let result = execute_slot(spec, cell, run_cap, store.as_ref(), read_cache);
-                if result.is_err() {
-                    failed.store(true, Ordering::Relaxed);
-                }
-                *slots[i].lock().expect("slot lock") = Some(result);
+                done
             }));
         }
         // The scope waits only for the closures. A thread still exiting
@@ -1712,8 +1705,13 @@ pub fn run_campaign_with(
         // open fresh ones, each keeping its own high-water mark resident:
         // peak memory would depend on thread timing.
         for w in workers {
-            if let Err(panic) = w.join() {
-                std::panic::resume_unwind(panic);
+            match w.join() {
+                Ok(done) => {
+                    for (i, result) in done {
+                        slots[i] = Some(result);
+                    }
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     });
@@ -1727,9 +1725,9 @@ pub fn run_campaign_with(
         ..CampaignStats::default()
     };
     let mut results = Vec::with_capacity(cells.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        let outcome = match slot.into_inner().expect("slot lock") {
-            Some(Ok(outcome)) => outcome,
+    for slot in slots {
+        let (result, cached) = match slot {
+            Some(Ok(done)) => done,
             Some(Err(e)) => return Err(e),
             // Unreachable by the invariant above; fail soft if a future
             // edit ever breaks it rather than panicking mid-report.
@@ -1739,33 +1737,11 @@ pub fn run_campaign_with(
                 ))
             }
         };
-        let result = match outcome {
-            CellOutcome::Held(res) => {
-                stats.executed += 1;
-                *res
-            }
-            origin @ (CellOutcome::Cached | CellOutcome::Stored) => {
-                if matches!(origin, CellOutcome::Cached) {
-                    stats.cached += 1;
-                } else {
-                    stats.executed += 1;
-                }
-                // Rebuild the row from the record just probed or
-                // written: cached and live cells flow through exactly
-                // the same deserialization, which is what makes the
-                // report bytes provably source-independent.
-                store
-                    .as_ref()
-                    .expect("store-backed outcome without a store")
-                    .load(spec, &cells[i], run_cap)
-                    .ok_or_else(|| {
-                        SimError::InvalidOperation(format!(
-                            "store record for cell `{}` vanished during assembly",
-                            cells[i].key()
-                        ))
-                    })?
-            }
-        };
+        if cached {
+            stats.cached += 1;
+        } else {
+            stats.executed += 1;
+        }
         results.push(result);
     }
     Ok(CampaignRun {
@@ -1778,28 +1754,30 @@ pub fn run_campaign_with(
     })
 }
 
-/// One worker's handling of one cell: probe, execute, stream.
+/// One worker's handling of one cell: probe, execute, stream. Returns
+/// the cell's result, and whether it was a verified store hit.
 fn execute_slot(
     spec: &SweepSpec,
     cell: &Cell,
     run_cap: Option<u32>,
     store: Option<&crate::store::ResultStore>,
     read_cache: bool,
-) -> SimResult<CellOutcome> {
-    if let Some(store) = store {
-        if read_cache && store.load(spec, cell, run_cap).is_some() {
-            return Ok(CellOutcome::Cached);
+) -> SimResult<(CellResult, bool)> {
+    if read_cache {
+        if let Some(hit) = store.and_then(|store| store.load(spec, cell, run_cap)) {
+            return Ok((hit, true));
         }
-        let result = run_cell(spec, cell, run_cap)?;
+    }
+    let result = run_cell(spec, cell, run_cap)?;
+    if let Some(store) = store {
         store.save(spec, cell, run_cap, &result).map_err(|e| {
             SimError::BadConfig(format!(
                 "cannot write store record for cell `{}`: {e}",
                 cell.key()
             ))
         })?;
-        return Ok(CellOutcome::Stored);
     }
-    run_cell(spec, cell, run_cap).map(|r| CellOutcome::Held(Box::new(r)))
+    Ok((result, false))
 }
 
 /// Runs a campaign with the classic fully-in-memory pipeline — no

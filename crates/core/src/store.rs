@@ -15,8 +15,10 @@
 //! ```text
 //! <dir>/
 //!   cells/<digest>.cell   one record per finished cell (atomic rename)
-//!   manifest.log          append-only journal: "<digest> <cell key>"
 //! ```
+//!
+//! The records are the store's only state: there is no index to keep
+//! in step with them, and the directory is its own listing.
 //!
 //! ## Identity
 //!
@@ -31,6 +33,13 @@
 //! On load the stored identity line is compared against the recomputed
 //! one, so a hash collision or a tampered record degrades to a cache
 //! miss, not a wrong result.
+//!
+//! ## Integrity
+//!
+//! A record's last line, `end <seal>`, is the FNV-1a-64 of every byte
+//! before it. A load checks the seal before it parses anything, so a
+//! flipped bit or a torn write anywhere in the record is a miss and the
+//! cell re-executes; it never loads as a different result.
 //!
 //! ## Fidelity
 //!
@@ -49,10 +58,9 @@
 //! `docs/CAMPAIGNS.md`.
 
 use std::fmt::Write as _;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use rb_simcore::error::{SimError, SimResult};
 use rb_simcore::fnv::{fnv1a, FNV_OFFSET};
@@ -70,7 +78,8 @@ use crate::runner::Verdict;
 pub const CODE_SALT: &str = "rb-store-v1";
 
 /// First line of every record file; the version gate for the format.
-const RECORD_HEADER: &str = "rocketbench-cell-record v1";
+/// v1 records had no seal: they miss once and their cells re-execute.
+const RECORD_HEADER: &str = "rocketbench-cell-record v2";
 
 /// Canonical identity string of one cell under one spec: the content
 /// hash preimage. Single line by construction (cell keys and labels
@@ -117,25 +126,20 @@ pub fn digest(identity: &str) -> u64 {
 
 /// A directory of content-addressed cell records.
 ///
-/// Shared by reference across campaign workers; the manifest handle is
-/// the only mutable state and is mutex-guarded.
+/// Shared by reference across campaign workers. It holds no mutable
+/// state: each record lands by its own atomic rename, so workers (and
+/// concurrent campaign processes) never coordinate.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    manifest: Mutex<File>,
 }
 
 impl ResultStore {
     /// Opens (creating if needed) a store rooted at `dir`.
     pub fn open(dir: &Path) -> io::Result<ResultStore> {
         fs::create_dir_all(dir.join("cells"))?;
-        let manifest = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join("manifest.log"))?;
         Ok(ResultStore {
             dir: dir.to_path_buf(),
-            manifest: Mutex::new(manifest),
         })
     }
 
@@ -144,10 +148,11 @@ impl ResultStore {
         &self.dir
     }
 
-    /// True when the directory already holds a store (manifest exists):
-    /// the `--resume` precondition.
+    /// True when the directory already holds a store (its `cells/`
+    /// exists, which [`ResultStore::open`] creates): the `--resume`
+    /// precondition.
     pub fn exists(dir: &Path) -> bool {
-        dir.join("manifest.log").is_file()
+        dir.join("cells").is_dir()
     }
 
     /// Path of the record addressed by `digest`.
@@ -179,10 +184,9 @@ impl ResultStore {
     }
 
     /// Streams one finished cell to disk: the record is written to a
-    /// temp file, fsync'd, atomically renamed to its content address,
-    /// and journaled in the manifest (also fsync'd). A crash between
-    /// cells therefore loses nothing; a crash mid-cell loses only that
-    /// cell's in-flight record.
+    /// temp file, fsync'd and atomically renamed to its content address.
+    /// A crash between cells therefore loses nothing; a crash mid-cell
+    /// loses only that cell's in-flight record.
     pub fn save(
         &self,
         spec: &SweepSpec,
@@ -202,11 +206,7 @@ impl ResultStore {
             f.write_all(record.as_bytes())?;
             f.sync_all()?;
         }
-        fs::rename(&tmp, self.record_path(d))?;
-        let mut manifest = self.manifest.lock().expect("manifest lock");
-        writeln!(manifest, "{d:016x} {}", cell.key())?;
-        manifest.sync_data()?;
-        Ok(())
+        fs::rename(&tmp, self.record_path(d))
     }
 }
 
@@ -277,8 +277,27 @@ fn encode_record(identity: &str, r: &CellResult) -> String {
             );
         }
     }
-    let _ = writeln!(out, "end");
+    let seal = fnv1a(FNV_OFFSET, out.as_bytes());
+    let _ = writeln!(out, "end {seal:016x}");
     out
+}
+
+/// The body of sealed record text: every byte before its `end` line,
+/// once the seal on that line matches them.
+fn unseal(text: &str) -> SimResult<&str> {
+    let end = text
+        .rfind("\nend ")
+        .ok_or_else(|| bad("truncated record (no end line)"))?
+        + 1;
+    let (body, seal) = text.split_at(end);
+    let seal = seal
+        .strip_prefix("end ")
+        .and_then(|s| s.strip_suffix('\n'))
+        .ok_or_else(|| bad("truncated record (no end line)"))?;
+    if seal != format!("{:016x}", fnv1a(FNV_OFFSET, body.as_bytes())) {
+        return Err(bad("seal mismatch"));
+    }
+    Ok(body)
 }
 
 /// One parse failure mode; every variant degrades to a cache miss.
@@ -300,7 +319,8 @@ fn parse_opt<T: std::str::FromStr>(s: &str, what: &str) -> SimResult<Option<T>> 
 
 /// Parses and verifies record text back into a [`CellResult`].
 ///
-/// `expect_identity` is the recomputed identity for the probing
+/// The seal is checked before any field is read. `expect_identity` is
+/// the recomputed identity for the probing
 /// campaign; a stored identity that differs (salt bump, spec drift, a
 /// hash collision, tampering) is rejected. Summary and coverage are
 /// rebuilt from the parsed samples and the live spec, so a loaded
@@ -311,7 +331,7 @@ fn decode_record(
     spec: &SweepSpec,
     cell: &Cell,
 ) -> SimResult<CellResult> {
-    let mut lines = text.lines();
+    let mut lines = unseal(text)?.lines();
     if lines.next() != Some(RECORD_HEADER) {
         return Err(bad("unknown header"));
     }
@@ -326,7 +346,6 @@ fn decode_record(
     let mut open_loop = None;
     let mut ledger: Option<rb_faults::OutcomeLedger> = None;
     let mut key = None;
-    let mut ended = false;
     for line in lines {
         let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
         match tag {
@@ -416,12 +435,8 @@ fn decode_record(
                     consistent: parse_field(f[4], "consistent")?,
                 });
             }
-            "end" => ended = true,
             _ => return Err(bad(&format!("unknown tag `{tag}`"))),
         }
-    }
-    if !ended {
-        return Err(bad("truncated record (no end marker)"));
     }
     if identity.as_deref() != Some(expect_identity) {
         return Err(bad("identity mismatch"));
@@ -524,6 +539,51 @@ mod tests {
         assert_eq!(store.record_count(), 1);
         assert!(ResultStore::exists(&dir));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every single-bit flip and every truncation of a sealed record
+    /// loads exactly the original result or misses, and none panics.
+    /// The records cover an open-loop cell with an SLO, a crash ledger
+    /// and both at once.
+    #[test]
+    fn damaged_records_load_the_original_or_miss() {
+        let mut spec = tiny_spec();
+        spec.filesystems = vec![crate::testbed::FsKind::Ext3];
+        spec.arrivals = vec![crate::sched::Arrival::Closed];
+        spec.arrivals
+            .extend(crate::sched::Arrival::parse_axis("poisson:500").expect("arrival"));
+        spec.faults = vec![
+            None,
+            Some(rb_faults::FaultSpec::parse("crash:100ms").expect("fault plan")),
+        ];
+        spec.slo_p99 = Some(Nanos::from_millis(50));
+        let cells = spec.expand();
+        assert_eq!(cells.len(), 4);
+        for cell in &cells {
+            let live = run_cell(&spec, cell, None).expect("cell runs");
+            let original = format!("{live:?}");
+            let identity = cell_identity(&spec, cell, None);
+            let mut record = encode_record(&identity, &live).into_bytes();
+            let check = |bytes: &[u8], what: &str| {
+                let loaded = std::str::from_utf8(bytes)
+                    .ok()
+                    .and_then(|text| decode_record(text, &identity, &spec, cell).ok());
+                if let Some(loaded) = loaded {
+                    assert_eq!(format!("{loaded:?}"), original, "{}: {what}", cell.key());
+                }
+            };
+            let intact = std::str::from_utf8(&record).expect("record text");
+            let loaded = decode_record(intact, &identity, &spec, cell).expect("intact loads");
+            assert_eq!(format!("{loaded:?}"), original, "{}: intact", cell.key());
+            for bit in 0..record.len() * 8 {
+                record[bit / 8] ^= 1 << (bit % 8);
+                check(&record, &format!("bit {bit} flipped"));
+                record[bit / 8] ^= 1 << (bit % 8);
+            }
+            for len in 0..record.len() {
+                check(&record[..len], &format!("cut to {len} bytes"));
+            }
+        }
     }
 
     /// `exists` is the `--resume` precondition: a missing or empty

@@ -505,7 +505,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
         let dir = std::path::Path::new(store_dir.expect("checked: resume requires store"));
         if !rb_core::store::ResultStore::exists(dir) {
             return Err(format!(
-                "nothing to resume: {} holds no store manifest",
+                "nothing to resume: {} holds no result store",
                 dir.display()
             ));
         }
@@ -868,12 +868,13 @@ additional cells (trace x fs x cache), each replayed under
 --traces and no --workloads, only the traces sweep.
 
 --store DIR streams every finished cell to a content-addressed result
-store (one fsync'd record per cell plus an append-only manifest) and
-serves unchanged cells from it on rerun: a warm rerun of an unchanged
-sweep executes 0 cells, and editing one axis value re-executes only the
-new column of the grid. Records are addressed by a hash of (cell key,
-campaign seed, protocol, code-version salt), verified on load, and
-report bytes are identical whether cells came from cache or live runs.
+store (DIR/cells/, one fsync'd, sealed record per cell) and serves
+unchanged cells from it on rerun: a warm rerun of an unchanged sweep
+executes 0 cells, and editing one axis value re-executes only the new
+column of the grid. Records are addressed by a hash of (cell key,
+campaign seed, protocol, code-version salt) and verified on load, so a
+damaged record is a miss, and report bytes are identical whether cells
+came from cache or live runs.
 --no-cache true executes everything but still refreshes the store;
 --resume true picks an interrupted campaign back up from the same
 store. See docs/CAMPAIGNS.md.
