@@ -26,7 +26,8 @@ pub enum Dimension {
 }
 
 impl Dimension {
-    /// All dimensions in Table 1 column order.
+    /// All dimensions in Table 1 column order, which is declaration
+    /// order: `d as usize` is `d`'s index here.
     pub const ALL: [Dimension; 5] = [
         Dimension::Io,
         Dimension::OnDisk,
@@ -77,16 +78,6 @@ impl Coverage {
         }
     }
 
-    /// The paper's original Unicode glyph.
-    pub fn glyph_unicode(self) -> &'static str {
-        match self {
-            Coverage::None => " ",
-            Coverage::Exercises => "◦",
-            Coverage::Isolates => "•",
-            Coverage::Depends => "⋆",
-        }
-    }
-
     /// How much a cell marker tells you, for combining profiles:
     /// isolation beats trace-dependence beats mere exercise beats nothing.
     pub fn strength(self) -> u8 {
@@ -128,22 +119,14 @@ impl CoverageProfile {
     pub fn new(pairs: &[(Dimension, Coverage)]) -> Self {
         let mut cells = [Coverage::None; 5];
         for &(d, c) in pairs {
-            let idx = Dimension::ALL
-                .iter()
-                .position(|&x| x == d)
-                .expect("dimension");
-            cells[idx] = c;
+            cells[d as usize] = c;
         }
         CoverageProfile { cells }
     }
 
     /// Coverage for one dimension.
     pub fn get(&self, d: Dimension) -> Coverage {
-        let idx = Dimension::ALL
-            .iter()
-            .position(|&x| x == d)
-            .expect("dimension");
-        self.cells[idx]
+        self.cells[d as usize]
     }
 
     /// Dimensions measured in isolation.
@@ -195,6 +178,10 @@ mod tests {
             labels,
             vec!["I/O", "On-disk", "Caching", "Meta-data", "Scaling"]
         );
+        assert!(Dimension::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &d)| d as usize == i));
     }
 
     #[test]

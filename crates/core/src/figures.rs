@@ -608,15 +608,6 @@ impl Fig4Data {
             .collect()
     }
 
-    /// Fraction of each window's operations at/after [`REGIME_BUCKET`]
-    /// (the disk peak mass).
-    pub fn miss_mass_series(&self) -> Vec<(f64, f64)> {
-        self.hit_mass_series()
-            .into_iter()
-            .map(|(t, h)| (t, 1.0 - h))
-            .collect()
-    }
-
     /// Number of windows whose histogram is bimodal.
     pub fn bimodal_windows(&self) -> usize {
         self.windows

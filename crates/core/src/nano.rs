@@ -475,6 +475,8 @@ pub fn run_suite_protocol(
         runs.push(report);
         Ok((headline, None))
     })?;
+    // `repeat` returned its samples, never empty, and each sample
+    // pushed one report.
     let first = runs.first().expect("protocol guarantees at least one run");
     let mut metrics = Vec::new();
     for r in &first.results {

@@ -421,12 +421,6 @@ impl RunPlan {
         self
     }
 
-    /// The same plan with the flight recorder configured.
-    pub fn with_obs(mut self, obs: rb_obs::ObsConfig) -> Self {
-        self.obs = obs;
-        self
-    }
-
     /// The same plan under a fault regime — how campaigns stamp cells
     /// along the faults axis.
     pub fn with_faults(mut self, faults: Option<rb_faults::FaultSpec>) -> Self {
@@ -652,6 +646,9 @@ pub(crate) fn summarize(
     protocol: &Protocol,
     base_seed: u64,
 ) -> (Summary, Option<Interval>) {
+    // Both callers pass the samples of `repeat`, which validates the
+    // protocol first and so returns at least one: a fixed protocol needs
+    // a run, an adaptive one a minimum of one.
     let summary = Summary::from_sample(samples).expect("a validated protocol runs at least once");
     let mut rng = Rng::new(base_seed).fork("bootstrap-ci");
     let alpha = 1.0 - protocol.confidence();

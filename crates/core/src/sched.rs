@@ -567,12 +567,12 @@ impl Arrival {
     /// label round-trips through [`Arrival::parse`] — the SLO
     /// hockey-stick grid without enumerating every rung by hand.
     pub fn parse_axis(s: &str) -> Result<Vec<Arrival>, String> {
-        let Some((kind, range)) = s.split_once(':').filter(|(_, r)| r.contains("..")) else {
+        let Some((kind, (lo, rest))) = s
+            .split_once(':')
+            .and_then(|(kind, range)| Some((kind, range.split_once("..")?)))
+        else {
             return Arrival::parse(s).map(|a| vec![a]);
         };
-        let (lo, rest) = range
-            .split_once("..")
-            .expect("checked: range contains `..`");
         let (hi, factor) = rest
             .split_once('x')
             .ok_or_else(|| format!("bad arrival ladder {s:?}: expected KIND:LO..HIxFACTOR"))?;

@@ -568,7 +568,7 @@ impl Engine {
         for _ in ndigits..8 {
             path.push('0');
         }
-        path.push_str(std::str::from_utf8(&digits[i..]).expect("ascii digits"));
+        path.extend(digits[i..].iter().map(|&d| char::from(d)));
         path
     }
 

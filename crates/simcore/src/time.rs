@@ -134,16 +134,6 @@ impl Nanos {
             63 - self.0.leading_zeros()
         }
     }
-
-    /// Integer division returning a dimensionless ratio, truncating.
-    ///
-    /// Division by zero saturates to `u64::MAX`.
-    pub const fn ratio_of(self, rhs: Nanos) -> u64 {
-        match self.0.checked_div(rhs.0) {
-            Some(v) => v,
-            None => u64::MAX,
-        }
-    }
 }
 
 impl Add for Nanos {
@@ -237,11 +227,6 @@ impl VirtualClock {
     /// Creates a clock at time zero.
     pub fn new() -> Self {
         VirtualClock { now: Nanos::ZERO }
-    }
-
-    /// Creates a clock starting at the given instant.
-    pub fn starting_at(now: Nanos) -> Self {
-        VirtualClock { now }
     }
 
     /// Returns the current virtual instant.

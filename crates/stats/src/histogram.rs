@@ -88,11 +88,6 @@ impl Log2Histogram {
         }
     }
 
-    /// All bucket fractions as percentages, the paper's Y axis.
-    pub fn percentages(&self) -> Vec<f64> {
-        (0..BUCKETS).map(|k| self.fraction(k) * 100.0).collect()
-    }
-
     /// Index of the first non-empty bucket, if any.
     pub fn min_bucket(&self) -> Option<usize> {
         self.counts.iter().position(|&c| c > 0)
