@@ -27,6 +27,7 @@
 //! defaults to a per-run temp directory, removed afterwards unless
 //! `--keep true`.
 
+use rb_bench::{flag_value, jobs_requested, peak_rss_bytes, quick_requested};
 use rb_core::campaign::{
     run_campaign_with, CampaignOptions, CampaignRun, Personality, StoreOptions, SweepSpec,
 };
@@ -37,31 +38,6 @@ use rb_simcore::time::Nanos;
 use rb_simcore::units::Bytes;
 use std::path::PathBuf;
 use std::time::Instant;
-
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    args.iter()
-        .position(|a| *a == long)
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix(&prefixed).map(str::to_string))
-        })
-}
-
-/// Peak resident set size in bytes (`VmHWM`), if the kernel exposes it.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
 
 fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
@@ -138,18 +114,10 @@ fn check_conservation(label: &str, run: &CampaignRun) {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
-    let jobs: usize = match flag("jobs") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --jobs needs a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        None => std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1),
-    };
-    let keep = flag("keep").is_some_and(|v| v == "true");
-    let dir: PathBuf = match flag("store") {
+    let quick = quick_requested();
+    let jobs = jobs_requested();
+    let keep = flag_value("keep").is_some_and(|v| v == "true");
+    let dir: PathBuf = match flag_value("store") {
         Some(d) => d.into(),
         None => std::env::temp_dir().join(format!("rb-campaign-bench-{}", std::process::id())),
     };

@@ -50,6 +50,7 @@
 //! RATIO (e.g. `0.90` = allow up to a 10% slowdown), perfgate still
 //! writes the JSON but exits non-zero.
 
+use rb_bench::{flag_value, peak_rss_bytes, quick_requested};
 use rb_core::campaign::{
     run_campaign, run_campaign_with, CampaignOptions, Personality, StoreOptions, SweepSpec,
 };
@@ -97,31 +98,6 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     let hi = idx.ceil() as usize;
     let frac = idx - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Peak resident set size in bytes, if the kernel exposes it.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let long = format!("--{name}");
-    let prefixed = format!("--{name}=");
-    args.iter()
-        .position(|a| *a == long)
-        .map(|i| args.get(i + 1).cloned().unwrap_or_default())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix(&prefixed).map(str::to_string))
-        })
 }
 
 /// The golden v2 trace spatially scaled to `clones` copies (the replay
@@ -800,7 +776,7 @@ fn run_isolated(names: &[&'static str], reps: usize, quick: bool) -> Option<(Str
 /// Assembles and writes the final JSON, with the optional baseline
 /// comparison, from an already-rendered scenario-array body.
 fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out_path: &str) {
-    let gate: Option<f64> = flag("gate").map(|g| {
+    let gate: Option<f64> = flag_value("gate").map(|g| {
         g.parse().unwrap_or_else(|_| {
             eprintln!("error: --gate needs a ratio like 0.90, got {g:?}");
             std::process::exit(2);
@@ -808,7 +784,7 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
     });
     let mut speedup = String::new();
     let mut below_gate: Vec<(String, f64)> = Vec::new();
-    if let Some(base_path) = flag("baseline") {
+    if let Some(base_path) = flag_value("baseline") {
         match std::fs::read_to_string(&base_path) {
             Ok(base_text) => {
                 let base = medians_of(&base_text);
@@ -908,8 +884,8 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "-q");
-    let reps: usize = match flag("reps") {
+    let quick = quick_requested();
+    let reps: usize = match flag_value("reps") {
         Some(v) => v.parse().unwrap_or_else(|_| {
             eprintln!("error: --reps needs a positive integer, got {v:?}");
             std::process::exit(2);
@@ -917,8 +893,8 @@ fn main() {
         None if quick => 3,
         None => 7,
     };
-    let out_path = flag("out").unwrap_or_else(|| "BENCH_PR10.json".to_string());
-    let only = flag("only");
+    let out_path = flag_value("out").unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let only = flag_value("only");
 
     // The parent dispatches children by name; only a child (--only) or
     // the in-process fallback pays for scenario construction.

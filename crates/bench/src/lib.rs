@@ -50,8 +50,9 @@ pub fn jobs_requested() -> usize {
     }
 }
 
-/// Value of a `--flag value` / `--flag=value` pair, if present.
-fn flag_value(name: &str) -> Option<String> {
+/// Value of a `--flag value` / `--flag=value` pair, if present. A flag
+/// given last with no value reads as the empty string.
+pub fn flag_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     let long = format!("--{name}");
     let prefixed = format!("--{name}=");
@@ -96,6 +97,19 @@ pub fn protocol_requested() -> Option<Protocol> {
             std::process::exit(2);
         }
     }
+}
+
+/// Peak resident set size of this process in bytes (`VmHWM`), if the
+/// kernel exposes it.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+            return Some(kb * 1024);
+        }
+    }
+    None
 }
 
 /// Directory where regenerators drop data files (`results/`, created on
