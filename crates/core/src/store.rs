@@ -283,18 +283,11 @@ fn encode_record(identity: &str, r: &CellResult) -> String {
 }
 
 /// The body of sealed record text: every byte before its `end` line,
-/// once the seal on that line matches them.
+/// once that line is the one [`encode_record`] writes for them.
 fn unseal(text: &str) -> SimResult<&str> {
-    let end = text
-        .rfind("\nend ")
-        .ok_or_else(|| bad("truncated record (no end line)"))?
-        + 1;
-    let (body, seal) = text.split_at(end);
-    let seal = seal
-        .strip_prefix("end ")
-        .and_then(|s| s.strip_suffix('\n'))
-        .ok_or_else(|| bad("truncated record (no end line)"))?;
-    if seal != format!("{:016x}", fnv1a(FNV_OFFSET, body.as_bytes())) {
+    let at = text.rfind("\nend ").ok_or_else(|| bad("no end line"))? + 1;
+    let (body, end) = text.split_at(at);
+    if end != format!("end {:016x}\n", fnv1a(FNV_OFFSET, body.as_bytes())) {
         return Err(bad("seal mismatch"));
     }
     Ok(body)
@@ -320,11 +313,11 @@ fn parse_opt<T: std::str::FromStr>(s: &str, what: &str) -> SimResult<Option<T>> 
 /// Parses and verifies record text back into a [`CellResult`].
 ///
 /// The seal is checked before any field is read. `expect_identity` is
-/// the recomputed identity for the probing
-/// campaign; a stored identity that differs (salt bump, spec drift, a
-/// hash collision, tampering) is rejected. Summary and coverage are
-/// rebuilt from the parsed samples and the live spec, so a loaded
-/// result is indistinguishable from an executed one.
+/// the recomputed identity for the probing campaign; a stored identity
+/// that differs (salt bump, spec drift, a hash collision, tampering) is
+/// rejected. Summary and coverage are rebuilt from the parsed samples
+/// and the live spec, so a loaded result is indistinguishable from an
+/// executed one.
 fn decode_record(
     text: &str,
     expect_identity: &str,
