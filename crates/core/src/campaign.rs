@@ -1675,13 +1675,12 @@ pub fn run_campaign_with(
     let jobs = jobs.clamp(1, cells.len());
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let mut slots: Vec<Option<SimResult<(CellResult, bool)>>> =
-        cells.iter().map(|_| None).collect();
+    let mut done = Vec::with_capacity(cells.len());
     std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(jobs);
         for _ in 0..jobs {
             workers.push(scope.spawn(|| {
-                let mut done = Vec::new();
+                let mut mine = Vec::new();
                 loop {
                     // A failed cell aborts the campaign: don't burn the
                     // rest of the grid computing results that will be
@@ -1695,9 +1694,9 @@ pub fn run_campaign_with(
                     if result.is_err() {
                         failed.store(true, Ordering::Relaxed);
                     }
-                    done.push((i, result));
+                    mine.push((i, result));
                 }
-                done
+                mine
             }));
         }
         // The scope waits only for the closures. A thread still exiting
@@ -1706,37 +1705,24 @@ pub fn run_campaign_with(
         // peak memory would depend on thread timing.
         for w in workers {
             match w.join() {
-                Ok(done) => {
-                    for (i, result) in done {
-                        slots[i] = Some(result);
-                    }
-                }
+                Ok(mine) => done.extend(mine),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
     });
-    // Collect in expansion order. Every index below the lowest erroring
-    // one was pulled before any abort could trigger, so the first
-    // non-empty error slot we meet is the lowest-index failure — the
-    // reported error is deterministic even though later cells may have
-    // been skipped.
+    // Collect in expansion order. Workers stop early only after a cell
+    // failed, and every index below the lowest failing one was pulled,
+    // and so finished, before any abort could trigger: the first error
+    // met is the lowest-index failure, so the reported error is
+    // deterministic even though later cells may have been skipped.
+    done.sort_unstable_by_key(|&(i, _)| i);
     let mut stats = CampaignStats {
         expanded: cells.len(),
         ..CampaignStats::default()
     };
     let mut results = Vec::with_capacity(cells.len());
-    for slot in slots {
-        let (result, cached) = match slot {
-            Some(Ok(done)) => done,
-            Some(Err(e)) => return Err(e),
-            // Unreachable by the invariant above; fail soft if a future
-            // edit ever breaks it rather than panicking mid-report.
-            None => {
-                return Err(SimError::InvalidOperation(
-                    "campaign aborted before this cell ran".into(),
-                ))
-            }
-        };
+    for (_, outcome) in done {
+        let (result, cached) = outcome?;
         if cached {
             stats.cached += 1;
         } else {
@@ -1880,6 +1866,35 @@ mod tests {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.seed, b.seed);
             assert_eq!(a.summary, b.summary);
+        }
+    }
+
+    /// A failed cell aborts the campaign, and the error names the
+    /// lowest-index failure at any job count. A directory at a cell's
+    /// record address makes its save fail.
+    #[test]
+    fn a_failed_campaign_reports_its_lowest_failing_cell() {
+        let spec = tiny_spec();
+        let cells = spec.expand();
+        for jobs in [1, 4] {
+            let dir = std::env::temp_dir()
+                .join(format!("rb-campaign-fail-{}-{jobs}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let store = crate::store::ResultStore::open(&dir).expect("open");
+            for cell in [&cells[1], &cells[3]] {
+                let identity = crate::store::cell_identity(&spec, cell, None);
+                let path = store.record_path(crate::store::digest(&identity));
+                std::fs::create_dir_all(path).expect("block the record");
+            }
+            let opts = CampaignOptions {
+                store: Some(StoreOptions::at(&dir)),
+            };
+            let error = run_campaign_with(&spec, jobs, &opts).expect_err("blocked cells fail");
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(
+                error.to_string().contains(&format!("`{}`", cells[1].key())),
+                "jobs {jobs}: {error}"
+            );
         }
     }
 
