@@ -646,9 +646,9 @@ pub(crate) fn summarize(
     protocol: &Protocol,
     base_seed: u64,
 ) -> (Summary, Option<Interval>) {
-    // Both callers pass the samples of `repeat`, which validates the
-    // protocol first and so returns at least one: a fixed protocol needs
-    // a run, an adaptive one a minimum of one.
+    // Both callers pass the samples of `repeat`, which first validates
+    // the protocol (refusing `FixedRuns(0)` and `min_runs` 0), so it
+    // returns at least one.
     let summary = Summary::from_sample(samples).expect("a validated protocol runs at least once");
     let mut rng = Rng::new(base_seed).fork("bootstrap-ci");
     let alpha = 1.0 - protocol.confidence();
