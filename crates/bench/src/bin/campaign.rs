@@ -13,9 +13,9 @@
 //!    `executed = all` on the cold pass and `cached = all` on the warm.
 //! 2. **Peak-RSS flatness** — the process high-water mark after the
 //!    full grid must sit within a fixed budget of the mark after a
-//!    small slice of the same grid: per-cell recordings stream to disk
-//!    instead of accumulating, so memory is O(jobs) plus the report's
-//!    compact rows, not O(cells) of recordings.
+//!    small slice of the same grid: per-cell recordings end with their
+//!    cell instead of accumulating, so memory is O(jobs) plus the
+//!    report's compact rows, not O(cells) of recordings.
 //! 3. **Byte-identity** — the warm report (all cells from cache)
 //!    renders the same CSV bytes as the cold one (all cells live).
 //!
