@@ -2,10 +2,11 @@
 //!
 //! The interned-path + FNV-hashing refactor (PR 4) must not change a
 //! single output byte: these tests regenerate the quick Figure 1
-//! campaign, the figreplay table, a small sweep campaign and afap
-//! replays of the golden v2 trace at x32 and x1024 (with the x1024
-//! merge order), and diff them against snapshots captured from the
-//! pre-refactor binaries (committed under `tests/golden/`). Any change
+//! campaign, the figreplay table, a small sweep campaign, a wide one
+//! with every optional report column, and afap replays of the golden
+//! v2 trace at x32 and x1024 (with the x1024 merge order), and diff
+//! them against snapshots captured from the pre-refactor binaries
+//! (committed under `tests/golden/`). Any change
 //! to simulated timing, scheduling, seeding or rendering shows up here
 //! as a diff — the same discipline PRs 2 and 3 used for their
 //! refactors. Timed replays of the golden v2 trace, x1 to x256, pin the
@@ -168,6 +169,67 @@ fn sweep_csv_is_byte_identical_at_any_jobs() {
             expected,
             "sweep CSV drifted at jobs={jobs}"
         );
+    }
+}
+
+/// A small campaign that grows every optional report group: a size-
+/// and a count-axis personality, the golden v2 trace at afap, 1 and 2
+/// processes, a closed and a Poisson arrival, a healthy cell and one
+/// whose crash lands inside the run (under `bounded:2`), an SLO, and
+/// the flight recorder on.
+fn wide_sweep_spec() -> SweepSpec {
+    let mut plan = RunPlan::quick(5);
+    plan.protocol = Protocol::FixedRuns(2);
+    plan.duration = Nanos::from_millis(600);
+    plan.window = Nanos::from_millis(200);
+    plan.obs.metrics = true;
+    let trace = Trace::from_text(&repo_file("golden_v2.trace")).expect("parses");
+    let mut arrivals = vec![Arrival::Closed];
+    arrivals.extend(Arrival::parse_axis("poisson:400").expect("arrival"));
+    SweepSpec {
+        name: "wide".into(),
+        personalities: vec![Personality::RandomRead, Personality::Varmail],
+        traces: vec![TraceSource::new("golden_v2", trace, Timing::Afap)],
+        file_sizes: vec![Bytes::mib(8)],
+        file_counts: vec![20],
+        filesystems: vec![FsKind::Ext3],
+        cache_capacities: vec![Bytes::mib(16)],
+        processes: vec![1, 2],
+        arrivals,
+        faults: vec![
+            None,
+            Some(FaultSpec::parse("crash:300ms").expect("fault plan")),
+        ],
+        retry: RetryPolicy::parse("bounded:2").expect("retry policy"),
+        slo_p99: Some(Nanos::from_millis(20)),
+        plan,
+        device: Bytes::mib(256),
+        run_budget: None,
+    }
+}
+
+/// Every optional column group of the CSV, the JSON and the table, at
+/// two job counts. `UPDATE_GOLDEN=1` rewrites the snapshots.
+#[test]
+fn wide_sweep_reports_are_byte_identical_at_any_jobs() {
+    for jobs in [1, 3] {
+        let report = run_campaign(&wide_sweep_spec(), jobs).expect("wide sweep");
+        for (name, text) in [
+            ("sweep_wide.csv", report.to_csv()),
+            ("sweep_wide.json", format!("{}\n", report.to_json())),
+            ("sweep_wide.txt", report.render()),
+        ] {
+            if std::env::var_os("UPDATE_GOLDEN").is_some() && jobs == 1 {
+                let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+                std::fs::write(&path, &text).expect("write golden");
+            }
+            let mut expected = golden(name);
+            if jobs > 1 {
+                // The table's title names the worker count.
+                expected = expected.replacen("(1 worker)", &format!("({jobs} workers)"), 1);
+            }
+            assert_eq!(text, expected, "{name} drifted at jobs={jobs}");
+        }
     }
 }
 
