@@ -689,11 +689,6 @@ impl CellResult {
             .iter()
             .filter_map(|o| o.recording.hit_ratio)
             .collect();
-        let hit_ratio = if ratios.is_empty() {
-            None
-        } else {
-            Some(ratios.iter().sum::<f64>() / ratios.len() as f64)
-        };
         let errors = mr.outcomes.iter().map(|o| o.recording.errors).sum();
         let open_loop = cell.arrival.is_open().then(|| OpenCellStats::from_runs(mr));
         let metrics = mr
@@ -720,13 +715,19 @@ impl CellResult {
             ci: mr.ci,
             verdict: mr.verdict,
             runs: mr.runs(),
-            hit_ratio,
+            hit_ratio: mean_hit_ratio(&ratios),
             errors,
             open_loop,
             metrics,
             ledger,
         }
     }
+}
+
+/// The mean of a cell's per-run cache hit ratios, when its target
+/// reported any.
+fn mean_hit_ratio(ratios: &[f64]) -> Option<f64> {
+    (!ratios.is_empty()).then(|| ratios.iter().sum::<f64>() / ratios.len() as f64)
 }
 
 /// A completed campaign: every cell's aggregate, in expansion order.
@@ -792,193 +793,50 @@ impl CampaignReport {
         self.cells.iter().any(|c| c.cell.faults.is_some())
     }
 
-    /// Whether any cell carries an SLO verdict.
-    fn has_slo(&self) -> bool {
-        self.cells.iter().any(|c| {
-            c.open_loop
-                .as_ref()
-                .is_some_and(|o| o.slo_max_rate.is_some())
-        })
+    /// Which optional column groups this report carries, decided once
+    /// for every format.
+    fn shape(&self) -> Shape {
+        Shape {
+            processes: self.sweeps_processes(),
+            arrival: self.sweeps_arrival(),
+            faults: self.sweeps_faults(),
+            slo: self.cells.iter().any(|c| slo_rate(c).is_some()),
+            metrics: self.cells.iter().any(|c| c.metrics.is_some()),
+        }
     }
 
-    /// Whether any cell carries a flight-recorder snapshot. Like the
-    /// axis columns, the `--metrics` columns only appear when the plan
-    /// recorded them, so every recorder-off report stays byte-identical.
-    fn has_metrics(&self) -> bool {
-        self.cells.iter().any(|c| c.metrics.is_some())
+    /// The header and one row per cell of the columns in `layout` that
+    /// this report's shape carries.
+    fn columns(&self, layout: Layout) -> (Vec<&'static str>, Vec<Vec<String>>) {
+        let shape = self.shape();
+        let columns: Vec<&Column> = layout
+            .iter()
+            .filter(|(carried, _)| carried(shape))
+            .flat_map(|(_, run)| *run)
+            .collect();
+        let header = columns.iter().map(|(h, _)| *h).collect();
+        let rows = self
+            .cells
+            .iter()
+            .map(|c| columns.iter().map(|(_, value)| value(c)).collect())
+            .collect();
+        (header, rows)
     }
 
     /// The campaign table as CSV (one row per cell, runs' spread
-    /// included). Campaigns that sweep the concurrency axis get a
-    /// `processes` column after `cache_mib`.
+    /// included). Each optional column group appears only when some
+    /// cell needs it.
     pub fn to_csv(&self) -> String {
-        let procs = self.sweeps_processes();
-        let arrival = self.sweeps_arrival();
-        let faults = self.sweeps_faults();
-        let slo = self.has_slo();
-        let metrics = self.has_metrics();
-        let ms = |v: Option<Nanos>| {
-            v.map(|n| format!("{:.3}", n.as_secs_f64() * 1e3))
-                .unwrap_or_default()
-        };
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut row = vec![
-                    c.cell.workload_name(),
-                    c.cell.file_size.as_mib().to_string(),
-                    c.cell.files.to_string(),
-                    c.cell.fs.name().to_string(),
-                    c.cell.cache.as_mib().to_string(),
-                ];
-                if procs {
-                    row.push(c.cell.processes.to_string());
-                }
-                if arrival {
-                    row.push(c.cell.arrival.label());
-                }
-                if faults {
-                    row.push(
-                        c.cell
-                            .faults
-                            .as_ref()
-                            .map(|f| f.label())
-                            .unwrap_or_else(|| "none".into()),
-                    );
-                }
-                row.extend([
-                    format!("{}", c.seed),
-                    c.runs.to_string(),
-                    format!("{:.1}", c.summary.mean),
-                    format!("{:.3}", c.summary.rsd_percent),
-                    c.ci.map(|ci| format!("{:.1}", ci.lo)).unwrap_or_default(),
-                    c.ci.map(|ci| format!("{:.1}", ci.hi)).unwrap_or_default(),
-                    c.verdict.label().to_string(),
-                    format!("{:.1}", c.summary.min),
-                    format!("{:.1}", c.summary.max),
-                    c.hit_ratio.map(|h| format!("{h:.4}")).unwrap_or_default(),
-                    c.errors.to_string(),
-                ]);
-                if arrival {
-                    let o = c.open_loop.as_ref();
-                    row.extend([
-                        o.map(|o| o.offered.to_string()).unwrap_or_default(),
-                        o.map(|o| o.dropped.to_string()).unwrap_or_default(),
-                        ms(o.and_then(|o| o.p50)),
-                        ms(o.and_then(|o| o.p99)),
-                        ms(o.and_then(|o| o.p999)),
-                    ]);
-                }
-                if slo {
-                    row.push(
-                        c.open_loop
-                            .as_ref()
-                            .and_then(|o| o.slo_max_rate)
-                            .map(|r| r.to_string())
-                            .unwrap_or_default(),
-                    );
-                }
-                if faults {
-                    let l = c.ledger.as_ref();
-                    row.extend([
-                        l.map(|l| l.attempted.to_string()).unwrap_or_default(),
-                        l.map(|l| l.succeeded.to_string()).unwrap_or_default(),
-                        l.map(|l| l.retried_ok.to_string()).unwrap_or_default(),
-                        l.map(|l| l.gave_up.to_string()).unwrap_or_default(),
-                        l.map(|l| l.retries.to_string()).unwrap_or_default(),
-                        l.map(|l| format!("{:.3}", l.degraded.as_secs_f64() * 1e3))
-                            .unwrap_or_default(),
-                        l.and_then(|l| l.crash.as_ref())
-                            .map(|cr| {
-                                if cr.consistent {
-                                    "recovered".to_string()
-                                } else {
-                                    "inconsistent".to_string()
-                                }
-                            })
-                            .unwrap_or_default(),
-                    ]);
-                }
-                if metrics {
-                    let m = c.metrics.as_ref();
-                    row.extend([
-                        m.and_then(|m| m.device_busy_frac())
-                            .map(|x| format!("{:.2}", x * 100.0))
-                            .unwrap_or_default(),
-                        m.map(|m| format!("{:.2}", m.sched.queue_wait_share() * 100.0))
-                            .unwrap_or_default(),
-                        m.and_then(|m| m.disk.as_ref().map(|d| d.seeks.to_string()))
-                            .unwrap_or_default(),
-                        m.and_then(|m| m.fs.as_ref().map(|f| f.journal_commits.to_string()))
-                            .unwrap_or_default(),
-                        m.and_then(|m| m.cache.as_ref().map(|c| c.writeback_flushed.to_string()))
-                            .unwrap_or_default(),
-                    ]);
-                }
-                row
-            })
-            .collect();
-        let mut header = vec!["workload", "size_mib", "files", "fs", "cache_mib"];
-        if procs {
-            header.push("processes");
-        }
-        if arrival {
-            header.push("arrival");
-        }
-        if faults {
-            header.push("faults");
-        }
-        header.extend([
-            "seed",
-            "runs",
-            "mean_ops_per_sec",
-            "rsd_percent",
-            "ci_lo",
-            "ci_hi",
-            "verdict",
-            "min",
-            "max",
-            "hit_ratio",
-            "errors",
-        ]);
-        if arrival {
-            header.extend(["offered", "dropped", "p50_ms", "p99_ms", "p999_ms"]);
-        }
-        if slo {
-            header.push("slo_max_ops_per_sec");
-        }
-        if faults {
-            header.extend([
-                "attempted",
-                "ok_first_try",
-                "retried_ok",
-                "gave_up",
-                "retries",
-                "degraded_ms",
-                "crash",
-            ]);
-        }
-        if metrics {
-            header.extend([
-                "dev_busy_pct",
-                "qwait_pct",
-                "seeks",
-                "journal_commits",
-                "writeback_flushed",
-            ]);
-        }
+        let (header, rows) = self.columns(CSV_COLUMNS);
         report::to_csv(&header, &rows)
     }
 
     /// The campaign as a JSON document (cells + aggregate coverage).
-    /// Like the CSV, the per-cell `processes` field only appears when
-    /// the concurrency axis is swept.
+    /// Like the CSV, each optional group of cell fields appears only
+    /// when the report's shape carries it.
     pub fn to_json(&self) -> Json {
-        let procs = self.sweeps_processes();
-        let arrival = self.sweeps_arrival();
-        let faults = self.sweeps_faults();
-        let metrics = self.has_metrics();
+        let shape = self.shape();
+        let ms_or_null = |v: Option<Nanos>| v.map(|n| Json::Num(ms(n))).unwrap_or(Json::Null);
         let cells = self
             .cells
             .iter()
@@ -990,23 +848,14 @@ impl CampaignReport {
                     ("fs", Json::Str(c.cell.fs.name().into())),
                     ("cache_bytes", Json::Num(c.cell.cache.as_u64() as f64)),
                 ];
-                if procs {
+                if shape.processes {
                     fields.push(("processes", Json::Num(c.cell.processes as f64)));
                 }
-                if arrival {
+                if shape.arrival {
                     fields.push(("arrival", Json::Str(c.cell.arrival.label())));
                 }
-                if faults {
-                    fields.push((
-                        "faults",
-                        Json::Str(
-                            c.cell
-                                .faults
-                                .as_ref()
-                                .map(|f| f.label())
-                                .unwrap_or_else(|| "none".into()),
-                        ),
-                    ));
+                if shape.faults {
+                    fields.push(("faults", Json::Str(fault_label(c))));
                 }
                 fields.extend([
                     ("seed", Json::Num(c.seed as f64)),
@@ -1037,33 +886,27 @@ impl CampaignReport {
                     ),
                     ("errors", Json::Num(c.errors as f64)),
                 ]);
-                if arrival {
+                if shape.arrival {
                     let open = match &c.open_loop {
-                        Some(o) => {
-                            let ms = |v: Option<Nanos>| {
-                                v.map(|n| Json::Num(n.as_secs_f64() * 1e3))
-                                    .unwrap_or(Json::Null)
-                            };
-                            Json::obj(vec![
-                                ("offered", Json::Num(o.offered as f64)),
-                                ("dropped", Json::Num(o.dropped as f64)),
-                                ("drop_ratio", Json::Num(o.drop_ratio())),
-                                ("p50_ms", ms(o.p50)),
-                                ("p99_ms", ms(o.p99)),
-                                ("p999_ms", ms(o.p999)),
-                                (
-                                    "slo_max_ops_per_sec",
-                                    o.slo_max_rate
-                                        .map(|r| Json::Num(r as f64))
-                                        .unwrap_or(Json::Null),
-                                ),
-                            ])
-                        }
+                        Some(o) => Json::obj(vec![
+                            ("offered", Json::Num(o.offered as f64)),
+                            ("dropped", Json::Num(o.dropped as f64)),
+                            ("drop_ratio", Json::Num(o.drop_ratio())),
+                            ("p50_ms", ms_or_null(o.p50)),
+                            ("p99_ms", ms_or_null(o.p99)),
+                            ("p999_ms", ms_or_null(o.p999)),
+                            (
+                                "slo_max_ops_per_sec",
+                                o.slo_max_rate
+                                    .map(|r| Json::Num(r as f64))
+                                    .unwrap_or(Json::Null),
+                            ),
+                        ]),
                         None => Json::Null,
                     };
                     fields.push(("open_loop", open));
                 }
-                if faults {
+                if shape.faults {
                     let ledger = match &c.ledger {
                         Some(l) => {
                             let mut lf = vec![
@@ -1073,16 +916,16 @@ impl CampaignReport {
                                 ("gave_up", Json::Num(l.gave_up as f64)),
                                 ("dropped", Json::Num(l.dropped as f64)),
                                 ("retries", Json::Num(l.retries as f64)),
-                                ("degraded_ms", Json::Num(l.degraded.as_secs_f64() * 1e3)),
+                                ("degraded_ms", Json::Num(ms(l.degraded))),
                                 ("balanced", Json::Bool(l.balanced())),
                             ];
                             if let Some(cr) = &l.crash {
                                 lf.push((
                                     "crash",
                                     Json::obj(vec![
-                                        ("at_ms", Json::Num(cr.at.as_secs_f64() * 1e3)),
+                                        ("at_ms", Json::Num(ms(cr.at))),
                                         ("mechanism", Json::Str(cr.mechanism.into())),
-                                        ("recovery_ms", Json::Num(cr.recovery.as_secs_f64() * 1e3)),
+                                        ("recovery_ms", Json::Num(ms(cr.recovery))),
                                         ("lost_dirty_pages", Json::Num(cr.lost_dirty_pages as f64)),
                                         ("consistent", Json::Bool(cr.consistent)),
                                     ]),
@@ -1094,7 +937,7 @@ impl CampaignReport {
                     };
                     fields.push(("ledger", ledger));
                 }
-                if metrics {
+                if shape.metrics {
                     let m = match &c.metrics {
                         Some(m) => {
                             let counters = m
@@ -1139,10 +982,11 @@ impl CampaignReport {
         ])
     }
 
-    /// Renders the campaign for the terminal: the cell table, the
-    /// dimension grouping, the aggregate coverage row, and (when the
-    /// campaign swept the file-size axis) an ASCII chart of throughput
-    /// vs size per (personality, fs) series.
+    /// Renders the campaign for the terminal: the cell table (with the
+    /// optional column groups some cell needs), the dimension grouping,
+    /// the aggregate coverage row, and (when the campaign swept the
+    /// file-size axis) an ASCII chart of throughput vs size per
+    /// (personality, fs) series.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -1153,98 +997,7 @@ impl CampaignReport {
             self.jobs,
             if self.jobs == 1 { "" } else { "s" }
         );
-        let procs = self.sweeps_processes();
-        let arrival = self.sweeps_arrival();
-        let faults = self.sweeps_faults();
-        let slo = self.has_slo();
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                let mut row = vec![
-                    c.cell.label(),
-                    if c.cell.cache.is_zero() {
-                        "-".into()
-                    } else {
-                        format!("{}", c.cell.cache)
-                    },
-                ];
-                if procs {
-                    row.push(c.cell.processes.to_string());
-                }
-                if arrival {
-                    row.push(c.cell.arrival.label());
-                }
-                row.extend([
-                    c.runs.to_string(),
-                    format!("{:.0}", c.summary.mean),
-                    format!("{:.1}", c.summary.rsd_percent),
-                    c.ci.map(|ci| format!("±{:.0}", ci.half_width()))
-                        .unwrap_or_else(|| "-".into()),
-                    format!("{:.0}", c.summary.min),
-                    format!("{:.0}", c.summary.max),
-                    c.hit_ratio
-                        .map(|h| format!("{h:.3}"))
-                        .unwrap_or_else(|| "-".into()),
-                    c.verdict.label().to_string(),
-                ]);
-                if arrival {
-                    let o = c.open_loop.as_ref();
-                    row.extend([
-                        o.and_then(|o| o.p99)
-                            .map(|p| format!("{:.2}", p.as_secs_f64() * 1e3))
-                            .unwrap_or_else(|| "-".into()),
-                        o.map(|o| format!("{:.3}", o.drop_ratio()))
-                            .unwrap_or_else(|| "-".into()),
-                    ]);
-                }
-                if slo {
-                    row.push(
-                        c.open_loop
-                            .as_ref()
-                            .and_then(|o| o.slo_max_rate)
-                            .map(|r| r.to_string())
-                            .unwrap_or_else(|| "-".into()),
-                    );
-                }
-                if faults {
-                    let l = c.ledger.as_ref();
-                    row.extend([
-                        l.map(|l| l.retries.to_string())
-                            .unwrap_or_else(|| "-".into()),
-                        l.map(|l| l.gave_up.to_string())
-                            .unwrap_or_else(|| "-".into()),
-                        l.and_then(|l| l.crash.as_ref())
-                            .map(|cr| {
-                                if cr.consistent {
-                                    "recovered".into()
-                                } else {
-                                    "INCONSISTENT".to_string()
-                                }
-                            })
-                            .unwrap_or_else(|| "-".into()),
-                    ]);
-                }
-                row
-            })
-            .collect();
-        let mut header = vec!["cell", "cache"];
-        if procs {
-            header.push("procs");
-        }
-        if arrival {
-            header.push("arrival");
-        }
-        header.extend(["n", "ops/s", "rsd%", "ci", "min", "max", "hits", "verdict"]);
-        if arrival {
-            header.extend(["p99ms", "drop"]);
-        }
-        if slo {
-            header.push("slo ops/s");
-        }
-        if faults {
-            header.extend(["retries", "gave-up", "crash"]);
-        }
+        let (header, rows) = self.columns(TABLE_COLUMNS);
         out.push_str(&report::text_table(&header, &rows));
         out.push('\n');
         let groups = self.dimension_groups();
@@ -1335,15 +1088,247 @@ impl CampaignReport {
     }
 }
 
-/// Expected bytes a workload's filesets occupy once created (counts
-/// times mean file size).
-fn working_set_estimate(workload: &Workload) -> Bytes {
+/// Which optional column groups one report carries. Each appears only
+/// when some cell needs it, so a report that sweeps no such axis keeps
+/// the bytes it had before the axis existed.
+#[derive(Clone, Copy)]
+struct Shape {
+    processes: bool,
+    arrival: bool,
+    faults: bool,
+    slo: bool,
+    metrics: bool,
+}
+
+/// One report column: its header and its value in a cell.
+type Column = (&'static str, fn(&CellResult) -> String);
+
+/// A format's columns in order, in runs that a report carries when its
+/// shape passes the run's test.
+type Layout = &'static [(fn(Shape) -> bool, &'static [Column])];
+
+/// The CSV's columns. A missing value is an empty field.
+const CSV_COLUMNS: Layout = &[
+    (
+        |_| true,
+        &[
+            ("workload", |c| c.cell.workload_name()),
+            ("size_mib", |c| c.cell.file_size.as_mib().to_string()),
+            ("files", |c| c.cell.files.to_string()),
+            ("fs", |c| c.cell.fs.name().to_string()),
+            ("cache_mib", |c| c.cell.cache.as_mib().to_string()),
+        ],
+    ),
+    (
+        |s| s.processes,
+        &[("processes", |c| c.cell.processes.to_string())],
+    ),
+    (|s| s.arrival, &[("arrival", |c| c.cell.arrival.label())]),
+    (|s| s.faults, &[("faults", fault_label)]),
+    (
+        |_| true,
+        &[
+            ("seed", |c| c.seed.to_string()),
+            ("runs", |c| c.runs.to_string()),
+            ("mean_ops_per_sec", |c| format!("{:.1}", c.summary.mean)),
+            ("rsd_percent", |c| format!("{:.3}", c.summary.rsd_percent)),
+            ("ci_lo", |c| {
+                or_empty(c.ci.map(|ci| format!("{:.1}", ci.lo)))
+            }),
+            ("ci_hi", |c| {
+                or_empty(c.ci.map(|ci| format!("{:.1}", ci.hi)))
+            }),
+            ("verdict", |c| c.verdict.label().to_string()),
+            ("min", |c| format!("{:.1}", c.summary.min)),
+            ("max", |c| format!("{:.1}", c.summary.max)),
+            ("hit_ratio", |c| {
+                or_empty(c.hit_ratio.map(|h| format!("{h:.4}")))
+            }),
+            ("errors", |c| c.errors.to_string()),
+        ],
+    ),
+    (
+        |s| s.arrival,
+        &[
+            ("offered", |c| or_empty(open(c).map(|o| o.offered))),
+            ("dropped", |c| or_empty(open(c).map(|o| o.dropped))),
+            ("p50_ms", |c| csv_ms(open(c).and_then(|o| o.p50))),
+            ("p99_ms", |c| csv_ms(open(c).and_then(|o| o.p99))),
+            ("p999_ms", |c| csv_ms(open(c).and_then(|o| o.p999))),
+        ],
+    ),
+    (
+        |s| s.slo,
+        &[("slo_max_ops_per_sec", |c| or_empty(slo_rate(c)))],
+    ),
+    (
+        |s| s.faults,
+        &[
+            ("attempted", |c| or_empty(ledger(c).map(|l| l.attempted))),
+            ("ok_first_try", |c| or_empty(ledger(c).map(|l| l.succeeded))),
+            ("retried_ok", |c| or_empty(ledger(c).map(|l| l.retried_ok))),
+            ("gave_up", |c| or_empty(ledger(c).map(|l| l.gave_up))),
+            ("retries", |c| or_empty(ledger(c).map(|l| l.retries))),
+            ("degraded_ms", |c| csv_ms(ledger(c).map(|l| l.degraded))),
+            ("crash", |c| or_empty(crash_verdict(c, "inconsistent"))),
+        ],
+    ),
+    (
+        |s| s.metrics,
+        &[
+            ("dev_busy_pct", |c| {
+                or_empty(metrics(c).and_then(|m| m.device_busy_frac()).map(percent))
+            }),
+            ("qwait_pct", |c| {
+                or_empty(metrics(c).map(|m| percent(m.sched.queue_wait_share())))
+            }),
+            ("seeks", |c| {
+                or_empty(metrics(c).and_then(|m| m.disk.as_ref()).map(|d| d.seeks))
+            }),
+            ("journal_commits", |c| {
+                or_empty(
+                    metrics(c)
+                        .and_then(|m| m.fs.as_ref())
+                        .map(|f| f.journal_commits),
+                )
+            }),
+            ("writeback_flushed", |c| {
+                or_empty(
+                    metrics(c)
+                        .and_then(|m| m.cache.as_ref())
+                        .map(|c| c.writeback_flushed),
+                )
+            }),
+        ],
+    ),
+];
+
+/// The terminal table's columns. A missing value is `-`.
+const TABLE_COLUMNS: Layout = &[
+    (
+        |_| true,
+        &[
+            ("cell", |c| c.cell.label()),
+            ("cache", |c| {
+                or_dash((!c.cell.cache.is_zero()).then_some(c.cell.cache))
+            }),
+        ],
+    ),
+    (
+        |s| s.processes,
+        &[("procs", |c| c.cell.processes.to_string())],
+    ),
+    (|s| s.arrival, &[("arrival", |c| c.cell.arrival.label())]),
+    (
+        |_| true,
+        &[
+            ("n", |c| c.runs.to_string()),
+            ("ops/s", |c| format!("{:.0}", c.summary.mean)),
+            ("rsd%", |c| format!("{:.1}", c.summary.rsd_percent)),
+            ("ci", |c| {
+                or_dash(c.ci.map(|ci| format!("±{:.0}", ci.half_width())))
+            }),
+            ("min", |c| format!("{:.0}", c.summary.min)),
+            ("max", |c| format!("{:.0}", c.summary.max)),
+            ("hits", |c| or_dash(c.hit_ratio.map(|h| format!("{h:.3}")))),
+            ("verdict", |c| c.verdict.label().to_string()),
+        ],
+    ),
+    (
+        |s| s.arrival,
+        &[
+            ("p99ms", |c| {
+                or_dash(open(c).and_then(|o| o.p99).map(|p| format!("{:.2}", ms(p))))
+            }),
+            ("drop", |c| {
+                or_dash(open(c).map(|o| format!("{:.3}", o.drop_ratio())))
+            }),
+        ],
+    ),
+    (|s| s.slo, &[("slo ops/s", |c| or_dash(slo_rate(c)))]),
+    (
+        |s| s.faults,
+        &[
+            ("retries", |c| or_dash(ledger(c).map(|l| l.retries))),
+            ("gave-up", |c| or_dash(ledger(c).map(|l| l.gave_up))),
+            ("crash", |c| or_dash(crash_verdict(c, "INCONSISTENT"))),
+        ],
+    ),
+];
+
+/// A span in milliseconds, as every report prints one.
+fn ms(n: Nanos) -> f64 {
+    n.as_secs_f64() * 1e3
+}
+
+/// A CSV millisecond field: three decimals, or empty.
+fn csv_ms(n: Option<Nanos>) -> String {
+    or_empty(n.map(|n| format!("{:.3}", ms(n))))
+}
+
+/// A share as a percentage with two decimals.
+fn percent(share: f64) -> String {
+    format!("{:.2}", share * 100.0)
+}
+
+/// A value, or an empty field.
+fn or_empty<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map(|v| v.to_string()).unwrap_or_default()
+}
+
+/// A value, or `-`.
+fn or_dash<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map_or_else(|| "-".into(), |v| v.to_string())
+}
+
+/// The cell's fault plan, or `none` for healthy hardware.
+fn fault_label(c: &CellResult) -> String {
+    c.cell
+        .faults
+        .as_ref()
+        .map_or_else(|| "none".into(), |f| f.label())
+}
+
+/// The cell's open-loop statistics, when it ran open-loop.
+fn open(c: &CellResult) -> Option<&OpenCellStats> {
+    c.open_loop.as_ref()
+}
+
+/// The cell's outcome ledger, when it ran under a fault plan.
+fn ledger(c: &CellResult) -> Option<&rb_faults::OutcomeLedger> {
+    c.ledger.as_ref()
+}
+
+/// The cell's flight-recorder snapshot, when the plan captured one.
+fn metrics(c: &CellResult) -> Option<&rb_obs::MetricsSnapshot> {
+    c.metrics.as_ref()
+}
+
+/// The cell's SLO verdict, when the campaign set a target.
+fn slo_rate(c: &CellResult) -> Option<u64> {
+    open(c).and_then(|o| o.slo_max_rate)
+}
+
+/// How the cell's crash ended, when it crashed: `recovered`, or the
+/// format's word for a file system left `inconsistent`.
+fn crash_verdict(c: &CellResult, inconsistent: &'static str) -> Option<&'static str> {
+    let crash = ledger(c)?.crash.as_ref()?;
+    Some(if crash.consistent {
+        "recovered"
+    } else {
+        inconsistent
+    })
+}
+
+/// Bytes a workload occupies once created: its filesets' counts times
+/// their mean file sizes, and at least `file_size`.
+pub(crate) fn working_set(workload: &Workload, file_size: Bytes) -> Bytes {
     let total: f64 = workload
         .filesets
         .iter()
         .map(|fs| fs.count as f64 * fs.size.mean())
         .sum();
-    Bytes::new(total as u64)
+    file_size.max(Bytes::new(total as u64))
 }
 
 /// Section 2 coverage of a cell's workload — a pure function of
@@ -1387,8 +1372,7 @@ pub(crate) fn run_cell(
     let workload = personality.workload(cell.file_size, cell.files);
     // Size the device by the working set, whether it is one large file
     // or a fileset.
-    let working_set = cell.file_size.max(working_set_estimate(&workload));
-    let (plan, device) = cell_setup(spec, cell, working_set, run_cap);
+    let (plan, device) = cell_setup(spec, cell, working_set(&workload, cell.file_size), run_cap);
     let fs = cell.fs;
     let mr = run_many(|s| testbed::paper_fs(fs, device, s), &workload, &plan)?;
     let coverage = cell_coverage(spec, cell)?;
@@ -1538,11 +1522,6 @@ fn run_trace_cell(
         Ok((result.ops_per_sec(), None))
     })?;
     let (summary, ci) = summarize(&samples, &plan.protocol, plan.base_seed);
-    let hit_ratio = if ratios.is_empty() {
-        None
-    } else {
-        Some(ratios.iter().sum::<f64>() / ratios.len() as f64)
-    };
     Ok(CellResult {
         cell: cell.clone(),
         coverage: trace_coverage(&profile),
@@ -1552,7 +1531,7 @@ fn run_trace_cell(
         summary,
         ci,
         verdict,
-        hit_ratio,
+        hit_ratio: mean_hit_ratio(&ratios),
         errors,
         open_loop: None,
         metrics: None,
@@ -1757,7 +1736,7 @@ fn execute_slot(
     let result = run_cell(spec, cell, run_cap)?;
     if let Some(store) = store {
         store.save(spec, cell, run_cap, &result).map_err(|e| {
-            SimError::BadConfig(format!(
+            SimError::InvalidOperation(format!(
                 "cannot write store record for cell `{}`: {e}",
                 cell.key()
             ))
@@ -1896,6 +1875,34 @@ mod tests {
                 "jobs {jobs}: {error}"
             );
         }
+    }
+
+    /// A record that cannot be written fails its cell as an I/O
+    /// failure, not a configuration error, and leaves no temp file.
+    #[test]
+    fn a_failed_save_names_its_cell_and_leaves_no_temp_file() {
+        let spec = tiny_spec();
+        let cell = &spec.expand()[0];
+        let dir = std::env::temp_dir().join(format!("rb-campaign-save-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::store::ResultStore::open(&dir).expect("open");
+        let identity = crate::store::cell_identity(&spec, cell, None);
+        let path = store.record_path(crate::store::digest(&identity));
+        std::fs::create_dir_all(path).expect("block the record");
+        let opts = CampaignOptions {
+            store: Some(StoreOptions::at(&dir)),
+        };
+        let error = run_campaign_with(&spec, 1, &opts).expect_err("a blocked cell fails");
+        let temps: Vec<String> = std::fs::read_dir(dir.join("cells"))
+            .expect("cells")
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.starts_with(".tmp-"))
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        let error = error.to_string();
+        assert!(error.contains(&format!("`{}`", cell.key())), "{error}");
+        assert!(!error.contains("bad configuration"), "{error}");
+        assert!(temps.is_empty(), "left behind: {temps:?}");
     }
 
     #[test]

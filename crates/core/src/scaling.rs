@@ -22,7 +22,7 @@
 //! saturation curve *is* the scaling dimension's result, and no single
 //! number summarizes it.
 
-use crate::campaign::Personality;
+use crate::campaign::{working_set, Personality};
 use crate::sched::Arrival;
 use crate::testbed::{FsKind, Testbed};
 use crate::workload::{Engine, EngineConfig};
@@ -133,17 +133,6 @@ impl ScalingCurve {
     }
 }
 
-/// Expected bytes the personality's filesets occupy once created.
-fn working_set(config: &ScalingConfig) -> Bytes {
-    let workload = config.personality.workload(config.file_size, config.files);
-    let total: f64 = workload
-        .filesets
-        .iter()
-        .map(|fs| fs.count as f64 * fs.size.mean())
-        .sum();
-    config.file_size.max(Bytes::new(total as u64))
-}
-
 /// Runs the process-scaling sweep on the given file system kind: one
 /// engine run per point, each on a fresh identically-formatted testbed
 /// with a cold cache and a sequential prewarm, all sharing the
@@ -154,7 +143,13 @@ fn working_set(config: &ScalingConfig) -> Bytes {
 /// is the scheduler's deterministic merge — so curves are byte-stable
 /// across hosts and repetitions.
 pub fn thread_scaling(kind: FsKind, config: &ScalingConfig) -> SimResult<ScalingCurve> {
-    let device = Bytes::new(working_set(config).as_u64().saturating_mul(4)).max(Bytes::gib(1));
+    let workload = config.personality.workload(config.file_size, config.files);
+    let device = Bytes::new(
+        working_set(&workload, config.file_size)
+            .as_u64()
+            .saturating_mul(4),
+    )
+    .max(Bytes::gib(1));
     let mut points = Vec::new();
     let mut histograms = Vec::new();
     let mut base: Option<f64> = None;
@@ -164,7 +159,6 @@ pub fn thread_scaling(kind: FsKind, config: &ScalingConfig) -> SimResult<Scaling
         testbed.cache = config.cache;
         testbed.policy = config.policy;
         let mut target = testbed.build();
-        let workload = config.personality.workload(config.file_size, config.files);
         let engine_cfg = EngineConfig {
             duration: config.duration,
             window: Nanos::from_secs(5),

@@ -186,7 +186,8 @@ impl ResultStore {
     /// Streams one finished cell to disk: the record is written to a
     /// temp file, fsync'd and atomically renamed to its content address.
     /// A crash between cells therefore loses nothing; a crash mid-cell
-    /// loses only that cell's in-flight record.
+    /// loses only that cell's in-flight record. A save that fails
+    /// removes its temp file.
     pub fn save(
         &self,
         spec: &SweepSpec,
@@ -201,12 +202,16 @@ impl ResultStore {
             .dir
             .join("cells")
             .join(format!(".tmp-{d:016x}-{}", std::process::id()));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(record.as_bytes())?;
-            f.sync_all()?;
+        let saved = File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(record.as_bytes())?;
+                f.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, self.record_path(d)));
+        if saved.is_err() {
+            let _ = fs::remove_file(&tmp);
         }
-        fs::rename(&tmp, self.record_path(d))
+        saved
     }
 }
 
@@ -310,149 +315,145 @@ fn parse_opt<T: std::str::FromStr>(s: &str, what: &str) -> SimResult<Option<T>> 
     }
 }
 
+/// The lines of a record's body, read in the order they were written.
+type RecordLines<'a> = std::iter::Peekable<std::str::Lines<'a>>;
+
+/// The rest of the record's next line, if that line carries `tag`.
+fn optional<'a>(lines: &mut RecordLines<'a>, tag: &str) -> Option<&'a str> {
+    let line: &'a str = lines.peek()?;
+    let rest = line.strip_prefix(tag)?.strip_prefix(' ')?;
+    lines.next();
+    Some(rest)
+}
+
+/// The rest of the record's next line, which must carry `tag`.
+fn required<'a>(lines: &mut RecordLines<'a>, tag: &str) -> SimResult<&'a str> {
+    optional(lines, tag).ok_or_else(|| bad(&format!("expected a `{tag}` line")))
+}
+
+/// The `N` space-separated fields of a `tag` line's rest.
+fn fields<'a, const N: usize>(rest: &'a str, tag: &str) -> SimResult<[&'a str; N]> {
+    let f: Vec<&str> = rest.split_whitespace().collect();
+    f.try_into()
+        .map_err(|_| bad(&format!("{tag} line needs {N} fields")))
+}
+
 /// Parses and verifies record text back into a [`CellResult`].
 ///
-/// The seal is checked before any field is read. `expect_identity` is
-/// the recomputed identity for the probing campaign; a stored identity
-/// that differs (salt bump, spec drift, a hash collision, tampering) is
-/// rejected. Summary and coverage are rebuilt from the parsed samples
-/// and the live spec, so a loaded result is indistinguishable from an
-/// executed one.
+/// The seal is checked before any field is read; the lines are then
+/// read in the order [`encode_record`] writes them, and any other line
+/// or order is a miss. `expect_identity` is the recomputed identity for
+/// the probing campaign; a stored identity that differs (salt bump,
+/// spec drift, a hash collision, tampering) is rejected. Summary and
+/// coverage are rebuilt from the parsed samples and the live spec, so a
+/// loaded result is indistinguishable from an executed one.
 fn decode_record(
     text: &str,
     expect_identity: &str,
     spec: &SweepSpec,
     cell: &Cell,
 ) -> SimResult<CellResult> {
-    let mut lines = unseal(text)?.lines();
+    let mut lines = unseal(text)?.lines().peekable();
     if lines.next() != Some(RECORD_HEADER) {
         return Err(bad("unknown header"));
     }
-    let mut identity = None;
-    let mut seed = None;
-    let mut runs = None;
-    let mut verdict = None;
-    let mut errors = None;
-    let mut hit_ratio = None;
-    let mut samples: Option<Vec<f64>> = None;
-    let mut ci = None;
-    let mut open_loop = None;
-    let mut ledger: Option<rb_faults::OutcomeLedger> = None;
-    let mut key = None;
-    for line in lines {
-        let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match tag {
-            "identity" => identity = Some(rest.to_string()),
-            "key" => key = Some(rest.to_string()),
-            "seed" => seed = Some(parse_field(rest, "seed")?),
-            "runs" => runs = Some(parse_field(rest, "runs")?),
-            "verdict" => {
-                verdict = Some(Verdict::parse(rest).ok_or_else(|| bad("unknown verdict"))?)
-            }
-            "errors" => errors = Some(parse_field(rest, "errors")?),
-            "hit_ratio" => hit_ratio = Some(parse_opt(rest, "hit ratio")?),
-            "samples" => {
-                samples = Some(
-                    rest.split_whitespace()
-                        .map(|s| parse_field(s, "sample"))
-                        .collect::<SimResult<Vec<f64>>>()?,
-                )
-            }
-            "ci" => {
-                ci = Some(if rest == "-" {
-                    None
-                } else {
-                    let mut it = rest.split_whitespace();
-                    let mut next = |what| {
-                        it.next()
-                            .ok_or_else(|| bad(&format!("truncated ci ({what})")))
-                            .and_then(|s| parse_field(s, what))
-                    };
-                    Some(Interval {
-                        lo: next("ci lo")?,
-                        point: next("ci point")?,
-                        hi: next("ci hi")?,
-                    })
-                })
-            }
-            "open" => {
-                let f: Vec<&str> = rest.split_whitespace().collect();
-                if f.len() != 6 {
-                    return Err(bad("open line needs 6 fields"));
-                }
-                open_loop = Some(OpenCellStats {
-                    offered: parse_field(f[0], "offered")?,
-                    dropped: parse_field(f[1], "dropped")?,
-                    p50: parse_opt(f[2], "p50")?.map(Nanos::from_nanos),
-                    p99: parse_opt(f[3], "p99")?.map(Nanos::from_nanos),
-                    p999: parse_opt(f[4], "p999")?.map(Nanos::from_nanos),
-                    slo_max_rate: parse_opt(f[5], "slo rate")?,
-                });
-            }
-            "ledger" => {
-                let f: Vec<&str> = rest.split_whitespace().collect();
-                if f.len() != 7 {
-                    return Err(bad("ledger line needs 7 fields"));
-                }
-                ledger = Some(rb_faults::OutcomeLedger {
-                    attempted: parse_field(f[0], "attempted")?,
-                    succeeded: parse_field(f[1], "succeeded")?,
-                    retried_ok: parse_field(f[2], "retried_ok")?,
-                    gave_up: parse_field(f[3], "gave_up")?,
-                    dropped: parse_field(f[4], "dropped")?,
-                    retries: parse_field(f[5], "retries")?,
-                    degraded: Nanos::from_nanos(parse_field(f[6], "degraded")?),
-                    crash: None,
-                });
-            }
-            "crash" => {
-                let f: Vec<&str> = rest.split_whitespace().collect();
-                if f.len() != 5 {
-                    return Err(bad("crash line needs 5 fields"));
-                }
-                // `mechanism` is a &'static str on the live type; map
-                // the stored label back onto the known constants.
-                let mechanism = match f[1] {
-                    "journal-replay" => "journal-replay",
-                    "fsck-scan" => "fsck-scan",
-                    other => return Err(bad(&format!("unknown recovery mechanism `{other}`"))),
-                };
-                let l = ledger
-                    .as_mut()
-                    .ok_or_else(|| bad("crash line before ledger"))?;
-                l.crash = Some(rb_faults::CrashReport {
-                    at: Nanos::from_nanos(parse_field(f[0], "crash at")?),
-                    mechanism,
-                    recovery: Nanos::from_nanos(parse_field(f[2], "recovery")?),
-                    lost_dirty_pages: parse_field(f[3], "lost pages")?,
-                    consistent: parse_field(f[4], "consistent")?,
-                });
-            }
-            _ => return Err(bad(&format!("unknown tag `{tag}`"))),
-        }
-    }
-    if identity.as_deref() != Some(expect_identity) {
+    if required(&mut lines, "identity")? != expect_identity {
         return Err(bad("identity mismatch"));
     }
-    if key.as_deref() != Some(cell.key().as_str()) {
+    if required(&mut lines, "key")? != cell.key() {
         return Err(bad("key mismatch"));
     }
-    let samples = samples.ok_or_else(|| bad("missing samples"))?;
+    let seed = parse_field(required(&mut lines, "seed")?, "seed")?;
+    let runs = parse_field(required(&mut lines, "runs")?, "runs")?;
+    let verdict =
+        Verdict::parse(required(&mut lines, "verdict")?).ok_or_else(|| bad("unknown verdict"))?;
+    let errors = parse_field(required(&mut lines, "errors")?, "errors")?;
+    let hit_ratio = parse_opt(required(&mut lines, "hit_ratio")?, "hit ratio")?;
+    let samples = required(&mut lines, "samples")?
+        .split_whitespace()
+        .map(|s| parse_field(s, "sample"))
+        .collect::<SimResult<Vec<f64>>>()?;
+    let ci = match required(&mut lines, "ci")? {
+        "-" => None,
+        rest => {
+            let [lo, point, hi] = fields(rest, "ci")?;
+            Some(Interval {
+                lo: parse_field(lo, "ci lo")?,
+                point: parse_field(point, "ci point")?,
+                hi: parse_field(hi, "ci hi")?,
+            })
+        }
+    };
+    let open_loop = match optional(&mut lines, "open") {
+        Some(rest) => {
+            let [offered, dropped, p50, p99, p999, slo] = fields(rest, "open")?;
+            Some(OpenCellStats {
+                offered: parse_field(offered, "offered")?,
+                dropped: parse_field(dropped, "dropped")?,
+                p50: parse_opt(p50, "p50")?.map(Nanos::from_nanos),
+                p99: parse_opt(p99, "p99")?.map(Nanos::from_nanos),
+                p999: parse_opt(p999, "p999")?.map(Nanos::from_nanos),
+                slo_max_rate: parse_opt(slo, "slo rate")?,
+            })
+        }
+        None => None,
+    };
+    let ledger = match optional(&mut lines, "ledger") {
+        Some(rest) => {
+            let [attempted, succeeded, retried_ok, gave_up, dropped, retries, degraded] =
+                fields(rest, "ledger")?;
+            Some(rb_faults::OutcomeLedger {
+                attempted: parse_field(attempted, "attempted")?,
+                succeeded: parse_field(succeeded, "succeeded")?,
+                retried_ok: parse_field(retried_ok, "retried_ok")?,
+                gave_up: parse_field(gave_up, "gave_up")?,
+                dropped: parse_field(dropped, "dropped")?,
+                retries: parse_field(retries, "retries")?,
+                degraded: Nanos::from_nanos(parse_field(degraded, "degraded")?),
+                crash: optional(&mut lines, "crash")
+                    .map(decode_crash)
+                    .transpose()?,
+            })
+        }
+        None => None,
+    };
+    if lines.next().is_some() {
+        return Err(bad("unexpected line"));
+    }
     let summary = Summary::from_sample(&samples).ok_or_else(|| bad("empty sample"))?;
     Ok(CellResult {
         cell: cell.clone(),
         coverage: cell_coverage(spec, cell)?,
-        seed: seed.ok_or_else(|| bad("missing seed"))?,
+        seed,
         samples,
         summary,
-        ci: ci.ok_or_else(|| bad("missing ci"))?,
-        verdict: verdict.ok_or_else(|| bad("missing verdict"))?,
-        runs: runs.ok_or_else(|| bad("missing runs"))?,
-        hit_ratio: hit_ratio.ok_or_else(|| bad("missing hit ratio"))?,
-        errors: errors.ok_or_else(|| bad("missing errors"))?,
+        ci,
+        verdict,
+        runs,
+        hit_ratio,
+        errors,
         open_loop,
         metrics: None,
         ledger,
+    })
+}
+
+/// Parses the rest of a `crash` line.
+fn decode_crash(rest: &str) -> SimResult<rb_faults::CrashReport> {
+    let [at, mechanism, recovery, lost, consistent] = fields(rest, "crash")?;
+    // `mechanism` is a &'static str on the live type; map the stored
+    // label back onto the known constants.
+    let mechanism = match mechanism {
+        "journal-replay" => "journal-replay",
+        "fsck-scan" => "fsck-scan",
+        other => return Err(bad(&format!("unknown recovery mechanism `{other}`"))),
+    };
+    Ok(rb_faults::CrashReport {
+        at: Nanos::from_nanos(parse_field(at, "crash at")?),
+        mechanism,
+        recovery: Nanos::from_nanos(parse_field(recovery, "recovery")?),
+        lost_dirty_pages: parse_field(lost, "lost pages")?,
+        consistent: parse_field(consistent, "consistent")?,
     })
 }
 
