@@ -6,13 +6,8 @@
 //! deterministic, zero-cost-when-off recorder wired through every
 //! simulated layer (scheduler → workload → cache → fs → disk).
 //!
-//! Three facilities:
+//! Two facilities:
 //!
-//! - [`registry`] — a counter registry with dense-index handles (the
-//!   same slot style as the engine's per-op latency slots): names are
-//!   resolved to indices once, increments are a bounds-checked array
-//!   add, and snapshots enumerate in registration order so output is
-//!   deterministic.
 //! - [`span`] — virtual-time span tracing of op lifecycles
 //!   (arrive → issue → cpu → device → done), emitted as Chrome
 //!   trace-event JSON loadable in Perfetto / `chrome://tracing`.
@@ -31,11 +26,9 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod registry;
 pub mod span;
 
 pub use metrics::{DiskDelta, FaultDelta, MetricsSnapshot, SchedMetrics};
-pub use registry::{CounterId, Registry};
 pub use span::{SpanRecorder, SpanTrace, TraceEvent};
 
 /// Observability switches for one engine run.

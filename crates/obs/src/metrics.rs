@@ -8,7 +8,6 @@
 //! exact integer partition of total latency) and a windowed gauge
 //! timeline, and knows how to render it all as a per-layer breakdown.
 
-use crate::registry::Registry;
 use rb_simcache::page::CacheStats;
 use rb_simcore::time::Nanos;
 use rb_simdisk::device::DeviceStats;
@@ -220,14 +219,13 @@ impl MetricsSnapshot {
             .collect()
     }
 
-    /// Flattens every captured counter into a [`Registry`] snapshot:
-    /// `(name, value)` pairs in a fixed registration order. This is the
-    /// deterministic flat form used by the `--metrics` sweep columns
-    /// and the determinism tests.
+    /// Flattens every captured counter into `(name, value)` pairs in a
+    /// fixed order: the deterministic flat form used by the `--metrics`
+    /// sweep columns and the determinism tests.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let mut reg = Registry::new();
+        let mut flat = Vec::new();
         if let Some(c) = &self.cache {
-            for (name, v) in [
+            flat.extend([
                 ("cache.hits", c.hits),
                 ("cache.misses", c.misses),
                 ("cache.insertions", c.insertions),
@@ -236,13 +234,10 @@ impl MetricsSnapshot {
                 ("cache.prefetched", c.prefetched),
                 ("cache.prefetch_hits", c.prefetch_hits),
                 ("cache.writeback_flushed", c.writeback_flushed),
-            ] {
-                let id = reg.counter(name);
-                reg.set(id, v);
-            }
+            ]);
         }
         if let Some(d) = &self.disk {
-            for (name, v) in [
+            flat.extend([
                 ("disk.reads", d.reads),
                 ("disk.writes", d.writes),
                 ("disk.blocks_read", d.blocks_read),
@@ -250,26 +245,20 @@ impl MetricsSnapshot {
                 ("disk.busy_us", d.busy.as_micros()),
                 ("disk.seeks", d.seeks),
                 ("disk.seek_distance", d.seek_distance),
-            ] {
-                let id = reg.counter(name);
-                reg.set(id, v);
-            }
+            ]);
         }
         if let Some(f) = &self.fs {
-            for (name, v) in [
+            flat.extend([
                 ("fs.reads", f.reads),
                 ("fs.writes", f.writes),
                 ("fs.meta_ops", f.meta_ops),
                 ("fs.fsyncs", f.fsyncs),
                 ("fs.allocations", f.allocations),
                 ("fs.journal_commits", f.journal_commits),
-            ] {
-                let id = reg.counter(name);
-                reg.set(id, v);
-            }
+            ]);
         }
         if let Some(f) = &self.faults {
-            for (name, v) in [
+            flat.extend([
                 ("faults.injected_errors", f.injected_errors),
                 ("faults.bad_blocks", f.bad_blocks),
                 ("faults.stall_hits", f.stall_hits),
@@ -278,13 +267,10 @@ impl MetricsSnapshot {
                 ("faults.degraded_us", f.degraded_us),
                 ("faults.retries", f.retries),
                 ("faults.gave_up", f.gave_up),
-            ] {
-                let id = reg.counter(name);
-                reg.set(id, v);
-            }
+            ]);
         }
         let s = &self.sched;
-        for (name, v) in [
+        flat.extend([
             ("sched.completed", s.completed),
             ("sched.core_wait_us", s.core_wait.as_micros()),
             ("sched.think_us", s.think.as_micros()),
@@ -292,11 +278,8 @@ impl MetricsSnapshot {
             ("sched.queue_wait_us", s.queue_wait.as_micros()),
             ("sched.device_us", s.device.as_micros()),
             ("sched.latency_us", s.latency.as_micros()),
-        ] {
-            let id = reg.counter(name);
-            reg.set(id, v);
-        }
-        reg.snapshot()
+        ]);
+        flat
     }
 
     /// Renders the explain-your-number report: per-layer breakdown plus
