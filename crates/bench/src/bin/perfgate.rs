@@ -12,9 +12,10 @@
 //! trajectory), a fault-layer overhead probe (the same run with no
 //! fault plan armed, under the same ≤2% budget), and a cold-then-warm
 //! sweep through the result store — over N repetitions, and writes
-//! `BENCH_PR<n>.json` with median + IQR wall time, throughput in
-//! scenario work units per second, and peak RSS (from
-//! `/proc/self/status` where available). One such file per PR is the
+//! one JSON record (`--out`, by default `results/perfgate.json`) with
+//! median + IQR wall time, throughput in scenario work units per
+//! second, and peak RSS (from `/proc/self/status` where available).
+//! One such record per PR, committed as `BENCH_PR<n>.json`, is the
 //! performance trajectory of the harness. The first four scenarios run
 //! the serial engine or the serialized replay, so their trajectory
 //! records that single-process hot-path speed survives the concurrency
@@ -852,8 +853,8 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
         "{{\"bench\":\"perfgate\",\"pr\":10,\"schema\":1,\"quick\":{quick},\
          \"reps\":{reps},\"scenarios\":[{scenario_body}]{rss_field}{speedup}}}\n"
     );
-    // `--out results/perfgate.json` must work on a fresh checkout: the
-    // directory is created, not required.
+    // The default `results/perfgate.json` must work on a fresh
+    // checkout: the directory is created, not required.
     if let Some(parent) = std::path::Path::new(out_path).parent() {
         if !parent.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(parent) {
@@ -893,7 +894,7 @@ fn main() {
         None if quick => 3,
         None => 7,
     };
-    let out_path = flag_value("out").unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let out_path = flag_value("out").unwrap_or_else(|| "results/perfgate.json".to_string());
     let only = flag_value("only");
 
     // The parent dispatches children by name; only a child (--only) or
