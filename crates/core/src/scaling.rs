@@ -144,12 +144,8 @@ impl ScalingCurve {
 /// across hosts and repetitions.
 pub fn thread_scaling(kind: FsKind, config: &ScalingConfig) -> SimResult<ScalingCurve> {
     let workload = config.personality.workload(config.file_size, config.files);
-    let device = Bytes::new(
-        working_set(&workload, config.file_size)
-            .as_u64()
-            .saturating_mul(4),
-    )
-    .max(Bytes::gib(1));
+    let footprint = working_set(&workload, config.file_size);
+    let device = Bytes::new(footprint.as_u64().saturating_mul(4)).max(Bytes::gib(1));
     let mut points = Vec::new();
     let mut histograms = Vec::new();
     let mut base: Option<f64> = None;
