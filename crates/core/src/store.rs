@@ -580,6 +580,37 @@ mod tests {
         }
     }
 
+    /// A record is read in the order it is written: resealed with two
+    /// lines swapped, or with a line repeated, it misses.
+    #[test]
+    fn records_out_of_write_order_miss() {
+        let spec = tiny_spec();
+        let cell = &spec.expand()[0];
+        let live = run_cell(&spec, cell, None).expect("cell runs");
+        let identity = cell_identity(&spec, cell, None);
+        let text = encode_record(&identity, &live);
+        let lines: Vec<&str> = unseal(&text).expect("sealed").lines().collect();
+        assert_eq!(
+            lines[3..5],
+            [
+                &format!("seed {}", live.seed),
+                &format!("runs {}", live.runs)
+            ]
+        );
+        let load = |lines: &[&str]| {
+            let body = lines.join("\n") + "\n";
+            let seal = fnv1a(FNV_OFFSET, body.as_bytes());
+            decode_record(&format!("{body}end {seal:016x}\n"), &identity, &spec, cell)
+        };
+        assert!(load(&lines).is_ok(), "the resealed original loads");
+        let mut swapped = lines.clone();
+        swapped.swap(3, 4);
+        assert!(load(&swapped).is_err(), "seed and runs swapped");
+        let mut repeated = lines.clone();
+        repeated.push(lines[3]);
+        assert!(load(&repeated).is_err(), "seed repeated");
+    }
+
     /// `exists` is the `--resume` precondition: a missing or empty
     /// directory holds no store, and `open` makes one before any save.
     #[test]
