@@ -37,8 +37,7 @@ fn main() {
         window: Nanos::from_secs(1),
         seed: 7,
         cold_start: false,
-        prewarm: false,
-        ..Default::default()
+        ..EngineConfig::default()
     };
     Engine::run(&mut recorder, &workload, &config).expect("record");
     let trace = recorder.finish();

@@ -27,16 +27,10 @@ fn config(duration: Nanos, arrival: Arrival) -> EngineConfig {
         duration,
         window: Nanos::from_secs(1),
         seed: 42,
-        cold_start: true,
         prewarm: true,
         cpu_jitter_sigma: 0.0,
-        max_errors: 100,
-        processes: 1,
-        cores: 4,
         arrival,
-        obs: ObsConfig::default(),
-        faults: None,
-        retry: RetryPolicy::None,
+        ..EngineConfig::default()
     }
 }
 

@@ -60,8 +60,7 @@ use rb_core::report::Json;
 use rb_core::runner::RunPlan;
 use rb_core::sched::Arrival;
 use rb_core::testbed;
-use rb_core::workload::{personalities, Engine, EngineConfig};
-use rb_obs::ObsConfig;
+use rb_core::workload::{personalities, Engine, EngineConfig, Recording};
 use rb_replay::{apply, replay_with, schedule, ReplayConfig, Timing, Trace, Transform};
 use rb_simcache::cache::{CacheConfig, PageCache};
 use rb_simcache::policy::PolicyKind;
@@ -112,6 +111,24 @@ fn scaled_golden(clones: u32) -> Trace {
         .unwrap_or_else(|e| panic!("cannot read {path}: {e} (run from the repo)"));
     let trace = Trace::from_text(&text).expect("golden trace parses");
     apply(&trace, &[Transform::Scale { clones }]).expect("scale golden trace")
+}
+
+/// The scheduler scenarios' run: an 8-process fileserver on a fresh
+/// 1 GiB ext2 target through the discrete-event scheduler, for
+/// `duration` under `arrival`. `scenario` names the run in a failure.
+fn fileserver_8p(duration: Nanos, arrival: Arrival, scenario: &str) -> Recording {
+    let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::gib(1), 5);
+    let workload = personalities::fileserver(50);
+    let config = EngineConfig {
+        duration,
+        window: Nanos::from_secs(1),
+        seed: 5,
+        cold_start: false,
+        processes: 8,
+        arrival,
+        ..EngineConfig::default()
+    };
+    Engine::run(&mut target, &workload, &config).expect(scenario)
 }
 
 /// An afap replay of the golden v2 trace scaled to `clones` copies,
@@ -289,20 +306,13 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
             plan.window = Nanos::from_secs(1);
             let spec = SweepSpec {
                 name: "perfgate-4x4".into(),
-                personalities: vec![Personality::RandomRead],
-                traces: Vec::new(),
                 file_sizes: [16u64, 32, 48, 64].iter().map(|&m| Bytes::mib(m)).collect(),
                 file_counts: vec![0],
-                filesystems: vec![rb_core::testbed::FsKind::Ext2],
                 cache_capacities: [8u64, 16, 32, 64].iter().map(|&m| Bytes::mib(m)).collect(),
-                processes: vec![1],
                 arrivals: Vec::new(),
-                faults: Vec::new(),
-                retry: rb_faults::RetryPolicy::None,
-                slo_p99: None,
                 plan,
                 device: Bytes::mib(512),
-                run_budget: None,
+                ..SweepSpec::default()
             };
             let report = run_campaign(&spec, 1).expect("sweep 4x4");
             report.cells.len() as u64
@@ -331,29 +341,12 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     // discrete-event scheduler — times the concurrency substrate itself
     // (event queue, core tokens, device queue, timed stack ops) on a
     // fixed virtual duration.
-    let scaling_secs: u64 = if quick { 2 } else { 5 };
+    let sched_duration = Nanos::from_secs(if quick { 2 } else { 5 });
     let scaling = Scenario {
         name: "scaling-8p",
         unit: "ops",
         run: Box::new(move || {
-            let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::gib(1), 5);
-            let workload = personalities::fileserver(50);
-            let config = EngineConfig {
-                duration: Nanos::from_secs(scaling_secs),
-                window: Nanos::from_secs(1),
-                seed: 5,
-                cold_start: false,
-                prewarm: false,
-                cpu_jitter_sigma: 0.005,
-                max_errors: 100,
-                processes: 8,
-                cores: 4,
-                arrival: Arrival::Closed,
-                obs: ObsConfig::default(),
-                faults: None,
-                retry: rb_faults::RetryPolicy::None,
-            };
-            let rec = Engine::run(&mut target, &workload, &config).expect("scaling-8p");
+            let rec = fileserver_8p(sched_duration, Arrival::Closed, "scaling-8p");
             assert!(rec.ops > 0);
             rec.ops
         }),
@@ -363,29 +356,15 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     // Poisson arrival stream — times the admission queue, the arrival
     // event stream, and the latency bookkeeping on top of the
     // scheduler substrate scenario 4 measures.
-    let open_secs: u64 = if quick { 2 } else { 5 };
     let open = Scenario {
         name: "open-loop-8p",
         unit: "ops",
         run: Box::new(move || {
-            let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::gib(1), 5);
-            let workload = personalities::fileserver(50);
-            let config = EngineConfig {
-                duration: Nanos::from_secs(open_secs),
-                window: Nanos::from_secs(1),
-                seed: 5,
-                cold_start: false,
-                prewarm: false,
-                cpu_jitter_sigma: 0.005,
-                max_errors: 100,
-                processes: 8,
-                cores: 4,
-                arrival: Arrival::Poisson { rate: 20_000 },
-                obs: ObsConfig::default(),
-                faults: None,
-                retry: rb_faults::RetryPolicy::None,
-            };
-            let rec = Engine::run(&mut target, &workload, &config).expect("open-loop-8p");
+            let rec = fileserver_8p(
+                sched_duration,
+                Arrival::Poisson { rate: 20_000 },
+                "open-loop-8p",
+            );
             let report = rec.open_loop.expect("open-loop report");
             assert_eq!(
                 report.offered,
@@ -420,34 +399,16 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         }),
     };
     // Scenario 7: the flight-recorder overhead probe — the identical
-    // 8-process run as scaling-8p, with every recorder explicitly off
-    // (the default). The engine still passes through the flight
+    // 8-process run as scaling-8p, with every recorder off (the
+    // default). The engine still passes through the flight
     // recorder's branch checks, and that disabled path is what this
     // scenario prices. Its baseline aliases to the pre-recorder
     // scaling-8p entry in BENCH_PR7.json, with a tighter ≤2% gate.
-    let obs_secs: u64 = if quick { 2 } else { 5 };
     let obs_probe = Scenario {
         name: "obs-overhead",
         unit: "ops",
         run: Box::new(move || {
-            let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::gib(1), 5);
-            let workload = personalities::fileserver(50);
-            let config = EngineConfig {
-                duration: Nanos::from_secs(obs_secs),
-                window: Nanos::from_secs(1),
-                seed: 5,
-                cold_start: false,
-                prewarm: false,
-                cpu_jitter_sigma: 0.005,
-                max_errors: 100,
-                processes: 8,
-                cores: 4,
-                arrival: Arrival::Closed,
-                obs: ObsConfig::default(),
-                faults: None,
-                retry: rb_faults::RetryPolicy::None,
-            };
-            let rec = Engine::run(&mut target, &workload, &config).expect("obs-overhead");
+            let rec = fileserver_8p(sched_duration, Arrival::Closed, "obs-overhead");
             assert!(
                 rec.metrics.is_none() && rec.trace.is_none(),
                 "recorder must stay off in the overhead probe"
@@ -462,29 +423,11 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     // crash check) as disabled branches, and that path is what this
     // scenario prices. Its baseline aliases to the pre-faults
     // scaling-8p entry, with the same ≤2% budget as obs-overhead.
-    let faults_secs: u64 = if quick { 2 } else { 5 };
     let faults_off = Scenario {
         name: "faults-off",
         unit: "ops",
         run: Box::new(move || {
-            let mut target = testbed::paper_fs(testbed::FsKind::Ext2, Bytes::gib(1), 5);
-            let workload = personalities::fileserver(50);
-            let config = EngineConfig {
-                duration: Nanos::from_secs(faults_secs),
-                window: Nanos::from_secs(1),
-                seed: 5,
-                cold_start: false,
-                prewarm: false,
-                cpu_jitter_sigma: 0.005,
-                max_errors: 100,
-                processes: 8,
-                cores: 4,
-                arrival: Arrival::Closed,
-                obs: ObsConfig::default(),
-                faults: None,
-                retry: rb_faults::RetryPolicy::None,
-            };
-            let rec = Engine::run(&mut target, &workload, &config).expect("faults-off");
+            let rec = fileserver_8p(sched_duration, Arrival::Closed, "faults-off");
             assert!(
                 rec.ledger.is_none(),
                 "no ledger may materialize when faults are off"

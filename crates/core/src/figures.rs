@@ -8,8 +8,7 @@
 //! same *shape*, which is what the reproduction is judged on.
 
 use crate::analysis::{FragilityReport, WarmupReport};
-use crate::runner::{run_many, Protocol, RunPlan};
-use crate::sched::Arrival;
+use crate::runner::{Protocol, RunPlan};
 use crate::testbed::{self, FsKind};
 use crate::workload::{personalities, Engine, EngineConfig};
 use rb_simcore::error::SimResult;
@@ -86,59 +85,24 @@ pub struct Fig1Data {
     pub fragility: FragilityReport,
 }
 
-/// Reruns the Figure 1 experiment.
-pub fn fig1(config: &Fig1Config) -> SimResult<Fig1Data> {
-    let mut points = Vec::with_capacity(config.sizes.len());
-    for (i, &size) in config.sizes.iter().enumerate() {
-        let workload = personalities::random_read(size);
-        let mut plan = config.plan.clone();
-        plan.base_seed = config.plan.base_seed + (i as u64) * 1000;
-        let device = config.device;
-        let mr = run_many(|seed| testbed::paper_ext2(device, seed), &workload, &plan)?;
-        points.push(Fig1Point {
-            size,
-            samples: mr.samples(),
-            mean: mr.summary.mean,
-            rsd: mr.summary.rsd_percent,
-        });
-    }
-    let sweep: Vec<(f64, Vec<f64>)> = points
-        .iter()
-        .map(|p| (p.size.as_mib_f64(), p.samples.clone()))
-        .collect();
-    let fragility = FragilityReport::from_sweep(&sweep);
-    Ok(Fig1Data { points, fragility })
-}
-
 /// Reruns the Figure 1 experiment as a sweep campaign sharded across
 /// `jobs` worker threads.
 ///
-/// The sweep is the same grid as [`fig1`] — random read × the
-/// configured file sizes on the paper's ext2 testbed, honouring the
-/// plan's cache-capacity control (or its absence) — but cells run
-/// concurrently and each derives its seed from its identity, so the
-/// result is deterministic for a given config at any job count (it
-/// differs from the serial [`fig1`] numbers only through the per-cell
-/// seed derivation, not in shape).
+/// The sweep is random read × the configured file sizes on the paper's
+/// ext2 testbed, honouring the plan's cache-capacity control (or its
+/// absence). Each cell derives its seed from its identity, so the
+/// result is deterministic for a given config at any job count.
 pub fn fig1_campaign(config: &Fig1Config, jobs: usize) -> SimResult<Fig1Data> {
-    // `Bytes::ZERO` is the campaign encoding of "cache uncontrolled".
-    let cache_capacities = vec![config.plan.cache_capacity.unwrap_or(Bytes::ZERO)];
     let spec = crate::campaign::SweepSpec {
         name: "fig1".into(),
-        personalities: vec![crate::campaign::Personality::RandomRead],
-        traces: Vec::new(),
         file_sizes: config.sizes.clone(),
         file_counts: vec![0],
-        filesystems: vec![FsKind::Ext2],
-        cache_capacities,
-        processes: vec![1],
+        // `Bytes::ZERO` is the campaign encoding of "cache uncontrolled".
+        cache_capacities: vec![config.plan.cache_capacity.unwrap_or(Bytes::ZERO)],
         arrivals: Vec::new(),
-        faults: Vec::new(),
-        retry: rb_faults::RetryPolicy::None,
-        slo_p99: None,
         plan: config.plan.clone(),
         device: config.device,
-        run_budget: None,
+        ..crate::campaign::SweepSpec::default()
     };
     let report = crate::campaign::run_campaign(&spec, jobs)?;
     let points: Vec<Fig1Point> = report
@@ -240,12 +204,8 @@ impl Fig1ZoomConfig {
     }
 }
 
-/// Reruns the zoom sweep; reuses [`Fig1Data`].
-pub fn fig1_zoom(config: &Fig1ZoomConfig) -> SimResult<Fig1Data> {
-    fig1(&config.as_fig1_config())
-}
-
-/// The campaign-sharded variant of [`fig1_zoom`].
+/// Reruns the zoom sweep as a campaign sharded across `jobs` worker
+/// threads; reuses [`Fig1Data`].
 pub fn fig1_zoom_campaign(config: &Fig1ZoomConfig, jobs: usize) -> SimResult<Fig1Data> {
     fig1_campaign(&config.as_fig1_config(), jobs)
 }
@@ -366,16 +326,7 @@ pub fn fig2(config: &Fig2Config) -> SimResult<Fig2Data> {
             duration: config.duration,
             window: config.window,
             seed: config.seed,
-            cold_start: true,
-            prewarm: false,
-            cpu_jitter_sigma: 0.005,
-            max_errors: 100,
-            processes: 1,
-            cores: 4,
-            arrival: Arrival::Closed,
-            obs: rb_obs::ObsConfig::default(),
-            faults: None,
-            retry: rb_faults::RetryPolicy::None,
+            ..EngineConfig::default()
         };
         let rec = Engine::run(&mut target, &workload, &engine_cfg)?;
         let warmup = WarmupReport::from_windows(&rec.windows, 5.0);
@@ -487,35 +438,18 @@ pub fn fig3(config: &Fig3Config) -> SimResult<Fig3Data> {
         // random-access steady state establishes; discarded.
         let warm_cfg = EngineConfig {
             duration: config.warmup,
-            window: Nanos::from_secs(10),
             seed: config.seed,
             cold_start: false,
             prewarm: true,
-            cpu_jitter_sigma: 0.005,
-            max_errors: 100,
-            processes: 1,
-            cores: 4,
-            arrival: Arrival::Closed,
-            obs: rb_obs::ObsConfig::default(),
-            faults: None,
-            retry: rb_faults::RetryPolicy::None,
+            ..EngineConfig::default()
         };
         let _ = Engine::run_prepared(&mut target, &workload, &warm_cfg, &mut sets)?;
         // Measured phase.
         let measure_cfg = EngineConfig {
             duration: config.measure,
-            window: Nanos::from_secs(10),
             seed: config.seed + 1,
             cold_start: false,
-            prewarm: false,
-            cpu_jitter_sigma: 0.005,
-            max_errors: 100,
-            processes: 1,
-            cores: 4,
-            arrival: Arrival::Closed,
-            obs: rb_obs::ObsConfig::default(),
-            faults: None,
-            retry: rb_faults::RetryPolicy::None,
+            ..EngineConfig::default()
         };
         let rec = Engine::run_prepared(&mut target, &workload, &measure_cfg, &mut sets)?;
         let modality = classify_modality(&rec.histogram);
@@ -626,16 +560,7 @@ pub fn fig4(config: &Fig4Config) -> SimResult<Fig4Data> {
         duration: config.duration,
         window: config.window,
         seed: config.seed,
-        cold_start: true,
-        prewarm: false,
-        cpu_jitter_sigma: 0.005,
-        max_errors: 100,
-        processes: 1,
-        cores: 4,
-        arrival: Arrival::Closed,
-        obs: rb_obs::ObsConfig::default(),
-        faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        ..EngineConfig::default()
     };
     let rec = Engine::run(&mut target, &workload, &engine_cfg)?;
     Ok(Fig4Data {
@@ -677,7 +602,7 @@ mod tests {
 
     #[test]
     fn fig1_quick_has_cliff_shape() {
-        let data = fig1(&Fig1Config::quick()).unwrap();
+        let data = fig1_campaign(&Fig1Config::quick(), 1).unwrap();
         assert_eq!(data.points.len(), 4);
         let first = data.points.first().unwrap();
         let last = data.points.last().unwrap();

@@ -74,8 +74,8 @@ pub mod prelude {
     };
     pub use crate::dimensions::{Coverage, CoverageProfile, Dimension};
     pub use crate::figures::{
-        fig1, fig1_campaign, fig1_zoom, fig1_zoom_campaign, fig2, fig3, fig4, Fig1Config, Fig1Data,
-        Fig2Config, Fig2Data, Fig3Config, Fig3Data, Fig4Config, Fig4Data,
+        fig1_campaign, fig1_zoom_campaign, fig2, fig3, fig4, Fig1Config, Fig1Data, Fig2Config,
+        Fig2Data, Fig3Config, Fig3Data, Fig4Config, Fig4Data,
     };
     pub use crate::nano::{run_suite, NanoConfig, NanoReport};
     pub use crate::runner::{repeat, run_many, MultiRun, Protocol, RunOutcome, RunPlan, Verdict};

@@ -16,7 +16,6 @@
 use crate::analysis::WarmupReport;
 use crate::dimensions::Dimension;
 use crate::runner::{repeat, Protocol, Verdict};
-use crate::sched::Arrival;
 use crate::target::{SimTarget, Target};
 use crate::testbed::{self, FsKind};
 use crate::workload::{personalities, Engine, EngineConfig};
@@ -128,23 +127,15 @@ fn in_memory_read(fs: FsKind, config: &NanoConfig) -> SimResult<NanoResult> {
     let mut t = fresh(fs, config);
     let size = Bytes::mib(32).min(config.working_file);
     let w = personalities::random_read(size);
-    let mut sets = Engine::setup(&mut t, &w, config.seed)?;
     let cfg = EngineConfig {
         duration: config.duration,
         window: Nanos::from_secs(5),
         seed: config.seed,
         cold_start: false,
         prewarm: true,
-        cpu_jitter_sigma: 0.005,
-        max_errors: 100,
-        processes: 1,
-        cores: 4,
-        arrival: Arrival::Closed,
-        obs: rb_obs::ObsConfig::default(),
-        faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        ..EngineConfig::default()
     };
-    let rec = Engine::run_prepared(&mut t, &w, &cfg, &mut sets)?;
+    let rec = Engine::run(&mut t, &w, &cfg)?;
     let p50 = rec
         .histogram
         .quantile(0.5)
@@ -171,16 +162,7 @@ fn disk_layout_sequential(fs: FsKind, config: &NanoConfig) -> SimResult<NanoResu
         duration: config.duration,
         window: Nanos::from_secs(5),
         seed: config.seed,
-        cold_start: true,
-        prewarm: false,
-        cpu_jitter_sigma: 0.005,
-        max_errors: 100,
-        processes: 1,
-        cores: 4,
-        arrival: Arrival::Closed,
-        obs: rb_obs::ObsConfig::default(),
-        faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        ..EngineConfig::default()
     };
     let rec = Engine::run(&mut t, &w, &cfg)?;
     let mib_per_sec = rec.ops_per_sec() * 64.0 / 1024.0; // 64 KiB per op
@@ -205,16 +187,7 @@ fn disk_layout_random(fs: FsKind, config: &NanoConfig) -> SimResult<NanoResult> 
         duration: config.duration,
         window: Nanos::from_secs(5),
         seed: config.seed,
-        cold_start: true,
-        prewarm: false,
-        cpu_jitter_sigma: 0.005,
-        max_errors: 100,
-        processes: 1,
-        cores: 4,
-        arrival: Arrival::Closed,
-        obs: rb_obs::ObsConfig::default(),
-        faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        ..EngineConfig::default()
     };
     let rec = Engine::run(&mut t, &w, &cfg)?;
     let p50 = rec
@@ -240,18 +213,8 @@ fn cache_warmup(fs: FsKind, config: &NanoConfig) -> SimResult<NanoResult> {
     let cfg = EngineConfig {
         // Warm-up needs more room than the steady components.
         duration: config.duration * 4,
-        window: Nanos::from_secs(10),
         seed: config.seed,
-        cold_start: true,
-        prewarm: false,
-        cpu_jitter_sigma: 0.005,
-        max_errors: 100,
-        processes: 1,
-        cores: 4,
-        arrival: Arrival::Closed,
-        obs: rb_obs::ObsConfig::default(),
-        faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        ..EngineConfig::default()
     };
     let rec = Engine::run(&mut t, &w, &cfg)?;
     let report = WarmupReport::from_windows(&rec.windows, 5.0);
@@ -287,18 +250,9 @@ fn cache_eviction(fs: FsKind, config: &NanoConfig) -> SimResult<NanoResult> {
     let w = personalities::random_read(file);
     let cfg = EngineConfig {
         duration: config.duration * 2,
-        window: Nanos::from_secs(10),
         seed: config.seed,
-        cold_start: true,
         prewarm: true,
-        cpu_jitter_sigma: 0.005,
-        max_errors: 100,
-        processes: 1,
-        cores: 4,
-        arrival: Arrival::Closed,
-        obs: rb_obs::ObsConfig::default(),
-        faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        ..EngineConfig::default()
     };
     let rec = Engine::run(&mut t, &w, &cfg)?;
     let stats = t.stack().cache().stats();
@@ -326,16 +280,8 @@ fn metadata_ops(fs: FsKind, config: &NanoConfig) -> SimResult<NanoResult> {
         duration: config.duration,
         window: Nanos::from_secs(5),
         seed: config.seed,
-        cold_start: true,
-        prewarm: false,
-        cpu_jitter_sigma: 0.005,
         max_errors: 200,
-        processes: 1,
-        cores: 4,
-        arrival: Arrival::Closed,
-        obs: rb_obs::ObsConfig::default(),
-        faults: None,
-        retry: rb_faults::RetryPolicy::None,
+        ..EngineConfig::default()
     };
     let rec = Engine::run(&mut t, &w, &cfg)?;
     let mut metrics = vec![Metric::new("throughput", rec.ops_per_sec(), "ops/s")];

@@ -354,20 +354,11 @@ impl RunPlan {
     /// way, and the simulator's warm-up completes within a minute).
     pub fn paper_fig1(base_seed: u64) -> Self {
         RunPlan {
-            protocol: Protocol::FixedRuns(10),
-            duration: Nanos::from_secs(180),
-            window: Nanos::from_secs(10),
-            tail_windows: 6,
             base_seed,
             cache_capacity: Some(crate::testbed::PAPER_CACHE),
             cache_jitter: Bytes::mib(3),
-            cold_start: true,
             prewarm: true,
-            processes: 1,
-            arrival: Arrival::Closed,
-            obs: rb_obs::ObsConfig::default(),
-            faults: None,
-            retry: rb_faults::RetryPolicy::None,
+            ..RunPlan::default()
         }
     }
 
@@ -381,16 +372,7 @@ impl RunPlan {
             duration: Nanos::from_secs(15),
             window: Nanos::from_secs(3),
             tail_windows: 3,
-            base_seed,
-            cache_capacity: Some(crate::testbed::PAPER_CACHE),
-            cache_jitter: Bytes::mib(3),
-            cold_start: true,
-            prewarm: true,
-            processes: 1,
-            arrival: Arrival::Closed,
-            obs: rb_obs::ObsConfig::default(),
-            faults: None,
-            retry: rb_faults::RetryPolicy::None,
+            ..RunPlan::paper_fig1(base_seed)
         }
     }
 
@@ -452,14 +434,12 @@ impl RunPlan {
             seed: self.base_seed.wrapping_add(run_index as u64),
             cold_start: self.cold_start,
             prewarm: self.prewarm,
-            cpu_jitter_sigma: 0.005,
-            max_errors: 100,
             processes: self.processes,
-            cores: 4,
             arrival: self.arrival,
             obs: self.obs.clone(),
             faults: self.faults,
             retry: self.retry,
+            ..EngineConfig::default()
         }
     }
 }

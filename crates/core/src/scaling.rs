@@ -23,7 +23,6 @@
 //! number summarizes it.
 
 use crate::campaign::{working_set, Personality};
-use crate::sched::Arrival;
 use crate::testbed::{FsKind, Testbed};
 use crate::workload::{Engine, EngineConfig};
 use rb_simcache::policy::PolicyKind;
@@ -159,16 +158,11 @@ pub fn thread_scaling(kind: FsKind, config: &ScalingConfig) -> SimResult<Scaling
             duration: config.duration,
             window: Nanos::from_secs(5),
             seed: config.seed,
-            cold_start: true,
             prewarm: true,
             cpu_jitter_sigma: 0.0,
-            max_errors: 100,
             processes: n,
             cores: config.cores,
-            arrival: Arrival::Closed,
-            obs: rb_obs::ObsConfig::default(),
-            faults: None,
-            retry: rb_faults::RetryPolicy::None,
+            ..EngineConfig::default()
         };
         let rec = Engine::run(&mut target, &workload, &engine_cfg)?;
         let ops_per_sec = rec.ops_per_sec();

@@ -166,20 +166,34 @@ fn parse_duration(s: &str) -> Result<Nanos, String> {
         .ok_or_else(|| format!("bad duration {s:?}: more than {} seconds", u64::MAX))
 }
 
-/// Builds a target from `sim:ext2` / `sim:ext3` / `sim:xfs` /
+/// A `--target` spec: `sim:ext2` / `sim:ext3` / `sim:xfs` /
 /// `real:<path>`.
-fn make_target(spec: &str, device: Bytes, seed: u64) -> Result<Box<dyn Target>, String> {
-    match spec.split_once(':') {
-        Some(("sim", fs)) => {
-            let kind = parse_fs(fs)?;
-            Ok(Box::new(rb_core::testbed::paper_fs(kind, device, seed)))
+enum TargetSpec<'a> {
+    Sim(FsKind),
+    Real(&'a str),
+}
+
+impl<'a> TargetSpec<'a> {
+    /// Checks the spec without building the target.
+    fn parse(spec: &'a str) -> Result<Self, String> {
+        match spec.split_once(':') {
+            Some(("sim", fs)) => parse_fs(fs).map(TargetSpec::Sim),
+            Some(("real", path)) => Ok(TargetSpec::Real(path)),
+            _ => Err(format!(
+                "bad target {spec:?}; expected sim:ext2|sim:ext3|sim:xfs|real:<dir>"
+            )),
         }
-        Some(("real", path)) => RealFsTarget::new(path)
-            .map(|t| Box::new(t) as Box<dyn Target>)
-            .map_err(|e| format!("cannot open {path:?}: {e}")),
-        _ => Err(format!(
-            "bad target {spec:?}; expected sim:ext2|sim:ext3|sim:xfs|real:<dir>"
-        )),
+    }
+
+    /// Builds the target. A `real` one creates its directory, so every
+    /// flag is checked before this runs.
+    fn build(self, device: Bytes, seed: u64) -> Result<Box<dyn Target>, String> {
+        match self {
+            TargetSpec::Sim(kind) => Ok(Box::new(rb_core::testbed::paper_fs(kind, device, seed))),
+            TargetSpec::Real(path) => RealFsTarget::new(path)
+                .map(|t| Box::new(t) as Box<dyn Target>)
+                .map_err(|e| format!("cannot open {path:?}: {e}")),
+        }
     }
 }
 
@@ -189,49 +203,99 @@ fn make_workload(name: &str, size: Bytes, files: u64) -> Result<Workload, String
         .ok_or_else(|| format!("unknown workload {name:?}"))
 }
 
-fn cmd_bench(opts: &Opts) -> Result<(), String> {
-    let target_spec = opts.get("target").unwrap_or("sim:ext2");
-    let workload_name = opts.get("workload").unwrap_or("randomread");
-    let size = parse_size(opts.get("size").unwrap_or("64M"))?;
-    let files = opts
-        .get("files")
-        .map(|f| f.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(100);
-    let duration = parse_duration(opts.get("duration").unwrap_or("30s"))?;
-    let seed = opts
-        .get("seed")
+/// `--seed N` (default 0), for every command that takes one.
+fn parse_seed(opts: &Opts) -> Result<u64, String> {
+    opts.get("seed")
         .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0);
-    let device = Bytes::new((size.as_u64() * 3).max(Bytes::gib(1).as_u64()));
+        .transpose()
+        .map(|seed| seed.unwrap_or(0))
+}
 
-    let arrival = match opts.get("arrival") {
-        Some(a) => Arrival::parse(a).map_err(|e| format!("--arrival: {e}"))?,
-        None => Arrival::Closed,
-    };
-    let (faults, retry) = parse_faults(opts)?;
+/// A process count: a positive integer.
+fn parse_processes(p: &str) -> Result<u32, String> {
+    match p.parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "bad process count {p:?}; expected a positive integer"
+        )),
+    }
+}
 
-    let obs = parse_obs(opts)?;
-    let mut target = make_target(target_spec, device, seed)?;
-    let workload = make_workload(workload_name, size, files)?;
-    let config = EngineConfig {
-        duration,
-        window: Nanos::from_secs(5),
-        seed,
-        cold_start: opts.get("warm").is_none(),
-        prewarm: opts.get("prewarm").is_some_and(|v| v == "true"),
-        arrival,
-        obs,
-        faults,
-        retry,
-        ..Default::default()
-    };
+/// One run of `bench` or `explain`: a workload on a target under one
+/// engine configuration.
+struct RunArgs {
+    target: Box<dyn Target>,
+    workload: Workload,
+    config: EngineConfig,
+}
+
+impl RunArgs {
+    /// Parses the run flags of `bench` and `explain` in one order, each
+    /// command passing its own defaults. A flag the command does not
+    /// take is absent ([`Opts::parse`] refuses it), so it keeps the
+    /// engine's default. The target is built last: a `real` one creates
+    /// its directory, so every flag is checked first.
+    fn parse(
+        opts: &Opts,
+        workload: &str,
+        duration: &str,
+        processes: u32,
+    ) -> Result<RunArgs, String> {
+        let target = opts.get("target").unwrap_or("sim:ext2");
+        let workload = opts.get("workload").unwrap_or(workload);
+        let size = parse_size(opts.get("size").unwrap_or("64M"))?;
+        let files = opts
+            .get("files")
+            .map(|f| f.parse::<u64>().map_err(|e| e.to_string()))
+            .transpose()?
+            .unwrap_or(100);
+        let duration = parse_duration(opts.get("duration").unwrap_or(duration))?;
+        let seed = parse_seed(opts)?;
+        let processes = opts
+            .get("processes")
+            .map(parse_processes)
+            .transpose()?
+            .unwrap_or(processes);
+        let arrival = match opts.get("arrival") {
+            Some(a) => Arrival::parse(a).map_err(|e| format!("--arrival: {e}"))?,
+            None => Arrival::Closed,
+        };
+        let (faults, retry) = parse_faults(opts)?;
+        let obs = parse_obs(opts)?;
+        let target = TargetSpec::parse(target)?;
+        let workload = make_workload(workload, size, files)?;
+        let device = Bytes::new((size.as_u64() * 3).max(Bytes::gib(1).as_u64()));
+        Ok(RunArgs {
+            target: target.build(device, seed)?,
+            workload,
+            config: EngineConfig {
+                duration,
+                window: Nanos::from_secs(5),
+                seed,
+                cold_start: opts.get("warm").is_none(),
+                prewarm: opts.get("prewarm").is_some_and(|v| v == "true"),
+                processes,
+                arrival,
+                obs,
+                faults,
+                retry,
+                ..EngineConfig::default()
+            },
+        })
+    }
+}
+
+fn cmd_bench(opts: &Opts) -> Result<(), String> {
+    let RunArgs {
+        mut target,
+        workload,
+        config,
+    } = RunArgs::parse(opts, "randomread", "30s", 1)?;
     eprintln!(
         "running {} on {} for {}...",
         workload.name,
         target.name(),
-        duration
+        config.duration
     );
     let rec = Engine::run(target.as_mut(), &workload, &config).map_err(|e| e.to_string())?;
 
@@ -404,14 +468,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     })?;
     let filesystems = parse_list(opts.get("fs").unwrap_or("ext2,ext3,xfs"), parse_fs)?;
     let cache_capacities = parse_list(opts.get("cache").unwrap_or("410M"), parse_size)?;
-    let processes = parse_list(opts.get("processes").unwrap_or("1"), |p| {
-        match p.parse::<u32>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!(
-                "bad process count {p:?}; expected a positive integer"
-            )),
-        }
-    })?;
+    let processes = parse_list(opts.get("processes").unwrap_or("1"), parse_processes)?;
     // Each --arrival entry is a single mode or a declarative rate
     // ladder (`poisson:1000..16000x2`) that expands into one rung per
     // rate; the grid dedup then treats every rung as its own axis value.
@@ -450,12 +507,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     if slo_p99.is_some() && !arrivals.iter().any(|a| a.is_open()) {
         return Err("--slo-p99 only applies with an open-loop --arrival".into());
     }
-    let seed = opts
-        .get("seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0);
-    let mut plan = RunPlan::quick(seed);
+    let mut plan = RunPlan::quick(parse_seed(opts)?);
     plan.protocol = parse_protocol(opts)?;
     // Opt-in flight-recorder columns; reports without the flag stay
     // byte-identical.
@@ -568,60 +620,21 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
 /// throughput/latency figure, with the parts shown summing back to the
 /// recorded totals.
 fn cmd_explain(opts: &Opts) -> Result<(), String> {
-    let target_spec = opts.get("target").unwrap_or("sim:ext2");
-    let workload_name = opts.get("workload").unwrap_or("fileserver");
-    let size = parse_size(opts.get("size").unwrap_or("64M"))?;
-    let files = opts
-        .get("files")
-        .map(|f| f.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(100);
-    let duration = parse_duration(opts.get("duration").unwrap_or("15s"))?;
-    let seed = opts
-        .get("seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0);
     // Default to 4 processes: contention is what makes the latency
     // decomposition informative. `--processes 1` explains the serial
     // engine instead (layer counters only).
-    let processes = opts
-        .get("processes")
-        .map(|p| match p.parse::<u32>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!(
-                "bad process count {p:?}; expected a positive integer"
-            )),
-        })
-        .transpose()?
-        .unwrap_or(4);
-    let arrival = match opts.get("arrival") {
-        Some(a) => Arrival::parse(a).map_err(|e| format!("--arrival: {e}"))?,
-        None => Arrival::Closed,
-    };
-    let device = Bytes::new((size.as_u64() * 3).max(Bytes::gib(1).as_u64()));
-    let mut target = make_target(target_spec, device, seed)?;
-    let workload = make_workload(workload_name, size, files)?;
-    let config = EngineConfig {
-        duration,
-        window: Nanos::from_secs(5),
-        seed,
-        cold_start: opts.get("warm").is_none(),
-        prewarm: opts.get("prewarm").is_some_and(|v| v == "true"),
-        processes,
-        arrival,
-        obs: ObsConfig {
-            metrics: true,
-            trace: None,
-        },
-        ..Default::default()
-    };
+    let RunArgs {
+        mut target,
+        workload,
+        mut config,
+    } = RunArgs::parse(opts, "fileserver", "15s", 4)?;
+    config.obs.metrics = true;
     eprintln!(
         "explaining {} on {} ({} process(es), {})...",
         workload.name,
         target.name(),
-        processes,
-        duration
+        config.processes,
+        config.duration
     );
     let rec = Engine::run(target.as_mut(), &workload, &config).map_err(|e| e.to_string())?;
     println!("target:     {}", target.name());
@@ -673,10 +686,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             let config = EngineConfig {
                 duration,
                 window: Nanos::from_secs(1),
-                seed: 0,
                 cold_start: false,
-                prewarm: false,
-                ..Default::default()
+                ..EngineConfig::default()
             };
             Engine::run(&mut recorder, &workload, &config).map_err(|e| e.to_string())?;
             let trace = recorder.finish();
@@ -697,14 +708,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 Some(t) => Timing::parse(t).map_err(|e| format!("--timing: {e}"))?,
                 None => Timing::Afap,
             };
-            let seed = opts
-                .get("seed")
-                .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-                .transpose()?
-                .unwrap_or(0);
+            let seed = parse_seed(&opts)?;
             let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
             let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
-            let mut target = make_target(target_spec, Bytes::gib(1), 0)?;
+            let mut target = TargetSpec::parse(target_spec)?.build(Bytes::gib(1), 0)?;
             let result = replay_with(target.as_mut(), &trace, &ReplayConfig { timing, seed });
             println!(
                 "replayed {} ops ({} errors) in {} on {}",
@@ -1022,6 +1029,34 @@ mod tests {
         }
     }
 
+    /// A bad run flag of `bench` or `explain` fails on one line before
+    /// the target is built, so a `real:DIR` target is never created.
+    #[test]
+    fn bad_run_flags_build_no_target() {
+        let dir = std::env::temp_dir().join(format!("rb-cli-no-target-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for (command, bad) in [
+            ("bench", "--size 12Q"),
+            ("bench", "--files many"),
+            ("bench", "--duration 5h"),
+            ("bench", "--seed -1"),
+            ("bench", "--arrival poisson:0"),
+            ("bench", "--faults eio:2"),
+            ("bench", "--retry bounded:2"),
+            ("bench", "--trace-sample 4"),
+            ("bench", "--workload nope"),
+            ("explain", "--processes 0"),
+            ("explain", "--arrival sometimes"),
+            ("explain", "--workload nope"),
+        ] {
+            let line = format!("{command} --target real:{} {bad}", dir.display());
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let error = dispatch(&args).expect_err(&line);
+            assert!(!error.contains('\n'), "{line}: {error}");
+            assert!(!dir.exists(), "{line}: built its target before failing");
+        }
+    }
+
     /// A sweep on a device too small for xfs to format grows the
     /// device instead of panicking in mkfs, as ext2 already ran.
     #[test]
@@ -1242,9 +1277,10 @@ mod tests {
 
     #[test]
     fn target_and_workload_factories() {
-        assert!(make_target("sim:ext2", Bytes::gib(1), 0).is_ok());
-        assert!(make_target("sim:zfs", Bytes::gib(1), 0).is_err());
-        assert!(make_target("bogus", Bytes::gib(1), 0).is_err());
+        let make_target = |spec| TargetSpec::parse(spec)?.build(Bytes::gib(1), 0);
+        assert!(make_target("sim:ext2").is_ok());
+        assert!(make_target("sim:zfs").is_err());
+        assert!(make_target("bogus").is_err());
         assert!(make_workload("varmail", Bytes::mib(1), 10).is_ok());
         assert!(make_workload("nope", Bytes::mib(1), 10).is_err());
     }

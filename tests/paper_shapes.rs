@@ -3,8 +3,8 @@
 //! index (E1, E1z, E2, E3, E4).
 
 use rocketbench::core::figures::{
-    fig1, fig1_zoom_campaign, fig2, fig3, fig4, Fig1Config, Fig1ZoomConfig, Fig2Config, Fig3Config,
-    Fig4Config,
+    fig1_campaign, fig1_zoom_campaign, fig2, fig3, fig4, Fig1Config, Fig1ZoomConfig, Fig2Config,
+    Fig3Config, Fig4Config,
 };
 use rocketbench::core::runner::{Protocol, RunPlan};
 use rocketbench::simcore::time::Nanos;
@@ -29,7 +29,7 @@ fn e1_fig1_cliff_and_rsd_spike() {
         plan,
         device: Bytes::gib(2),
     };
-    let data = fig1(&config).unwrap();
+    let data = fig1_campaign(&config, 1).unwrap();
 
     // Plateau / tail ratio: an order of magnitude and then some. (The
     // paper's 896 MB point gives ~50x; our disk model's short-seek cost
@@ -74,7 +74,7 @@ fn e1_boundary_rsd_skyrockets() {
         plan,
         device: Bytes::gib(2),
     };
-    let data = fig1(&config).unwrap();
+    let data = fig1_campaign(&config, 1).unwrap();
     let rsd = data.points[0].rsd;
     assert!(
         rsd >= 15.0,
