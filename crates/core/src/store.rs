@@ -69,7 +69,7 @@ use rb_stats::bootstrap::Interval;
 use rb_stats::summary::Summary;
 
 use crate::campaign::{cell_coverage, Cell, CellResult, OpenCellStats, SweepSpec};
-use crate::runner::Verdict;
+use crate::runner::{Protocol, Verdict};
 
 /// Code-version salt folded into every record identity. Bump it when
 /// engine semantics change (anything that could alter a cell's numbers
@@ -92,14 +92,14 @@ pub fn cell_identity(spec: &SweepSpec, cell: &Cell, run_cap: Option<u32>) -> Str
          jitter={};cold={};prewarm={};retry={};slo={};device={};cap={}",
         cell.key(),
         spec.plan.base_seed,
-        spec.plan.protocol,
+        protocol_identity(&spec.plan.protocol),
         spec.plan.duration.as_nanos(),
         spec.plan.window.as_nanos(),
         spec.plan.tail_windows,
         spec.plan.cache_jitter.as_u64(),
         spec.plan.cold_start,
         spec.plan.prewarm,
-        spec.retry.label(),
+        spec.retry,
         spec.slo_p99.map_or(u64::MAX, Nanos::as_nanos),
         spec.device.as_u64(),
         run_cap.map_or(-1i64, i64::from),
@@ -117,6 +117,22 @@ pub fn cell_identity(spec: &SweepSpec, cell: &Cell, run_cap: Option<u32>) -> Str
         let _ = write!(id, ";trace={h:016x}");
     }
     id
+}
+
+/// The protocol as a record identity names it. A fixed protocol keeps
+/// its `Display` text, so stores of fixed cells keep hitting; an
+/// adaptive one names every field, its floats at full precision, where
+/// `Display` rounds the CI width to 0.1 % and the confidence to 1 %.
+fn protocol_identity(protocol: &Protocol) -> String {
+    match *protocol {
+        Protocol::FixedRuns(_) => protocol.to_string(),
+        Protocol::Adaptive {
+            min_runs,
+            max_runs,
+            ci_rel_width,
+            confidence,
+        } => format!("adaptive({min_runs}..{max_runs}, ci {ci_rel_width} @ {confidence})"),
+    }
 }
 
 /// The 64-bit content address of an identity string.

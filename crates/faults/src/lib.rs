@@ -324,15 +324,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Canonical flag value; `parse(label())` is identity.
-    pub fn label(&self) -> &'static str {
-        match self {
-            RetryPolicy::None => "none",
-            RetryPolicy::Bounded { .. } => "bounded",
-            RetryPolicy::Continue => "continue",
-        }
-    }
-
     /// Maximum retry attempts for a failed op.
     pub fn retries(&self) -> u32 {
         match self {
@@ -358,11 +349,13 @@ impl RetryPolicy {
     }
 }
 
+/// The canonical flag value: `RetryPolicy::parse` of it is identity.
 impl fmt::Display for RetryPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RetryPolicy::None => f.write_str("none"),
             RetryPolicy::Bounded { retries } => write!(f, "bounded:{retries}"),
-            other => f.write_str(other.label()),
+            RetryPolicy::Continue => f.write_str("continue"),
         }
     }
 }

@@ -214,3 +214,59 @@ fn store_refuses_flight_recorder_campaigns() {
     assert!(err.to_string().contains("flight-recorder"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A record serves only the cell it was run as: a `bounded:N` retry
+/// policy keys its count, and an adaptive protocol keys its CI width
+/// and confidence at full precision (their reports round both).
+#[test]
+fn a_record_serves_only_its_own_retry_count_and_adaptive_targets() {
+    let base = || {
+        let mut plan = RunPlan::quick(0);
+        plan.protocol = Protocol::FixedRuns(2);
+        plan.duration = Nanos::from_secs(1);
+        SweepSpec {
+            name: "identity".into(),
+            personalities: vec![Personality::parse("varmail").unwrap()],
+            file_counts: vec![25],
+            filesystems: vec![FsKind::Ext3],
+            plan,
+            ..SweepSpec::default()
+        }
+    };
+    let retried = |retries| SweepSpec {
+        faults: vec![Some(FaultSpec::parse("eio:1e-2").unwrap())],
+        retry: RetryPolicy::Bounded { retries },
+        ..base()
+    };
+    let adaptive = |ci_rel_width, confidence| {
+        let mut spec = base();
+        spec.plan.protocol = Protocol::Adaptive {
+            min_runs: 3,
+            max_runs: 6,
+            ci_rel_width,
+            confidence,
+        };
+        spec
+    };
+    for (tag, first, second) in [
+        ("retry", retried(1), retried(5)),
+        ("ci", adaptive(0.0204, 0.95), adaptive(0.0196, 0.95)),
+        (
+            "confidence",
+            adaptive(0.0204, 0.95),
+            adaptive(0.0204, 0.954),
+        ),
+    ] {
+        let dir = store_dir(tag);
+        run_campaign_with(&first, 1, &with_store(&dir)).expect("first pass");
+        let second_pass = run_campaign_with(&second, 1, &with_store(&dir)).expect("second pass");
+        assert_eq!(
+            (second_pass.stats.cached, second_pass.stats.executed),
+            (0, second_pass.stats.expanded),
+            "{tag}: the second pass was served the first pass's records"
+        );
+        let live = run_campaign(&second, 1).expect("no-store pass");
+        assert_eq!(second_pass.report.to_csv(), live.to_csv(), "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
