@@ -136,11 +136,10 @@ fn parse_ms(clause: &str, value: &str) -> Result<u32, String> {
     let n: u64 = digits
         .parse()
         .map_err(|_| format!("{clause}: expected a duration like 500ms or 10s, got {value:?}"))?;
-    let ms = n * scale;
-    if ms == 0 || ms > u32::MAX as u64 {
-        return Err(format!("{clause}: duration out of range: {value}"));
-    }
-    Ok(ms as u32)
+    n.checked_mul(scale)
+        .and_then(|ms| u32::try_from(ms).ok())
+        .filter(|&ms| ms > 0)
+        .ok_or_else(|| format!("{clause}: duration out of range: {value}"))
 }
 
 impl FaultSpec {
@@ -210,6 +209,11 @@ impl FaultSpec {
                     ))
                 }
             }
+        }
+        if !spec.active() {
+            return Err(format!(
+                "fault spec {s:?} injects nothing; use --faults none to disable"
+            ));
         }
         Ok(spec)
     }
