@@ -1040,35 +1040,32 @@ impl CampaignReport {
         out
     }
 
-    /// ASCII chart of mean throughput vs file size, one series per
-    /// (personality, fs) pair — per (personality, fs, cache) when the
-    /// campaign swept several cache capacities, so a series never has
-    /// two y values at one x. `None` unless at least one series has two
-    /// or more sizes.
-    fn size_chart(&self) -> Option<String> {
-        let caches: HashSet<Bytes> = self
+    /// Mean throughput against file size (MiB), one series per
+    /// combination of the other axes: workload and fs, plus the cache,
+    /// process count, arrival and fault plan when the campaign sweeps
+    /// them. A series thus holds one cell per size; only those with two
+    /// or more sizes are kept.
+    fn size_series(&self) -> Vec<(String, Vec<(f64, f64)>)> {
+        let sized: Vec<&CellResult> = self
             .cells
             .iter()
             .filter(|c| c.cell.uses_file_size())
-            .map(|c| c.cell.cache)
             .collect();
-        let proc_counts: HashSet<u32> = self
-            .cells
-            .iter()
-            .filter(|c| c.cell.uses_file_size())
-            .map(|c| c.cell.processes)
+        let axes: [fn(&CellResult) -> String; 4] = [
+            |c| format!("/{}", c.cell.cache),
+            |c| format!("/{}p", c.cell.processes),
+            |c| format!("/{}", c.cell.arrival),
+            |c| format!("/{}", fault_label(c)),
+        ];
+        let swept: Vec<_> = axes
+            .into_iter()
+            .filter(|axis| sized.iter().any(|c| axis(c) != axis(sized[0])))
             .collect();
         let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-        for c in &self.cells {
-            if !c.cell.uses_file_size() {
-                continue;
-            }
+        for c in sized {
             let mut label = format!("{}/{}", c.cell.workload_name(), c.cell.fs.name());
-            if caches.len() > 1 {
-                let _ = write!(label, "/{}", c.cell.cache);
-            }
-            if proc_counts.len() > 1 {
-                let _ = write!(label, "/{}p", c.cell.processes);
+            for axis in &swept {
+                label.push_str(&axis(c));
             }
             let point = (c.cell.file_size.as_mib_f64(), c.summary.mean);
             match series.iter_mut().find(|(l, _)| *l == label) {
@@ -1077,6 +1074,13 @@ impl CampaignReport {
             }
         }
         series.retain(|(_, pts)| pts.len() >= 2);
+        series
+    }
+
+    /// ASCII chart of [`CampaignReport::size_series`]; `None` when no
+    /// series has two sizes.
+    fn size_chart(&self) -> Option<String> {
+        let series = self.size_series();
         if series.is_empty() {
             return None;
         }
@@ -1782,6 +1786,33 @@ mod tests {
             device: Bytes::mib(256),
             run_budget: None,
         }
+    }
+
+    /// A size chart's series agree on every swept axis but the size:
+    /// two sizes under two arrivals draw one two-point series per
+    /// arrival, and one size under two arrivals draws no chart.
+    #[test]
+    fn size_chart_series_hold_one_cell_per_size() {
+        let mut spec = tiny_spec();
+        spec.filesystems = vec![FsKind::Ext2];
+        spec.arrivals = vec![Arrival::Closed, Arrival::Poisson { rate: 400 }];
+        let report = run_campaign(&spec, 1).expect("two sizes");
+        let series = report.size_series();
+        let labels: Vec<&str> = series.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["randomread/ext2/closed", "randomread/ext2/poisson:400"]
+        );
+        for (label, points) in &series {
+            let sizes: Vec<f64> = points.iter().map(|&(size, _)| size).collect();
+            assert_eq!(sizes, [4.0, 8.0], "{label}");
+        }
+        let text = report.render();
+        assert!(text.contains("* = randomread/ext2/closed"), "{text}");
+        assert!(text.contains("+ = randomread/ext2/poisson:400"), "{text}");
+        spec.file_sizes.truncate(1);
+        let text = run_campaign(&spec, 1).expect("one size").render();
+        assert!(!text.contains("throughput vs file size"), "{text}");
     }
 
     #[test]
