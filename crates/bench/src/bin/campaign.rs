@@ -120,6 +120,7 @@ fn check_conservation(label: &str, run: &CampaignRun) {
 }
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick", "jobs", "keep", "store"]);
     let quick = quick_requested();
     let jobs = jobs_requested();
     let keep = flag_value("keep").is_some_and(|v| v == "true");

@@ -9,11 +9,14 @@
 //!         [--protocol fixed|adaptive] [--runs N] [--ci 2%] [--min-runs 5]
 //!         [--max-runs 30]`
 
-use rb_bench::{jobs_requested, protocol_requested, quick_requested, write_results};
+use rb_bench::{
+    jobs_requested, protocol_requested, quick_requested, write_results, PROTOCOL_FLAGS,
+};
 use rb_core::figures::{fig1_campaign, render_fig1, Fig1Config};
 use rb_core::report::{to_csv, to_gnuplot};
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&[&["quick", "jobs"][..], &PROTOCOL_FLAGS].concat());
     let mut config = if quick_requested() {
         Fig1Config::quick()
     } else {

@@ -8,6 +8,7 @@ use rb_core::figures::{fig2, render_fig2, Fig2Config};
 use rb_core::report::to_gnuplot;
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick"]);
     let config = if quick_requested() {
         Fig2Config::quick()
     } else {

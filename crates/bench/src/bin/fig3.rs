@@ -10,6 +10,7 @@ use rb_core::report::to_csv;
 use rb_stats::peaks::bimodal_balance;
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick"]);
     let config = if quick_requested() {
         Fig3Config::quick()
     } else {

@@ -10,6 +10,7 @@ use rb_core::figures::{fig4, render_fig4, Fig4Config};
 use rb_core::report::to_csv;
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick"]);
     let config = if quick_requested() {
         Fig4Config::quick()
     } else {

@@ -23,6 +23,7 @@ use rb_simcore::units::Bytes;
 use std::fmt::Write as _;
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick"]);
     let duration = if quick_requested() {
         Nanos::from_secs(2)
     } else {

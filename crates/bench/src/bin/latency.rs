@@ -65,6 +65,7 @@ fn validate(pct: u64, open: &OpenLoopReport) -> Option<String> {
 }
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick"]);
     let quick = quick_requested();
     let duration = if quick {
         Nanos::from_secs(3)

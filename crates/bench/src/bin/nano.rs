@@ -10,7 +10,7 @@
 //!         [--protocol fixed|adaptive] [--runs N] [--ci 2%]
 //!         [--min-runs 5] [--max-runs 30]`
 
-use rb_bench::{protocol_requested, quick_requested, write_results};
+use rb_bench::{protocol_requested, quick_requested, write_results, PROTOCOL_FLAGS};
 use rb_core::nano::{
     render_protocol_report, render_report, run_suite, run_suite_protocol, NanoConfig,
 };
@@ -18,6 +18,7 @@ use rb_core::report::to_csv;
 use rb_core::testbed::FsKind;
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&[&["quick"][..], &PROTOCOL_FLAGS].concat());
     let config = if quick_requested() {
         NanoConfig::quick()
     } else {

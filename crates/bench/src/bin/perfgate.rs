@@ -828,6 +828,7 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
 }
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick", "reps", "out", "only", "baseline", "gate"]);
     let quick = quick_requested();
     let reps: usize = match flag_value("reps") {
         Some(v) => v.parse().unwrap_or_else(|_| {

@@ -69,6 +69,7 @@ fn validate(label: &str, curve: &ScalingCurve) -> Option<String> {
 }
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&["quick"]);
     let quick = quick_requested();
     let duration = if quick {
         Nanos::from_secs(3)

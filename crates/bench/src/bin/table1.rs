@@ -9,6 +9,7 @@ use rb_core::report::to_csv;
 use rb_core::survey::{adhoc_share_2009_2010, render_table1, table1, total_uses, SCOPE};
 
 fn main() {
+    rb_bench::refuse_unknown_flags(&[]);
     let rows = table1();
     print!("{}", render_table1(&rows));
     println!(

@@ -17,6 +17,50 @@
 use rb_core::runner::Protocol;
 use std::path::{Path, PathBuf};
 
+/// The flags [`protocol_requested`] reads.
+pub const PROTOCOL_FLAGS: [&str; 6] = [
+    "protocol",
+    "runs",
+    "ci",
+    "min-runs",
+    "max-runs",
+    "confidence",
+];
+
+/// Exits 2 with one line, before any work, if the command line holds a
+/// `--flag` that `reads` does not name (without the dashes): a
+/// misspelled flag would otherwise be ignored, and the binary would run
+/// a configuration other than the one asked for. `-q` and `-j` are not
+/// `--flag`s and stay accepted.
+pub fn refuse_unknown_flags(reads: &[&str]) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_flags(&args, reads) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// The check behind [`refuse_unknown_flags`], on an explicit argument
+/// list: the first `--flag` or `--flag=value` that `reads` does not
+/// name, as a one-line error.
+fn check_flags(args: &[String], reads: &[&str]) -> Result<(), String> {
+    let unknown = args
+        .iter()
+        .filter_map(|a| a.strip_prefix("--"))
+        .map(|f| f.split_once('=').map_or(f, |(name, _)| name))
+        .find(|name| !reads.contains(name));
+    match unknown {
+        Some(name) => {
+            let known: Vec<String> = reads.iter().map(|f| format!("--{f}")).collect();
+            Err(format!(
+                "this binary takes no --{name} flag; it reads [{}]",
+                known.join(", ")
+            ))
+        }
+        None => Ok(()),
+    }
+}
+
 /// Returns true if `--quick` was passed on the command line.
 pub fn quick_requested() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
@@ -134,6 +178,39 @@ pub fn write_results(name: &str, contents: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Only the flags a binary names pass; a misspelled one is refused
+    /// on one line that names it. Values and the `-q`/`-j` short forms
+    /// are not flags.
+    #[test]
+    fn unknown_flags_are_refused() {
+        let args =
+            |line: &str| -> Vec<String> { line.split_whitespace().map(String::from).collect() };
+        let reads = ["only", "reps", "gate", "baseline", "quick"];
+        assert_eq!(
+            check_flags(
+                &args("--only layer/rng-next-u64 --reps 1 --gate 0.90 --baseline B.json -q"),
+                &reads
+            ),
+            Ok(())
+        );
+        assert_eq!(check_flags(&args("--reps=3 --quick -j 2"), &reads), Ok(()));
+        for (line, flag) in [
+            (
+                "--only layer/rng-next-u64 --reps 1 --gates 0.90 --basline B.json",
+                "--gates",
+            ),
+            ("--quick --jobs=2", "--jobs"),
+            ("--", "--"),
+        ] {
+            let error = check_flags(&args(line), &reads).expect_err(line);
+            assert!(
+                error.contains(&format!("takes no {flag} flag")) && !error.contains('\n'),
+                "{line}: {error}"
+            );
+        }
+        assert!(check_flags(&args("--quick"), &[]).is_err());
+    }
 
     #[test]
     fn results_dir_is_creatable() {
