@@ -203,12 +203,11 @@ fn make_workload(name: &str, size: Bytes, files: u64) -> Result<Workload, String
         .ok_or_else(|| format!("unknown workload {name:?}"))
 }
 
-/// `--seed N` (default 0), for every command that takes one.
-fn parse_seed(opts: &Opts) -> Result<u64, String> {
-    opts.get("seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()
-        .map(|seed| seed.unwrap_or(0))
+/// `--NAME N`, or `default` when the flag is absent: the one parser of
+/// `--seed` (default 0) and of `bench`'s and `explain`'s `--files`.
+fn flag_u64(opts: &Opts, name: &str, default: u64) -> Result<u64, String> {
+    opts.get(name)
+        .map_or(Ok(default), |v| v.parse::<u64>().map_err(|e| e.to_string()))
 }
 
 /// A process count: a positive integer.
@@ -221,76 +220,53 @@ fn parse_processes(p: &str) -> Result<u32, String> {
     }
 }
 
-/// One run of `bench` or `explain`: a workload on a target under one
-/// engine configuration.
-struct RunArgs {
-    target: Box<dyn Target>,
-    workload: Workload,
-    config: EngineConfig,
-}
-
-impl RunArgs {
-    /// Parses the run flags of `bench` and `explain` in one order, each
-    /// command passing its own defaults. A flag the command does not
-    /// take is absent ([`Opts::parse`] refuses it), so it keeps the
-    /// engine's default. The target is built last: a `real` one creates
-    /// its directory, so every flag is checked first.
-    fn parse(
-        opts: &Opts,
-        workload: &str,
-        duration: &str,
-        processes: u32,
-    ) -> Result<RunArgs, String> {
-        let target = opts.get("target").unwrap_or("sim:ext2");
-        let workload = opts.get("workload").unwrap_or(workload);
-        let size = parse_size(opts.get("size").unwrap_or("64M"))?;
-        let files = opts
-            .get("files")
-            .map(|f| f.parse::<u64>().map_err(|e| e.to_string()))
-            .transpose()?
-            .unwrap_or(100);
-        let duration = parse_duration(opts.get("duration").unwrap_or(duration))?;
-        let seed = parse_seed(opts)?;
-        let processes = opts
-            .get("processes")
-            .map(parse_processes)
-            .transpose()?
-            .unwrap_or(processes);
-        let arrival = match opts.get("arrival") {
-            Some(a) => Arrival::parse(a).map_err(|e| format!("--arrival: {e}"))?,
-            None => Arrival::Closed,
-        };
-        let (faults, retry) = parse_faults(opts)?;
-        let obs = parse_obs(opts)?;
-        let target = TargetSpec::parse(target)?;
-        let workload = make_workload(workload, size, files)?;
-        let device = Bytes::new((size.as_u64() * 3).max(Bytes::gib(1).as_u64()));
-        Ok(RunArgs {
-            target: target.build(device, seed)?,
-            workload,
-            config: EngineConfig {
-                duration,
-                window: Nanos::from_secs(5),
-                seed,
-                cold_start: opts.get("warm").is_none(),
-                prewarm: opts.get("prewarm").is_some_and(|v| v == "true"),
-                processes,
-                arrival,
-                obs,
-                faults,
-                retry,
-                ..EngineConfig::default()
-            },
-        })
-    }
+/// Parses the run flags of `bench` and `explain` in one order, each
+/// command passing its own defaults, into the target, the workload and
+/// the engine configuration of its run. A flag the command does not
+/// take is absent ([`Opts::parse`] refuses it) and keeps its default.
+/// The target is built last: a `real` one creates its directory.
+fn parse_run(
+    opts: &Opts,
+    workload: &str,
+    duration: &str,
+    processes: u32,
+) -> Result<(Box<dyn Target>, Workload, EngineConfig), String> {
+    let target = opts.get("target").unwrap_or("sim:ext2");
+    let workload = opts.get("workload").unwrap_or(workload);
+    let size = parse_size(opts.get("size").unwrap_or("64M"))?;
+    let files = flag_u64(opts, "files", 100)?;
+    let duration = parse_duration(opts.get("duration").unwrap_or(duration))?;
+    let seed = flag_u64(opts, "seed", 0)?;
+    let processes = opts
+        .get("processes")
+        .map_or(Ok(processes), parse_processes)?;
+    let arrival = match opts.get("arrival") {
+        Some(a) => Arrival::parse(a).map_err(|e| format!("--arrival: {e}"))?,
+        None => Arrival::Closed,
+    };
+    let (faults, retry) = parse_faults(opts)?;
+    let obs = parse_obs(opts)?;
+    let target = TargetSpec::parse(target)?;
+    let workload = make_workload(workload, size, files)?;
+    let device = Bytes::new((size.as_u64() * 3).max(Bytes::gib(1).as_u64()));
+    let config = EngineConfig {
+        duration,
+        window: Nanos::from_secs(5),
+        seed,
+        cold_start: opts.get("warm").is_none(),
+        prewarm: opts.get("prewarm").is_some_and(|v| v == "true"),
+        processes,
+        arrival,
+        obs,
+        faults,
+        retry,
+        ..EngineConfig::default()
+    };
+    Ok((target.build(device, seed)?, workload, config))
 }
 
 fn cmd_bench(opts: &Opts) -> Result<(), String> {
-    let RunArgs {
-        mut target,
-        workload,
-        config,
-    } = RunArgs::parse(opts, "randomread", "30s", 1)?;
+    let (mut target, workload, config) = parse_run(opts, "randomread", "30s", 1)?;
     eprintln!(
         "running {} on {} for {}...",
         workload.name,
@@ -507,7 +483,7 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     if slo_p99.is_some() && !arrivals.iter().any(|a| a.is_open()) {
         return Err("--slo-p99 only applies with an open-loop --arrival".into());
     }
-    let mut plan = RunPlan::quick(parse_seed(opts)?);
+    let mut plan = RunPlan::quick(flag_u64(opts, "seed", 0)?);
     plan.protocol = parse_protocol(opts)?;
     // Opt-in flight-recorder columns; reports without the flag stay
     // byte-identical.
@@ -623,11 +599,7 @@ fn cmd_explain(opts: &Opts) -> Result<(), String> {
     // Default to 4 processes: contention is what makes the latency
     // decomposition informative. `--processes 1` explains the serial
     // engine instead (layer counters only).
-    let RunArgs {
-        mut target,
-        workload,
-        mut config,
-    } = RunArgs::parse(opts, "fileserver", "15s", 4)?;
+    let (mut target, workload, mut config) = parse_run(opts, "fileserver", "15s", 4)?;
     config.obs.metrics = true;
     eprintln!(
         "explaining {} on {} ({} process(es), {})...",
@@ -708,7 +680,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 Some(t) => Timing::parse(t).map_err(|e| format!("--timing: {e}"))?,
                 None => Timing::Afap,
             };
-            let seed = parse_seed(&opts)?;
+            let seed = flag_u64(&opts, "seed", 0)?;
             let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
             let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
             let mut target = TargetSpec::parse(target_spec)?.build(Bytes::gib(1), 0)?;
