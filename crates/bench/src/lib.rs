@@ -17,7 +17,7 @@
 use rb_core::runner::Protocol;
 use std::path::{Path, PathBuf};
 
-/// The flags [`protocol_requested`] reads.
+/// The flags [`protocol_requested`] reads, in the order it reads them.
 pub const PROTOCOL_FLAGS: [&str; 6] = [
     "protocol",
     "runs",
@@ -50,13 +50,9 @@ fn check_flags(args: &[String], reads: &[&str]) -> Result<(), String> {
         .map(|f| f.split_once('=').map_or(f, |(name, _)| name))
         .find(|name| !reads.contains(name));
     match unknown {
-        Some(name) => {
-            let known: Vec<String> = reads.iter().map(|f| format!("--{f}")).collect();
-            Err(format!(
-                "this binary takes no --{name} flag; it reads [{}]",
-                known.join(", ")
-            ))
-        }
+        Some(name) => Err(format!(
+            "this binary takes no --{name} flag; it reads {reads:?}"
+        )),
         None => Ok(()),
     }
 }
@@ -117,15 +113,11 @@ pub fn flag_value(name: &str) -> Option<String> {
 /// are a one-line hard error (exit 2), never a panic or a silent
 /// fallback.
 pub fn protocol_requested() -> Option<Protocol> {
-    let (protocol, runs) = (flag_value("protocol"), flag_value("runs"));
-    let (ci, min_runs) = (flag_value("ci"), flag_value("min-runs"));
-    let (max_runs, confidence) = (flag_value("max-runs"), flag_value("confidence"));
-    if [&protocol, &runs, &ci, &min_runs, &max_runs, &confidence]
-        .iter()
-        .all(|f| f.is_none())
-    {
+    let values = PROTOCOL_FLAGS.map(flag_value);
+    if values.iter().all(Option::is_none) {
         return None;
     }
+    let [protocol, runs, ci, min_runs, max_runs, confidence] = values;
     let flags = rb_core::runner::ProtocolFlags {
         protocol: protocol.as_deref(),
         runs: runs.as_deref(),
