@@ -53,7 +53,7 @@
 
 use rb_bench::{flag_value, peak_rss_bytes, quick_requested};
 use rb_core::campaign::{
-    run_campaign, run_campaign_with, CampaignOptions, Personality, StoreOptions, SweepSpec,
+    run_campaign, run_campaign_with, CampaignOptions, StoreOptions, SweepSpec,
 };
 use rb_core::figures::{fig1_campaign, Fig1Config};
 use rb_core::report::Json;
@@ -453,7 +453,6 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
             plan.window = Nanos::from_secs(1);
             let spec = SweepSpec {
                 name: "perfgate-sweep-warm".into(),
-                personalities: vec![Personality::RandomRead],
                 file_sizes: vec![Bytes::mib(16), Bytes::mib(32)],
                 file_counts: vec![0],
                 filesystems: vec![testbed::FsKind::Ext2, testbed::FsKind::Xfs],
