@@ -318,6 +318,7 @@ impl ExtentAllocator {
     }
 
     /// Number of free extents (fragmentation proxy).
+    #[cfg(test)]
     pub fn free_extents(&self) -> usize {
         self.by_start.len()
     }

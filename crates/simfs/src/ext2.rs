@@ -9,7 +9,7 @@
 
 use crate::alloc::{BitmapAllocator, Run};
 use crate::intern::{PathSpec, Symbol};
-use crate::tree::Tree;
+use crate::tree::{Tree, DIRENT_SIZE};
 use crate::vfs::{Extent, FileAttr, FileSystem, InodeNo, MetaIo};
 use rb_simcore::error::{SimError, SimResult};
 use rb_simcore::units::{BlockNo, Bytes};
@@ -258,7 +258,10 @@ impl Ext2Fs {
         }
     }
 
-    fn charge_alloc(&mut self, runs: &[Run], meta: &mut MetaIo) {
+    /// Charges the block bitmap of every group `runs` touch, in run
+    /// order, and moves each group's free count by its overlap: up when
+    /// the runs were `freed`, down when they were allocated.
+    fn charge_groups(&mut self, runs: &[Run], freed: bool, meta: &mut MetaIo) {
         for r in runs {
             let g0 = self.group_of_block(r.start);
             let g1 = self.group_of_block(r.start + r.len - 1);
@@ -266,24 +269,30 @@ impl Ext2Fs {
                 let gs = g * self.config.blocks_per_group;
                 let ge = gs + self.config.blocks_per_group;
                 let overlap = (r.start + r.len).min(ge) - r.start.max(gs);
-                self.group_free[g as usize] = self.group_free[g as usize].saturating_sub(overlap);
+                let free = &mut self.group_free[g as usize];
+                *free = if freed {
+                    *free + overlap
+                } else {
+                    free.saturating_sub(overlap)
+                };
                 meta.writes.push(self.block_bitmap_block(g));
             }
         }
     }
 
-    fn charge_free(&mut self, runs: &[Run], meta: &mut MetaIo) {
+    /// Returns `runs` to the bitmap, then charges their groups.
+    fn free_runs(&mut self, runs: &[Run], meta: &mut MetaIo) -> SimResult<()> {
         for r in runs {
-            let g0 = self.group_of_block(r.start);
-            let g1 = self.group_of_block(r.start + r.len - 1);
-            for g in g0..=g1 {
-                let gs = g * self.config.blocks_per_group;
-                let ge = gs + self.config.blocks_per_group;
-                let overlap = (r.start + r.len).min(ge) - r.start.max(gs);
-                self.group_free[g as usize] += overlap;
-                meta.writes.push(self.block_bitmap_block(g));
-            }
+            self.alloc.free(*r)?;
         }
+        self.charge_groups(runs, true, meta);
+        Ok(())
+    }
+
+    /// [`Ext2Fs::free_runs`] for indirect blocks, one run each.
+    fn free_indirect(&mut self, blocks: &[BlockNo], meta: &mut MetaIo) -> SimResult<()> {
+        let runs: Vec<Run> = blocks.iter().map(|&b| Run { start: b, len: 1 }).collect();
+        self.free_runs(&runs, meta)
     }
 
     /// Directory data block holding the entry for `name` (hash-probed).
@@ -302,27 +311,15 @@ impl Ext2Fs {
     fn ensure_dir_blocks(&mut self, dir: InodeNo, meta: &mut MetaIo) -> SimResult<()> {
         let node = self.tree.get(dir)?;
         // 64 B per entry, 64 entries per 4 KiB block.
-        let needed = node
-            .size
-            .as_u64()
-            .div_ceil(DIRENTS_PER_BLOCK * crate::tree::DIRENT_SIZE);
+        let needed = node.size.as_u64().div_ceil(DIRENTS_PER_BLOCK * DIRENT_SIZE);
         let have = node.blocks();
         if needed > have {
-            let group = node.group;
             let goal = node
-                .runs
-                .last()
-                .map(|r| r.start + r.len)
-                .unwrap_or_else(|| self.data_goal(group));
+                .end_block()
+                .unwrap_or_else(|| self.data_goal(node.group));
             let runs = self.alloc.alloc(needed - have, goal)?;
-            self.charge_alloc(&runs, meta);
-            let node = self.tree.get_mut(dir)?;
-            for r in runs {
-                match node.runs.last_mut() {
-                    Some(last) if last.start + last.len == r.start => last.len += r.len,
-                    _ => node.runs.push(r),
-                }
-            }
+            self.charge_groups(&runs, false, meta);
+            self.tree.get_mut(dir)?.append_runs(&runs);
         }
         Ok(())
     }
@@ -353,6 +350,34 @@ impl Ext2Fs {
             }
         }
     }
+
+    /// Charges the walk to the parent directory of `spec`, which
+    /// resolved through `traversed`.
+    fn charge_parent_lookup(&self, traversed: &[InodeNo], spec: &PathSpec, meta: &mut MetaIo) {
+        let comps = spec.components();
+        self.charge_lookup(traversed, &comps[..comps.len() - 1], meta);
+    }
+
+    /// Creates a file or a directory at `spec`: the node goes to the
+    /// group [`Ext2Fs::pick_group`] chooses, and the parent directory
+    /// grows a block when its entries need one.
+    fn make_node(&mut self, spec: &PathSpec, is_dir: bool) -> SimResult<(InodeNo, MetaIo)> {
+        let (parent, name, traversed) = self.tree.resolve_new_spec(spec)?;
+        let mut meta = MetaIo::default();
+        self.charge_parent_lookup(&traversed, spec, &mut meta);
+        let group = self.pick_group(parent, is_dir);
+        let ino = self.tree.insert_child_sym(parent, name, is_dir)?;
+        self.tree.get_mut(ino)?.group = group;
+        self.group_inodes[group as usize] += 1;
+        self.ensure_dir_blocks(parent, &mut meta)?;
+        meta.writes.push(self.inode_bitmap_block(group));
+        meta.writes.push(self.inode_table_block(ino));
+        meta.writes.push(self.inode_table_block(parent));
+        if let Some(b) = self.dirent_block_sym(parent, name) {
+            meta.writes.push(b);
+        }
+        Ok((ino, meta))
+    }
 }
 
 impl FileSystem for Ext2Fs {
@@ -380,65 +405,20 @@ impl FileSystem for Ext2Fs {
     }
 
     fn create_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
-        let (parent, name, traversed) = self.tree.resolve_parent_spec(spec)?;
-        if self.tree.has_child(parent, name) {
-            return Err(SimError::AlreadyExists(spec.path().to_string()));
-        }
-        let mut meta = MetaIo::default();
-        let comps = spec.components();
-        self.charge_lookup(&traversed, &comps[..comps.len() - 1], &mut meta);
-        let group = self.pick_group(parent, false);
-        let ino = self.tree.insert_child_sym(parent, name, false)?;
-        self.tree.get_mut(ino)?.group = group;
-        self.group_inodes[group as usize] += 1;
-        self.ensure_dir_blocks(parent, &mut meta)?;
-        meta.writes.push(self.inode_bitmap_block(group));
-        meta.writes.push(self.inode_table_block(ino));
-        meta.writes.push(self.inode_table_block(parent));
-        if let Some(b) = self.dirent_block_sym(parent, name) {
-            meta.writes.push(b);
-        }
-        Ok((ino, meta))
+        self.make_node(spec, false)
     }
 
     fn mkdir_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
-        let (parent, name, traversed) = self.tree.resolve_parent_spec(spec)?;
-        if self.tree.has_child(parent, name) {
-            return Err(SimError::AlreadyExists(spec.path().to_string()));
-        }
-        let mut meta = MetaIo::default();
-        let comps = spec.components();
-        self.charge_lookup(&traversed, &comps[..comps.len() - 1], &mut meta);
-        let group = self.pick_group(parent, true);
-        let ino = self.tree.insert_child_sym(parent, name, true)?;
-        self.tree.get_mut(ino)?.group = group;
-        self.group_inodes[group as usize] += 1;
-        self.ensure_dir_blocks(parent, &mut meta)?;
-        meta.writes.push(self.inode_bitmap_block(group));
-        meta.writes.push(self.inode_table_block(ino));
-        meta.writes.push(self.inode_table_block(parent));
-        if let Some(b) = self.dirent_block_sym(parent, name) {
-            meta.writes.push(b);
-        }
-        Ok((ino, meta))
+        self.make_node(spec, true)
     }
 
     fn unlink_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
         let (parent, name, traversed) = self.tree.resolve_parent_spec(spec)?;
         let mut meta = MetaIo::default();
-        let comps = spec.components();
-        self.charge_lookup(&traversed, &comps[..comps.len() - 1], &mut meta);
+        self.charge_parent_lookup(&traversed, spec, &mut meta);
         let node = self.tree.remove_child_sym(parent, name)?;
-        for r in &node.runs {
-            self.alloc.free(*r)?;
-        }
-        self.charge_free(&node.runs, &mut meta);
-        for &b in &node.indirect {
-            self.alloc.free(Run { start: b, len: 1 })?;
-            let g = self.group_of_block(b);
-            self.group_free[g as usize] += 1;
-            meta.writes.push(self.block_bitmap_block(g));
-        }
+        self.free_runs(&node.runs, &mut meta)?;
+        self.free_indirect(&node.indirect, &mut meta)?;
         let (ino, group) = (node.ino, node.group);
         self.group_inodes[group as usize] = self.group_inodes[group as usize].saturating_sub(1);
         meta.writes.push(self.inode_bitmap_block(group));
@@ -480,17 +460,11 @@ impl FileSystem for Ext2Fs {
     }
 
     fn attr(&self, ino: InodeNo) -> SimResult<FileAttr> {
-        let node = self.tree.get(ino)?;
-        Ok(FileAttr {
-            ino,
-            size: node.size,
-            blocks: node.blocks(),
-            is_dir: node.is_dir(),
-        })
+        self.tree.attr(ino)
     }
 
     fn size_of(&self, ino: InodeNo) -> SimResult<Bytes> {
-        Ok(self.tree.get(ino)?.size)
+        self.tree.size_of(ino)
     }
 
     fn set_size(&mut self, ino: InodeNo, size: Bytes) -> SimResult<MetaIo> {
@@ -504,9 +478,7 @@ impl FileSystem for Ext2Fs {
         meta.writes.push(self.inode_table_block(ino));
         if need > have {
             let goal = node
-                .runs
-                .last()
-                .map(|r| r.start + r.len)
+                .end_block()
                 .unwrap_or_else(|| self.data_goal(node.group));
             let have_ind = node.indirect.len() as u64;
             let runs = self.alloc.alloc(need - have, goal)?;
@@ -529,15 +501,10 @@ impl FileSystem for Ext2Fs {
             } else {
                 Vec::new()
             };
-            self.charge_alloc(&runs, &mut meta);
-            self.charge_alloc(&ind_runs, &mut meta);
+            self.charge_groups(&runs, false, &mut meta);
+            self.charge_groups(&ind_runs, false, &mut meta);
             let node = self.tree.get_mut(ino)?;
-            for r in runs {
-                match node.runs.last_mut() {
-                    Some(last) if last.start + last.len == r.start => last.len += r.len,
-                    _ => node.runs.push(r),
-                }
-            }
+            node.append_runs(&runs);
             for r in ind_runs {
                 for b in r.start..r.start + r.len {
                     node.indirect.push(b);
@@ -545,59 +512,20 @@ impl FileSystem for Ext2Fs {
                 }
             }
         } else if need < have {
-            // Truncate: free tail blocks.
-            let mut to_free = have - need;
-            let mut freed = Vec::new();
-            let node = self.tree.get_mut(ino)?;
-            while to_free > 0 {
-                let Some(last) = node.runs.last_mut() else {
-                    break;
-                };
-                if last.len <= to_free {
-                    to_free -= last.len;
-                    freed.push(*last);
-                    node.runs.pop();
-                } else {
-                    last.len -= to_free;
-                    freed.push(Run {
-                        start: last.start + last.len,
-                        len: to_free,
-                    });
-                    to_free = 0;
-                }
-            }
-            for r in &freed {
-                self.alloc.free(*r)?;
-            }
-            self.charge_free(&freed, &mut meta);
-            // Release now-surplus indirect blocks.
+            // Truncate: free tail blocks, then the surplus indirect ones.
+            let freed = self.tree.get_mut(ino)?.cut_tail(have - need);
+            self.free_runs(&freed, &mut meta)?;
             let want_ind = Self::indirect_needed(need) as usize;
             let ind = &mut self.tree.get_mut(ino)?.indirect;
             let surplus = ind.split_off(want_ind.min(ind.len()));
-            for b in surplus {
-                self.alloc.free(Run { start: b, len: 1 })?;
-                let g = self.group_of_block(b);
-                self.group_free[g as usize] += 1;
-                meta.writes.push(self.block_bitmap_block(g));
-            }
+            self.free_indirect(&surplus, &mut meta)?;
         }
         self.tree.get_mut(ino)?.size = size;
         Ok(meta)
     }
 
     fn map(&self, ino: InodeNo, logical: u64, max: u64) -> SimResult<Extent> {
-        let node = self.tree.get(ino)?;
-        match node.map_block(logical) {
-            Some((physical, rem)) => Ok(Extent {
-                logical,
-                physical,
-                len: rem.min(max.max(1)),
-            }),
-            None => Err(SimError::OutOfBounds {
-                offset: logical,
-                size: node.blocks(),
-            }),
-        }
+        self.tree.map(ino, logical, max)
     }
 
     fn avg_file_extents(&self) -> f64 {

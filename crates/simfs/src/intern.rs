@@ -73,6 +73,7 @@ impl Interner {
     }
 
     /// The symbol for `name`, if it was ever interned.
+    #[cfg(test)]
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
         self.index.get(name).copied()
     }

@@ -357,6 +357,17 @@ impl StorageStack {
         Ok(lat)
     }
 
+    /// The tail every metadata op shares: runs the op's traffic at
+    /// `issue`, counts the op and charges the syscall's CPU.
+    fn meta_cost(&mut self, meta: &MetaIo, issue: Nanos) -> SimResult<OpCost> {
+        let device = self.run_meta_at(meta, issue)?;
+        self.stats.meta_ops += 1;
+        Ok(OpCost {
+            cpu: self.config.syscall_overhead,
+            device,
+        })
+    }
+
     /// Writes evicted/flushed pages to media starting at instant `base`,
     /// mapping data pages through the file system. Pages of deleted
     /// files are silently dropped.
@@ -459,23 +470,13 @@ impl StorageStack {
     /// `issue` (see [`OpCost`]).
     pub fn create_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (_, meta) = self.fs.create_spec(&self.paths.specs[id.index()])?;
-        let device = self.run_meta_at(&meta, issue)?;
-        self.stats.meta_ops += 1;
-        Ok(OpCost {
-            cpu: self.config.syscall_overhead,
-            device,
-        })
+        self.meta_cost(&meta, issue)
     }
 
     /// Creates a directory at the resolved path `id`, at instant `issue`.
     pub fn mkdir_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (_, meta) = self.fs.mkdir_spec(&self.paths.specs[id.index()])?;
-        let device = self.run_meta_at(&meta, issue)?;
-        self.stats.meta_ops += 1;
-        Ok(OpCost {
-            cpu: self.config.syscall_overhead,
-            device,
-        })
+        self.meta_cost(&meta, issue)
     }
 
     /// Removes the file at the resolved path `id` and drops its cached
@@ -483,42 +484,25 @@ impl StorageStack {
     pub fn unlink_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (ino, meta) = self.fs.unlink_spec(&self.paths.specs[id.index()])?;
         self.cache.invalidate_file(ino);
-        let device = self.run_meta_at(&meta, issue)?;
-        self.stats.meta_ops += 1;
-        Ok(OpCost {
-            cpu: self.config.syscall_overhead,
-            device,
-        })
+        self.meta_cost(&meta, issue)
     }
 
     /// Stats the resolved path `id` at instant `issue`, charging the
     /// path walk.
     pub fn stat_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<OpCost> {
         let (_, meta) = self.fs.lookup_spec(&self.paths.specs[id.index()])?;
-        let device = self.run_meta_at(&meta, issue)?;
-        self.stats.meta_ops += 1;
-        Ok(OpCost {
-            cpu: self.config.syscall_overhead,
-            device,
-        })
+        self.meta_cost(&meta, issue)
     }
 
     /// Opens the file at the resolved path `id` at instant `issue`,
     /// charging the path walk; returns the new handle with the cost.
     pub fn open_id_at(&mut self, id: PathId, issue: Nanos) -> SimResult<(Fd, OpCost)> {
         let (ino, meta) = self.fs.lookup_spec(&self.paths.specs[id.index()])?;
-        let device = self.run_meta_at(&meta, issue)?;
-        self.stats.meta_ops += 1;
+        let cost = self.meta_cost(&meta, issue)?;
         let fd = self.next_fd;
         self.next_fd += 1;
         self.open.insert(fd, ino);
-        Ok((
-            fd,
-            OpCost {
-                cpu: self.config.syscall_overhead,
-                device,
-            },
-        ))
+        Ok((fd, cost))
     }
 
     /// Closes a handle.
@@ -545,13 +529,9 @@ impl StorageStack {
             self.enospc_gate(size - attr.size)?;
         }
         let meta = self.fs.set_size(ino, size)?;
-        let device = self.run_meta_at(&meta, issue)?;
-        self.stats.meta_ops += 1;
+        let cost = self.meta_cost(&meta, issue)?;
         self.stats.allocations += 1;
-        Ok(OpCost {
-            cpu: self.config.syscall_overhead,
-            device,
-        })
+        Ok(cost)
     }
 
     /// Reads `len` bytes at `offset` at instant `issue`: the cache
@@ -603,23 +583,20 @@ impl StorageStack {
         }
         fetch.sort_unstable();
         fetch.dedup();
-        // On a failed media read, every page this syscall inserted must
-        // leave the cache again: the data never arrived, and a page left
-        // resident would turn later reads (and any retry) into phantom
-        // hits that mask the injected fault. The dirty pages those
-        // insertions evicted are no longer cached, so they still go to
-        // media.
-        let mut device = match self.read_pages_from_media_at(ino, &fetch, issue) {
-            Ok(d) => d,
-            Err(e) => {
-                self.drop_unfilled(ino, &fetch, &out.prefetch_pages);
-                self.write_pages_to_media_at(&writebacks, issue);
-                return Err(e);
-            }
-        };
-
-        // Sequential readahead I/O (window already inserted by the cache).
-        device += match self.read_pages_from_media_at(ino, &out.prefetch_pages, issue) {
+        // The demand fetch, then the sequential readahead I/O (window
+        // already inserted by the cache). On a failed media read, every
+        // page this syscall inserted must leave the cache again: the
+        // data never arrived, and a page left resident would turn later
+        // reads (and any retry) into phantom hits that mask the injected
+        // fault. The dirty pages those insertions evicted are no longer
+        // cached, so they still go to media.
+        let fetched = self
+            .read_pages_from_media_at(ino, &fetch, issue)
+            .and_then(|d| {
+                let ahead = self.read_pages_from_media_at(ino, &out.prefetch_pages, issue)?;
+                Ok(d + ahead)
+            });
+        let mut device = match fetched {
             Ok(d) => d,
             Err(e) => {
                 self.drop_unfilled(ino, &fetch, &out.prefetch_pages);

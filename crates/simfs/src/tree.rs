@@ -1,15 +1,18 @@
-//! Shared namespace machinery: inodes, directories, path resolution.
+//! Shared namespace machinery: inodes, directories, path resolution,
+//! and the run bookkeeping of every file.
 //!
 //! Every simulated file system layers its *placement policy* over this
 //! common tree, so namespace semantics (POSIX-ish path rules, link
-//! counting, empty-directory checks) are implemented — and tested — once.
+//! counting, empty-directory checks) and a file's run list (appending
+//! and merging runs, cutting the tail, mapping a logical block) are
+//! implemented — and tested — once. A file system decides only which
+//! blocks a node gets and which metadata blocks an operation touches.
 //!
-//! Resolution has two entry points: the classic `&str` API (validates
-//! and splits on every call — the compatibility path) and the
-//! [`PathSpec`] API, which resolves a pre-split path by walking
-//! [`Symbol`]-keyed directory tables with zero allocation. Both produce
-//! identical results and identical errors; the spec path is what the
-//! storage stack's per-path cache uses on every hot operation.
+//! A path resolves through a [`PathSpec`]: validated, split and
+//! interned once by [`Tree::make_spec`], then walked through
+//! [`Symbol`]-keyed directory tables with zero allocation. The tests
+//! keep a `&str` resolution family as the reference the spec walk is
+//! checked against.
 
 use crate::alloc::Run;
 use crate::intern::{Interner, PathSpec, Symbol};
@@ -19,7 +22,7 @@ use rb_simcore::fnv::FnvHashMap;
 use rb_simcore::inline::InlineVec;
 use rb_simcore::units::{BlockNo, Bytes};
 
-use crate::vfs::InodeNo;
+use crate::vfs::{Extent, FileAttr, InodeNo};
 
 /// Inode chain recorded during a resolution, root first: inline up to
 /// 8 levels deep — deeper than any testbed namespace — so the per-op
@@ -79,6 +82,47 @@ impl Inode {
     /// Number of mapping extents (fragmentation of this file).
     pub fn extent_count(&self) -> usize {
         self.runs.len()
+    }
+
+    /// The block just past the last run: where the file grows
+    /// contiguously, if it has any blocks.
+    pub fn end_block(&self) -> Option<BlockNo> {
+        self.runs.last().map(|r| r.start + r.len)
+    }
+
+    /// Appends newly allocated runs in logical order, merging each into
+    /// the last run when it continues it on the device.
+    pub fn append_runs(&mut self, runs: &[Run]) {
+        for &r in runs {
+            match self.runs.last_mut() {
+                Some(last) if last.start + last.len == r.start => last.len += r.len,
+                _ => self.runs.push(r),
+            }
+        }
+    }
+
+    /// Cuts `blocks` blocks off the end of the file, returning the runs
+    /// cut, last first, for the allocator to free.
+    pub fn cut_tail(&mut self, mut blocks: u64) -> Vec<Run> {
+        let mut cut = Vec::new();
+        while blocks > 0 {
+            let Some(last) = self.runs.last_mut() else {
+                break;
+            };
+            if last.len <= blocks {
+                blocks -= last.len;
+                cut.push(*last);
+                self.runs.pop();
+            } else {
+                last.len -= blocks;
+                cut.push(Run {
+                    start: last.start + last.len,
+                    len: blocks,
+                });
+                blocks = 0;
+            }
+        }
+        cut
     }
 }
 
@@ -249,14 +293,6 @@ impl Tree {
         Ok(path.split('/').filter(|c| !c.is_empty()))
     }
 
-    /// Splits a path into components, rejecting malformed input.
-    ///
-    /// Allocates the returned vector; resolution paths use
-    /// [`Tree::components_iter`] or a pre-built [`PathSpec`] instead.
-    pub fn components(path: &str) -> SimResult<Vec<&str>> {
-        Ok(Self::components_iter(path)?.collect())
-    }
-
     /// Validates, splits and interns a path once, producing the spec
     /// the zero-allocation resolution API consumes.
     pub fn make_spec(&mut self, path: &str) -> SimResult<PathSpec> {
@@ -268,8 +304,7 @@ impl Tree {
     }
 
     /// Resolves a pre-split path to an inode, also returning every
-    /// directory inode traversed (for metadata charging). Behaviour and
-    /// errors are identical to [`Tree::resolve`].
+    /// directory inode traversed (for metadata charging).
     pub fn resolve_spec(&self, spec: &PathSpec) -> SimResult<(InodeNo, Traversed)> {
         let mut cur = self.root;
         let mut traversed = Traversed::new();
@@ -282,8 +317,7 @@ impl Tree {
     }
 
     /// Resolves the parent directory of a pre-split path, returning
-    /// `(parent_ino, final_component, traversed)`. Behaviour and errors
-    /// are identical to [`Tree::resolve_parent`].
+    /// `(parent_ino, final_component, traversed)`.
     pub fn resolve_parent_spec(&self, spec: &PathSpec) -> SimResult<(InodeNo, Symbol, Traversed)> {
         let Some((leaf, dirs)) = spec.split_last() else {
             return Err(SimError::InvalidOperation("path is the root".into()));
@@ -304,8 +338,18 @@ impl Tree {
         Ok((cur, leaf, traversed))
     }
 
-    /// One resolution step: child of `cur` named `sym`, with the same
-    /// errors the string walk produced.
+    /// Resolves where a new node at `spec` goes, as
+    /// [`Tree::resolve_parent_spec`] does, refusing a name the parent
+    /// already holds.
+    pub fn resolve_new_spec(&self, spec: &PathSpec) -> SimResult<(InodeNo, Symbol, Traversed)> {
+        let (parent, name, traversed) = self.resolve_parent_spec(spec)?;
+        if self.has_child(parent, name) {
+            return Err(SimError::AlreadyExists(spec.path().to_string()));
+        }
+        Ok((parent, name, traversed))
+    }
+
+    /// One resolution step: child of `cur` named `sym`.
     #[inline]
     fn step(&self, cur: InodeNo, sym: Symbol, path: &str) -> SimResult<InodeNo> {
         let node = self.get(cur)?;
@@ -327,6 +371,153 @@ impl Tree {
             .get(parent)
             .and_then(|n| n.dir.as_ref())
             .is_some_and(|d| d.contains_key(&name))
+    }
+
+    /// Inserts a new inode under `parent` with the pre-interned name
+    /// `name`.
+    ///
+    /// The caller has already verified the name is free.
+    pub fn insert_child_sym(
+        &mut self,
+        parent: InodeNo,
+        name: Symbol,
+        is_dir: bool,
+    ) -> SimResult<InodeNo> {
+        let ino = self.next_ino;
+        self.next_ino += 1;
+        let node = Inode {
+            ino,
+            size: Bytes::ZERO,
+            runs: Vec::new(),
+            dir: if is_dir {
+                Some(FnvHashMap::default())
+            } else {
+                None
+            },
+            parent,
+            group: 0,
+            indirect: Vec::new(),
+        };
+        self.inodes.insert(ino, node);
+        let pdir = self
+            .get_mut(parent)?
+            .dir
+            .as_mut()
+            .ok_or_else(|| SimError::InvalidOperation("parent not a directory".into()))?;
+        pdir.insert(name, ino);
+        // Directory grows by one entry.
+        let psize = self.get(parent)?.size + Bytes::new(DIRENT_SIZE);
+        self.get_mut(parent)?.size = psize;
+        Ok(ino)
+    }
+
+    /// Removes `name` from `parent` and deletes the inode, returning it:
+    /// its runs, group and indirect blocks are the caller's to free.
+    ///
+    /// Directories must be empty.
+    pub fn remove_child_sym(&mut self, parent: InodeNo, name: Symbol) -> SimResult<Inode> {
+        let ino = {
+            let pdir = self
+                .get(parent)?
+                .dir
+                .as_ref()
+                .ok_or_else(|| SimError::InvalidOperation("parent not a directory".into()))?;
+            *pdir
+                .get(&name)
+                .ok_or_else(|| SimError::NotFound(self.name(name).to_string()))?
+        };
+        if let Some(d) = &self.get(ino)?.dir {
+            if !d.is_empty() {
+                return Err(SimError::NotEmpty(self.name(name).to_string()));
+            }
+        }
+        let node = self
+            .inodes
+            .remove(ino)
+            .ok_or_else(|| SimError::NotFound(format!("inode {ino}")))?;
+        if let Some(pdir) = self.get_mut(parent)?.dir.as_mut() {
+            pdir.remove(&name);
+        }
+        let psize = self
+            .get(parent)?
+            .size
+            .saturating_sub(Bytes::new(DIRENT_SIZE));
+        self.get_mut(parent)?.size = psize;
+        Ok(node)
+    }
+
+    /// Sorted entry names of a directory (allocates; readdir's listing
+    /// form, off the hot path).
+    pub fn read_names(&self, ino: InodeNo) -> SimResult<Vec<String>> {
+        let dir =
+            self.get(ino)?.dir.as_ref().ok_or_else(|| {
+                SimError::InvalidOperation(format!("inode {ino}: not a directory"))
+            })?;
+        let mut names: Vec<String> = dir.keys().map(|&s| self.name(s).to_string()).collect();
+        names.sort_unstable();
+        Ok(names)
+    }
+
+    /// Attributes of inode `ino`.
+    pub fn attr(&self, ino: InodeNo) -> SimResult<FileAttr> {
+        let node = self.get(ino)?;
+        Ok(FileAttr {
+            ino,
+            size: node.size,
+            blocks: node.blocks(),
+            is_dir: node.is_dir(),
+        })
+    }
+
+    /// Logical size of inode `ino`.
+    pub fn size_of(&self, ino: InodeNo) -> SimResult<Bytes> {
+        Ok(self.get(ino)?.size)
+    }
+
+    /// Maps logical block `logical` of `ino` to an extent of at most
+    /// `max` blocks (at least one) starting there.
+    pub fn map(&self, ino: InodeNo, logical: u64, max: u64) -> SimResult<Extent> {
+        let node = self.get(ino)?;
+        match node.map_block(logical) {
+            Some((physical, rem)) => Ok(Extent {
+                logical,
+                physical,
+                len: rem.min(max.max(1)),
+            }),
+            None => Err(SimError::OutOfBounds {
+                offset: logical,
+                size: node.blocks(),
+            }),
+        }
+    }
+
+    /// Mean extents per file MiB across regular files (layout metric).
+    pub fn avg_file_extents(&self) -> f64 {
+        let mut files = 0usize;
+        let mut total_ext = 0usize;
+        for i in self.iter() {
+            if !i.is_dir() && !i.runs.is_empty() {
+                files += 1;
+                total_ext += i.extent_count();
+            }
+        }
+        if files == 0 {
+            return 0.0;
+        }
+        total_ext as f64 / files as f64
+    }
+}
+
+/// The `&str` resolution family: the reference the spec walk is
+/// checked against, and the API of the hash-map tree it replaced.
+#[cfg(test)]
+impl Tree {
+    /// Splits a path into components, rejecting malformed input.
+    ///
+    /// Allocates the returned vector; resolution paths use
+    /// [`Tree::components_iter`] or a pre-built [`PathSpec`] instead.
+    pub fn components(path: &str) -> SimResult<Vec<&str>> {
+        Ok(Self::components_iter(path)?.collect())
     }
 
     /// Resolves a path to an inode, also returning every directory inode
@@ -389,41 +580,6 @@ impl Tree {
         self.insert_child_sym(parent, sym, is_dir)
     }
 
-    /// [`Tree::insert_child`] with a pre-interned name.
-    pub fn insert_child_sym(
-        &mut self,
-        parent: InodeNo,
-        name: Symbol,
-        is_dir: bool,
-    ) -> SimResult<InodeNo> {
-        let ino = self.next_ino;
-        self.next_ino += 1;
-        let node = Inode {
-            ino,
-            size: Bytes::ZERO,
-            runs: Vec::new(),
-            dir: if is_dir {
-                Some(FnvHashMap::default())
-            } else {
-                None
-            },
-            parent,
-            group: 0,
-            indirect: Vec::new(),
-        };
-        self.inodes.insert(ino, node);
-        let pdir = self
-            .get_mut(parent)?
-            .dir
-            .as_mut()
-            .ok_or_else(|| SimError::InvalidOperation("parent not a directory".into()))?;
-        pdir.insert(name, ino);
-        // Directory grows by one entry.
-        let psize = self.get(parent)?.size + Bytes::new(DIRENT_SIZE);
-        self.get_mut(parent)?.size = psize;
-        Ok(ino)
-    }
-
     /// Removes `name` from `parent` and deletes the inode, returning its
     /// number and data runs for the allocator to free.
     ///
@@ -437,40 +593,6 @@ impl Tree {
         Ok((node.ino, node.runs))
     }
 
-    /// [`Tree::remove_child`] with a pre-interned name, returning the
-    /// removed inode itself: its runs, group and indirect blocks are
-    /// the caller's to free.
-    pub fn remove_child_sym(&mut self, parent: InodeNo, name: Symbol) -> SimResult<Inode> {
-        let ino = {
-            let pdir = self
-                .get(parent)?
-                .dir
-                .as_ref()
-                .ok_or_else(|| SimError::InvalidOperation("parent not a directory".into()))?;
-            *pdir
-                .get(&name)
-                .ok_or_else(|| SimError::NotFound(self.name(name).to_string()))?
-        };
-        if let Some(d) = &self.get(ino)?.dir {
-            if !d.is_empty() {
-                return Err(SimError::NotEmpty(self.name(name).to_string()));
-            }
-        }
-        let node = self
-            .inodes
-            .remove(ino)
-            .ok_or_else(|| SimError::NotFound(format!("inode {ino}")))?;
-        if let Some(pdir) = self.get_mut(parent)?.dir.as_mut() {
-            pdir.remove(&name);
-        }
-        let psize = self
-            .get(parent)?
-            .size
-            .saturating_sub(Bytes::new(DIRENT_SIZE));
-        self.get_mut(parent)?.size = psize;
-        Ok(node)
-    }
-
     /// Number of entries in a directory (the counted readdir form).
     pub fn dir_len(&self, ino: InodeNo) -> SimResult<u64> {
         self.get(ino)?
@@ -478,34 +600,6 @@ impl Tree {
             .as_ref()
             .map(|d| d.len() as u64)
             .ok_or_else(|| SimError::InvalidOperation(format!("inode {ino}: not a directory")))
-    }
-
-    /// Sorted entry names of a directory (allocates; readdir's listing
-    /// form, off the hot path).
-    pub fn read_names(&self, ino: InodeNo) -> SimResult<Vec<String>> {
-        let dir =
-            self.get(ino)?.dir.as_ref().ok_or_else(|| {
-                SimError::InvalidOperation(format!("inode {ino}: not a directory"))
-            })?;
-        let mut names: Vec<String> = dir.keys().map(|&s| self.name(s).to_string()).collect();
-        names.sort_unstable();
-        Ok(names)
-    }
-
-    /// Mean extents per file MiB across regular files (layout metric).
-    pub fn avg_file_extents(&self) -> f64 {
-        let mut files = 0usize;
-        let mut total_ext = 0usize;
-        for i in self.iter() {
-            if !i.is_dir() && !i.runs.is_empty() {
-                files += 1;
-                total_ext += i.extent_count();
-            }
-        }
-        if files == 0 {
-            return 0.0;
-        }
-        total_ext as f64 / files as f64
     }
 }
 
@@ -940,7 +1034,14 @@ mod tests {
     fn map_block_walks_runs() {
         let mut t = Tree::new();
         let f = t.insert_child(ROOT_INO, "f", false).unwrap();
-        t.get_mut(f).unwrap().runs = vec![Run { start: 100, len: 3 }, Run { start: 500, len: 2 }];
+        let node = t.get_mut(f).unwrap();
+        assert_eq!(node.end_block(), None);
+        // A run that continues the last one merges into it.
+        node.append_runs(&[Run { start: 100, len: 2 }, Run { start: 102, len: 1 }]);
+        node.append_runs(&[Run { start: 500, len: 4 }]);
+        assert_eq!(node.end_block(), Some(504));
+        // Cutting the tail shortens the last run, then drops whole runs.
+        assert_eq!(node.cut_tail(2), vec![Run { start: 502, len: 2 }]);
         let node = t.get(f).unwrap();
         assert_eq!(node.map_block(0), Some((100, 3)));
         assert_eq!(node.map_block(2), Some((102, 1)));
@@ -949,5 +1050,20 @@ mod tests {
         assert_eq!(node.map_block(5), None);
         assert_eq!(node.blocks(), 5);
         assert_eq!(node.extent_count(), 2);
+        let extent = |logical, max| t.map(f, logical, max).map(|e| (e.physical, e.len));
+        assert_eq!(extent(1, 9), Ok((101, 2)));
+        assert_eq!(extent(3, 0), Ok((500, 1)));
+        assert!(matches!(
+            extent(5, 1),
+            Err(SimError::OutOfBounds { offset: 5, size: 5 })
+        ));
+        let attr = t.attr(f).unwrap();
+        assert_eq!((attr.blocks, attr.is_dir), (5, false));
+        let cut = t.get_mut(f).unwrap().cut_tail(9);
+        assert_eq!(
+            cut,
+            vec![Run { start: 500, len: 2 }, Run { start: 100, len: 3 }]
+        );
+        assert_eq!(t.get(f).unwrap().blocks(), 0);
     }
 }

@@ -230,22 +230,13 @@ impl XfsFs {
             // `g`, so it lies in `[g * ag_size, g * ag_size + len)`,
             // which `ag_of_block` maps back to `g`, and it was
             // allocated in this call: the free cannot fail.
-            for r in &out {
-                let g = self.ag_of_block(r.start) as usize;
-                let base = self.ags[g].start;
-                self.ags[g]
-                    .alloc
-                    .free(Run {
-                        start: r.start - base,
-                        len: r.len,
-                    })
-                    .expect("rollback");
-            }
+            self.free_blocks_runs(&out).expect("rollback");
             return Err(SimError::NoSpace);
         }
         Ok(out)
     }
 
+    /// Returns device-absolute runs to their AGs' allocators.
     fn free_blocks_runs(&mut self, runs: &[Run]) -> SimResult<()> {
         for r in runs {
             let g = self.ag_of_block(r.start) as usize;
@@ -256,6 +247,14 @@ impl XfsFs {
             })?;
         }
         Ok(())
+    }
+
+    /// Charges the free-space btree root of each run's AG, in run order.
+    fn charge_freespace(&self, runs: &[Run], meta: &mut MetaIo) {
+        for r in runs {
+            meta.writes
+                .push(self.freespace_root_block(self.ag_of_block(r.start)));
+        }
     }
 
     /// Appends a log transaction covering `meta`'s writes.
@@ -277,6 +276,20 @@ impl XfsFs {
         for ino in traversed {
             meta.reads.push(self.inode_table_block(*ino));
         }
+    }
+
+    /// Creates a file or a directory at `spec`, in the AG
+    /// [`XfsFs::pick_ag`] chooses, as one log transaction.
+    fn make_node(&mut self, spec: &PathSpec, is_dir: bool) -> SimResult<(InodeNo, MetaIo)> {
+        let (parent, name, traversed) = self.tree.resolve_new_spec(spec)?;
+        let mut meta = MetaIo::default();
+        self.charge_lookup(&traversed, &mut meta);
+        let ag = self.pick_ag(parent, is_dir);
+        let ino = self.tree.insert_child_sym(parent, name, is_dir)?;
+        self.tree.get_mut(ino)?.group = ag;
+        meta.writes.push(self.inode_table_block(ino));
+        meta.writes.push(self.inode_table_block(parent));
+        Ok((ino, self.log(meta)))
     }
 
     /// Blocks mkfs reserved inside AG `g` (headers, inode chunk, and for
@@ -367,33 +380,11 @@ impl FileSystem for XfsFs {
     }
 
     fn create_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
-        let (parent, name, traversed) = self.tree.resolve_parent_spec(spec)?;
-        if self.tree.has_child(parent, name) {
-            return Err(SimError::AlreadyExists(spec.path().to_string()));
-        }
-        let mut meta = MetaIo::default();
-        self.charge_lookup(&traversed, &mut meta);
-        let ag = self.pick_ag(parent, false);
-        let ino = self.tree.insert_child_sym(parent, name, false)?;
-        self.tree.get_mut(ino)?.group = ag;
-        meta.writes.push(self.inode_table_block(ino));
-        meta.writes.push(self.inode_table_block(parent));
-        Ok((ino, self.log(meta)))
+        self.make_node(spec, false)
     }
 
     fn mkdir_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
-        let (parent, name, traversed) = self.tree.resolve_parent_spec(spec)?;
-        if self.tree.has_child(parent, name) {
-            return Err(SimError::AlreadyExists(spec.path().to_string()));
-        }
-        let mut meta = MetaIo::default();
-        self.charge_lookup(&traversed, &mut meta);
-        let ag = self.pick_ag(parent, true);
-        let ino = self.tree.insert_child_sym(parent, name, true)?;
-        self.tree.get_mut(ino)?.group = ag;
-        meta.writes.push(self.inode_table_block(ino));
-        meta.writes.push(self.inode_table_block(parent));
-        Ok((ino, self.log(meta)))
+        self.make_node(spec, true)
     }
 
     fn unlink_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
@@ -402,10 +393,7 @@ impl FileSystem for XfsFs {
         self.charge_lookup(&traversed, &mut meta);
         let node = self.tree.remove_child_sym(parent, name)?;
         self.free_blocks_runs(&node.runs)?;
-        for r in &node.runs {
-            meta.writes
-                .push(self.freespace_root_block(self.ag_of_block(r.start)));
-        }
+        self.charge_freespace(&node.runs, &mut meta);
         meta.writes.push(self.inode_table_block(parent));
         meta.writes
             .push(self.inode_table_block_in(node.group, node.ino));
@@ -434,17 +422,11 @@ impl FileSystem for XfsFs {
     }
 
     fn attr(&self, ino: InodeNo) -> SimResult<FileAttr> {
-        let node = self.tree.get(ino)?;
-        Ok(FileAttr {
-            ino,
-            size: node.size,
-            blocks: node.blocks(),
-            is_dir: node.is_dir(),
-        })
+        self.tree.attr(ino)
     }
 
     fn size_of(&self, ino: InodeNo) -> SimResult<Bytes> {
-        Ok(self.tree.get(ino)?.size)
+        self.tree.size_of(ino)
     }
 
     fn set_size(&mut self, ino: InodeNo, size: Bytes) -> SimResult<MetaIo> {
@@ -457,66 +439,23 @@ impl FileSystem for XfsFs {
         let mut meta = MetaIo::default();
         meta.writes.push(self.inode_table_block(ino));
         if need > have {
-            let ag = node.group;
-            let goal = node.runs.last().map(|r| r.start + r.len).unwrap_or(0);
+            let (ag, goal) = (node.group, node.end_block().unwrap_or(0));
             // Delayed allocation: the whole growth lands in one request,
             // so best-fit can find a single extent.
             let runs = self.alloc_blocks(ag, need - have, goal)?;
-            for r in &runs {
-                meta.writes
-                    .push(self.freespace_root_block(self.ag_of_block(r.start)));
-            }
-            let node = self.tree.get_mut(ino)?;
-            for r in runs {
-                match node.runs.last_mut() {
-                    Some(last) if last.start + last.len == r.start => last.len += r.len,
-                    _ => node.runs.push(r),
-                }
-            }
+            self.charge_freespace(&runs, &mut meta);
+            self.tree.get_mut(ino)?.append_runs(&runs);
         } else if need < have {
-            let mut to_free = have - need;
-            let mut freed = Vec::new();
-            let node = self.tree.get_mut(ino)?;
-            while to_free > 0 {
-                let Some(last) = node.runs.last_mut() else {
-                    break;
-                };
-                if last.len <= to_free {
-                    to_free -= last.len;
-                    freed.push(*last);
-                    node.runs.pop();
-                } else {
-                    last.len -= to_free;
-                    freed.push(Run {
-                        start: last.start + last.len,
-                        len: to_free,
-                    });
-                    to_free = 0;
-                }
-            }
+            let freed = self.tree.get_mut(ino)?.cut_tail(have - need);
             self.free_blocks_runs(&freed)?;
-            for r in &freed {
-                meta.writes
-                    .push(self.freespace_root_block(self.ag_of_block(r.start)));
-            }
+            self.charge_freespace(&freed, &mut meta);
         }
         self.tree.get_mut(ino)?.size = size;
         Ok(self.log(meta))
     }
 
     fn map(&self, ino: InodeNo, logical: u64, max: u64) -> SimResult<Extent> {
-        let node = self.tree.get(ino)?;
-        match node.map_block(logical) {
-            Some((physical, rem)) => Ok(Extent {
-                logical,
-                physical,
-                len: rem.min(max.max(1)),
-            }),
-            None => Err(SimError::OutOfBounds {
-                offset: logical,
-                size: node.blocks(),
-            }),
-        }
+        self.tree.map(ino, logical, max)
     }
 
     fn avg_file_extents(&self) -> f64 {
