@@ -49,9 +49,12 @@
 //! reported as `"new"`). `--gate RATIO` turns the comparison into a
 //! regression gate: if any baselined scenario's speedup falls below
 //! RATIO (e.g. `0.90` = allow up to a 10% slowdown), perfgate still
-//! writes the JSON but exits non-zero.
+//! writes the JSON but exits non-zero. `--reps` must be a positive
+//! count and `--gate` a finite ratio above zero, and `--gate` needs
+//! `--baseline`; anything else exits 2 before a scenario runs, since
+//! such a run would measure nothing and pass.
 
-use rb_bench::{flag_value, peak_rss_bytes, quick_requested};
+use rb_bench::{exit_on_error, flag_value, peak_rss_bytes, positive_count, quick_requested};
 use rb_core::campaign::{
     run_campaign, run_campaign_with, CampaignOptions, StoreOptions, SweepSpec,
 };
@@ -716,15 +719,20 @@ fn run_isolated(names: &[&'static str], reps: usize, quick: bool) -> Option<(Str
     Some((fragments.join(","), rss))
 }
 
+/// A `--gate` value: a finite ratio above zero, under which a scenario
+/// slower than its baseline can fail.
+fn gate_ratio(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(g) if g.is_finite() && g > 0.0 => Ok(g),
+        _ => Err(format!(
+            "--gate needs a ratio above 0 like 0.90, got {value:?}"
+        )),
+    }
+}
+
 /// Assembles and writes the final JSON, with the optional baseline
-/// comparison, from an already-rendered scenario-array body.
-fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out_path: &str) {
-    let gate: Option<f64> = flag_value("gate").map(|g| {
-        g.parse().unwrap_or_else(|_| {
-            eprintln!("error: --gate needs a ratio like 0.90, got {g:?}");
-            std::process::exit(2);
-        })
-    });
+/// comparison and `gate`, from an already-rendered scenario-array body.
+fn finish(body: String, rss: Option<u64>, quick: bool, reps: usize, out: &str, gate: Option<f64>) {
     let mut speedup = String::new();
     let mut below_gate: Vec<(String, f64)> = Vec::new();
     if let Some(base_path) = flag_value("baseline") {
@@ -732,7 +740,7 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
             Ok(base_text) => {
                 let base = medians_of(&base_text);
                 let mut parts = Vec::new();
-                for (name, ms) in medians_of(&scenario_body) {
+                for (name, ms) in medians_of(&body) {
                     // The overhead probe measures a path the old binary
                     // also had (the blind scheduled run): when the
                     // baseline predates the probe, alias it to the
@@ -783,9 +791,6 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
                 std::process::exit(2);
             }
         }
-    } else if gate.is_some() {
-        eprintln!("error: --gate requires --baseline");
-        std::process::exit(2);
     }
     let rss_field = match rss {
         Some(v) => format!(",\"peak_rss_bytes\":{v}"),
@@ -793,11 +798,11 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
     };
     let json = format!(
         "{{\"bench\":\"perfgate\",\"pr\":10,\"schema\":1,\"quick\":{quick},\
-         \"reps\":{reps},\"scenarios\":[{scenario_body}]{rss_field}{speedup}}}\n"
+         \"reps\":{reps},\"scenarios\":[{body}]{rss_field}{speedup}}}\n"
     );
     // The default `results/perfgate.json` must work on a fresh
     // checkout: the directory is created, not required.
-    if let Some(parent) = std::path::Path::new(out_path).parent() {
+    if let Some(parent) = std::path::Path::new(out).parent() {
         if !parent.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(parent) {
                 eprintln!("error: cannot create {}: {e}", parent.display());
@@ -805,10 +810,10 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
             }
         }
     }
-    match std::fs::write(out_path, &json) {
-        Ok(()) => eprintln!("wrote {out_path}"),
+    match std::fs::write(out, &json) {
+        Ok(()) => eprintln!("wrote {out}"),
         Err(e) => {
-            eprintln!("error: cannot write {out_path}: {e}");
+            eprintln!("error: cannot write {out}: {e}");
             std::process::exit(1);
         }
     }
@@ -829,14 +834,17 @@ fn finish(scenario_body: String, rss: Option<u64>, quick: bool, reps: usize, out
 fn main() {
     rb_bench::refuse_unknown_flags(&["quick", "reps", "out", "only", "baseline", "gate"]);
     let quick = quick_requested();
-    let reps: usize = match flag_value("reps") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --reps needs a positive integer, got {v:?}");
-            std::process::exit(2);
-        }),
-        None if quick => 3,
-        None => 7,
-    };
+    // A run of no repetitions, or a gate no ratio can fall below,
+    // would measure nothing and pass: both are refused before any
+    // scenario runs.
+    let reps = flag_value("reps").map_or(if quick { 3 } else { 7 }, |v| {
+        exit_on_error(positive_count("reps", &v))
+    });
+    let gate = flag_value("gate").map(|g| exit_on_error(gate_ratio(&g)));
+    if gate.is_some() && flag_value("baseline").is_none() {
+        eprintln!("error: --gate requires --baseline");
+        std::process::exit(2);
+    }
     let out_path = flag_value("out").unwrap_or_else(|| "results/perfgate.json".to_string());
     let only = flag_value("only");
 
@@ -852,7 +860,7 @@ fn main() {
         None => {
             eprintln!("perfgate: {reps} repetition(s) per scenario, one process each...");
             if let Some((body, rss)) = run_isolated(&SCENARIO_NAMES, reps, quick) {
-                finish(body, rss, quick, reps, &out_path);
+                finish(body, rss, quick, reps, &out_path, gate);
                 return;
             }
             eprintln!("perfgate: child spawn failed; measuring in-process");
@@ -918,5 +926,31 @@ fn main() {
         }
         rendered.push(Json::obj(fields).to_string());
     }
-    finish(rendered.join(","), peak_rss_bytes(), quick, reps, &out_path);
+    let (body, rss) = (rendered.join(","), peak_rss_bytes());
+    finish(body, rss, quick, reps, &out_path, gate);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--reps` takes only a positive count and `--gate` only a finite
+    /// ratio above zero: zero repetitions record 0 ms medians, which the
+    /// baseline comparison skips, and a gate of 0, a negative one or
+    /// NaN fails no scenario, so either would pass a run that measured
+    /// nothing.
+    #[test]
+    fn runs_that_measure_nothing_are_refused() {
+        assert_eq!(positive_count("reps", "5"), Ok(5));
+        for reps in ["0", "-1", "", "2.5", "many"] {
+            let error = positive_count("reps", reps).expect_err(reps);
+            assert!(error.contains("--reps") && !error.contains('\n'), "{error}");
+        }
+        assert_eq!(gate_ratio("0.90"), Ok(0.9));
+        assert_eq!(gate_ratio("1e-3"), Ok(0.001));
+        for gate in ["0", "-0.9", "nan", "NaN", "inf", "", "ninety"] {
+            let error = gate_ratio(gate).expect_err(gate);
+            assert!(error.contains("--gate") && !error.contains('\n'), "{error}");
+        }
+    }
 }

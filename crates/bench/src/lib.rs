@@ -34,10 +34,7 @@ pub const PROTOCOL_FLAGS: [&str; 6] = [
 /// `--flag`s and stay accepted.
 pub fn refuse_unknown_flags(reads: &[&str]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = check_flags(&args, reads) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
+    exit_on_error(check_flags(&args, reads));
 }
 
 /// The check behind [`refuse_unknown_flags`], on an explicit argument
@@ -62,6 +59,24 @@ pub fn quick_requested() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
 }
 
+/// The parsed value, or exit 2 with the error's one line: the command
+/// line is read before any work is done.
+pub fn exit_on_error<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// A count flag's value: a positive integer, or a one-line error
+/// naming `--flag`.
+pub fn positive_count(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("--{flag} needs a positive integer, got {value:?}")),
+    }
+}
+
 /// Worker-thread count for campaign-backed regenerators: the value of
 /// `--jobs N` / `--jobs=N` if given, otherwise the machine's available
 /// parallelism. An invalid or missing value after the flag is a hard
@@ -80,13 +95,7 @@ pub fn jobs_requested() -> usize {
         None => std::thread::available_parallelism()
             .map(usize::from)
             .unwrap_or(1),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("error: --jobs needs a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
+        Some(v) => exit_on_error(positive_count("jobs", &v)),
     }
 }
 
@@ -126,13 +135,7 @@ pub fn protocol_requested() -> Option<Protocol> {
         max_runs: max_runs.as_deref(),
         confidence: confidence.as_deref(),
     };
-    match Protocol::from_flags(&flags, 10) {
-        Ok(p) => Some(p),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
+    Some(exit_on_error(Protocol::from_flags(&flags, 10)))
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM`), if the
