@@ -40,7 +40,7 @@ pub struct TraceProfile {
     pub unique_paths: u64,
     /// Working-set estimate: per path, the largest extent addressed
     /// (offset + length of data ops, or the largest `setsize`), summed
-    /// over all paths.
+    /// over all paths, saturating at `u64::MAX` bytes.
     pub working_set: Bytes,
     /// Fraction of data operations (reads + writes) continuing exactly
     /// where the previous data operation on the same path ended. The
@@ -185,7 +185,11 @@ pub fn characterize(trace: &Trace) -> TraceProfile {
         read_bytes: Bytes::new(read_bytes),
         write_bytes: Bytes::new(write_bytes),
         unique_paths: per_path.len() as u64,
-        working_set: Bytes::new(per_path.values().map(|(extent, _)| extent).sum()),
+        working_set: Bytes::new(
+            per_path
+                .values()
+                .fold(0, |sum: u64, (extent, _)| sum.saturating_add(*extent)),
+        ),
         sequentiality: if data_ops == 0 {
             0.0
         } else {

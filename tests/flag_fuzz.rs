@@ -1,18 +1,20 @@
-//! A seeded fuzz loop over the flag parsers: `--faults`, `--retry`,
-//! `--arrival`, `--trace-timing`/`--timing` and the protocol flags.
+//! Seeded fuzz loops over the flag parsers (`--faults`, `--retry`,
+//! `--arrival`, `--trace-timing`/`--timing` and the protocol flags) and
+//! over the trace parser.
 //!
-//! Each case mutates a valid spelling one to three times: a digit run
-//! replaced by an extreme value, a truncation, a doubled or dropped
-//! separator, or inserted non-ASCII text. Every parse returns `Ok` or a
-//! one-line `Err` and never panics, and every fault plan, arrival,
-//! timing and retry policy that parses round-trips through its label.
-//! A failing case names its seed and input; `Rng::new(seed)` replays
-//! it.
+//! Each case mutates a valid spelling, or one of the golden traces, one
+//! to three times: a digit run replaced by an extreme value, a
+//! truncation, a doubled or dropped separator, or inserted non-ASCII
+//! text. Every parse returns `Ok` or a one-line `Err` and never panics.
+//! Every fault plan, arrival, timing and retry policy that parses
+//! round-trips through its label; every trace that parses characterizes
+//! and round-trips through its text. A failing case names its seed and
+//! input; `Rng::new(seed)` replays it.
 
 use rocketbench::core::runner::{Protocol, ProtocolFlags};
 use rocketbench::core::sched::Arrival;
 use rocketbench::faults::{FaultSpec, RetryPolicy};
-use rocketbench::replay::Timing;
+use rocketbench::replay::{characterize, Timing, Trace, TraceOp};
 use rocketbench::simcore::rng::Rng;
 use std::panic::{catch_unwind, UnwindSafe};
 
@@ -196,5 +198,61 @@ fn flag_parsers_survive_mutated_input() {
         if let Some(protocol) = check(&case, || Protocol::from_flags(&flags, 3)) {
             assert!(protocol.validate().is_ok(), "{case}: {protocol}");
         }
+    }
+}
+
+/// Parses one candidate trace text; what parses must characterize
+/// without panicking, with a working set no smaller than the largest
+/// extent of any one path, and read back from its own text unchanged.
+fn check_trace(case: &str, text: &str) {
+    let case = format!("{case}: trace {text:?}");
+    let Some(trace) = check(&case, || Trace::from_text(text).map_err(|e| e.to_string())) else {
+        return;
+    };
+    let profile = catch_unwind(|| characterize(&trace))
+        .unwrap_or_else(|_| panic!("{case}: characterize panicked"));
+    let largest = trace
+        .ops()
+        .map(|op| match op {
+            TraceOp::SetSize { size, .. } => *size,
+            TraceOp::Read { offset, len, .. } | TraceOp::Write { offset, len, .. } => {
+                offset.saturating_add(*len)
+            }
+            _ => 0,
+        })
+        .max()
+        .unwrap_or(0);
+    assert!(
+        profile.working_set.as_u64() >= largest,
+        "{case}: working set {} below one path's extent {largest}",
+        profile.working_set.as_u64()
+    );
+    let written = trace
+        .to_text()
+        .unwrap_or_else(|e| panic!("{case}: to_text failed: {e}"));
+    let read_back = Trace::from_text(&written).map_err(|e| e.to_string());
+    assert_eq!(
+        read_back,
+        Ok(trace),
+        "{case}: round trip through {written:?}"
+    );
+}
+
+#[test]
+fn trace_parser_survives_mutated_input() {
+    let golden = [
+        include_str!("../examples/golden_v1.trace"),
+        include_str!("../examples/golden_v2.trace"),
+    ];
+    // Every truncation of each golden trace.
+    for text in golden {
+        for (i, _) in text.char_indices() {
+            check_trace(&format!("prefix of {i} bytes"), &text[..i]);
+        }
+    }
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let text = mutated(&mut rng, &golden);
+        check_trace(&format!("seed {seed}"), &text);
     }
 }
