@@ -14,8 +14,10 @@
 //! `Afap` reproduces the pre-v2 replay behaviour byte for byte; the
 //! timed policies honour recorded inter-arrival gaps through the
 //! target's clock ([`Target::advance`](crate::Target::advance)), so on
-//! the simulated stack they are deterministic and free, and on a real
-//! target they sleep real time.
+//! the simulated stack they are deterministic and free. A real target's
+//! clock is the host's, which `advance` leaves alone, so there a timed
+//! policy would issue every op at once: `rocketbench trace replay`
+//! refuses any policy but `afap` on a `real:` target.
 
 use rb_simcore::time::Nanos;
 

@@ -681,9 +681,19 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 None => Timing::Afap,
             };
             let seed = flag_u64(&opts, "seed", 0)?;
+            let target = TargetSpec::parse(target_spec)?;
+            // A real target's clock is the host's, which a replay cannot
+            // advance: a timed policy would silently run as fast as
+            // possible.
+            if matches!(target, TargetSpec::Real(_)) && timing != Timing::Afap {
+                return Err(format!(
+                    "--timing {} needs a simulated target; {target_spec} replays only afap",
+                    timing.label()
+                ));
+            }
             let text = std::fs::read_to_string(input).map_err(|e| e.to_string())?;
             let trace = Trace::from_text(&text).map_err(|e| e.to_string())?;
-            let mut target = TargetSpec::parse(target_spec)?.build(Bytes::gib(1), 0)?;
+            let mut target = target.build(Bytes::gib(1), 0)?;
             let result = replay_with(target.as_mut(), &trace, &ReplayConfig { timing, seed });
             println!(
                 "replayed {} ops ({} errors) in {} on {}",
@@ -874,7 +884,8 @@ columns to CSV and a `metrics` object to JSON.
 workload run as a v2 trace (ops stamped with stream ids and relative
 timestamps; the parser still reads v1), `replay` executes one under a
 timing policy (afap = peak capacity, faithful = the recorded load,
-scaled=N = temporal what-if) and exits non-zero if any op fails,
+scaled=N = temporal what-if; a real:DIR target replays only afap) and
+exits non-zero if any op fails,
 `stats` prints the characterization report (op mix, working set,
 sequentiality, inter-arrival histogram), and `transform` derives new
 scenarios (merge, filter, remap, spatial scale) from captured ones.
@@ -1002,7 +1013,9 @@ mod tests {
     }
 
     /// A bad run flag of `bench` or `explain` fails on one line before
-    /// the target is built, so a `real:DIR` target is never created.
+    /// the target is built, so a `real:DIR` target is never created. So
+    /// does a timed `trace replay` on a real target, whose host clock a
+    /// replay cannot advance: it would run afap under a timed label.
     #[test]
     fn bad_run_flags_build_no_target() {
         let dir = std::env::temp_dir().join(format!("rb-cli-no-target-{}", std::process::id()));
@@ -1020,6 +1033,14 @@ mod tests {
             ("explain", "--processes 0"),
             ("explain", "--arrival sometimes"),
             ("explain", "--workload nope"),
+            (
+                "trace replay",
+                "--in examples/golden_v2.trace --timing faithful",
+            ),
+            (
+                "trace replay",
+                "--in examples/golden_v2.trace --timing scaled=4",
+            ),
         ] {
             let line = format!("{command} --target real:{} {bad}", dir.display());
             let args: Vec<String> = line.split_whitespace().map(String::from).collect();
