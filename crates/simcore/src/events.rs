@@ -158,11 +158,6 @@ impl<T> EventQueue<T> {
         Some((top.at, top.payload))
     }
 
-    /// Returns the instant of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.arena.first().map(|s| s.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.arena.len()
@@ -399,10 +394,8 @@ mod tests {
     fn peek_matches_pop() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(Nanos::from_nanos(7), ());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(Nanos::from_nanos(7)));
         assert_eq!(q.pop(), Some((Nanos::from_nanos(7), ())));
         assert!(q.pop().is_none());
     }

@@ -153,24 +153,6 @@ impl Rng {
     pub fn lognormal(&mut self, median: f64, sigma: f64) -> f64 {
         median * (sigma * self.normal()).exp()
     }
-
-    /// Picks a uniformly random element of a slice, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            let i = self.below(items.len() as u64) as usize;
-            Some(&items[i])
-        }
-    }
-
-    /// Shuffles a slice in place (Fisher-Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -278,23 +260,5 @@ mod tests {
         let median = draws[5000];
         assert!((median / 4096.0 - 1.0).abs() < 0.05, "median {median}");
         assert!(draws.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Rng::new(10);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = Rng::new(10);
-        let empty: [u32; 0] = [];
-        assert_eq!(r.choose(&empty), None);
-        assert_eq!(r.choose(&[42]), Some(&42));
     }
 }

@@ -239,21 +239,6 @@ impl VirtualClock {
         self.now += delta;
         self.now
     }
-
-    /// Moves the clock forward to `instant`.
-    ///
-    /// Returns the distance travelled. If `instant` is in the past the
-    /// clock does not move and the distance is zero; virtual time is
-    /// monotonic by construction.
-    pub fn advance_to(&mut self, instant: Nanos) -> Nanos {
-        if instant > self.now {
-            let delta = instant - self.now;
-            self.now = instant;
-            delta
-        } else {
-            Nanos::ZERO
-        }
-    }
 }
 
 #[cfg(test)]
@@ -309,9 +294,7 @@ mod tests {
     fn clock_is_monotonic() {
         let mut c = VirtualClock::new();
         c.advance(Nanos::from_secs(5));
-        assert_eq!(c.advance_to(Nanos::from_secs(3)), Nanos::ZERO);
         assert_eq!(c.now(), Nanos::from_secs(5));
-        assert_eq!(c.advance_to(Nanos::from_secs(6)), Nanos::from_secs(1));
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Bytes {
         self.0
     }
 
-    /// Returns the quantity in whole KiB, truncating.
-    pub const fn as_kib(self) -> u64 {
-        self.0 / 1024
-    }
-
     /// Returns the quantity in whole MiB, truncating.
     pub const fn as_mib(self) -> u64 {
         self.0 / (1024 * 1024)
@@ -211,7 +206,6 @@ mod tests {
     #[test]
     fn unit_constructors() {
         assert_eq!(Bytes::kib(1).as_u64(), 1024);
-        assert_eq!(Bytes::mib(1).as_kib(), 1024);
         assert_eq!(Bytes::gib(1).as_mib(), 1024);
     }
 

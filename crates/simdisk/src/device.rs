@@ -98,15 +98,6 @@ impl DeviceStats {
     pub fn requests(&self) -> u64 {
         self.reads + self.writes
     }
-
-    /// Mean service latency, if any requests completed.
-    pub fn mean_latency(&self) -> Option<Nanos> {
-        if self.requests() == 0 {
-            None
-        } else {
-            Some(self.busy / self.requests())
-        }
-    }
 }
 
 /// A simulated block device.
@@ -160,7 +151,6 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut s = DeviceStats::default();
-        assert_eq!(s.mean_latency(), None);
         s.record(&IoRequest::read(0, 8), Nanos::from_millis(8));
         s.record(&IoRequest::write(8, 2), Nanos::from_millis(2));
         assert_eq!(s.reads, 1);
@@ -168,7 +158,6 @@ mod tests {
         assert_eq!(s.blocks_read, 8);
         assert_eq!(s.blocks_written, 2);
         assert_eq!(s.requests(), 2);
-        assert_eq!(s.mean_latency(), Some(Nanos::from_millis(5)));
         assert_eq!(s.latency.total(), 2);
     }
 }

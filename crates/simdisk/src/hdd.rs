@@ -150,11 +150,6 @@ impl Hdd {
         &self.config
     }
 
-    /// One full platter revolution.
-    pub fn rotation_time(&self) -> Nanos {
-        self.rotation
-    }
-
     /// Seek time for a cylinder distance, before jitter.
     ///
     /// Uses the standard square-root acceleration model: settle-dominated
@@ -438,7 +433,7 @@ mod tests {
     fn rotation_time_from_rpm() {
         let d = disk();
         // 7200 RPM = 8.333 ms per revolution.
-        assert_eq!(d.rotation_time().as_micros(), 8_333);
+        assert_eq!(d.rotation.as_micros(), 8_333);
     }
 
     #[test]

@@ -174,16 +174,6 @@ impl RamDisk {
             stats: DeviceStats::default(),
         }
     }
-
-    /// A 1 GiB RAM disk with DRAM-ish timing.
-    pub fn default_1gib() -> Self {
-        RamDisk::new(
-            Bytes::gib(1).as_u64() / Bytes::kib(4).as_u64(),
-            Bytes::kib(4),
-            Nanos::from_micros(2),
-            Nanos::from_nanos(500),
-        )
-    }
 }
 
 impl BlockDevice for RamDisk {
@@ -213,6 +203,16 @@ impl BlockDevice for RamDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A 1 GiB RAM disk with DRAM-ish timing.
+    fn ram_1gib() -> RamDisk {
+        RamDisk::new(
+            Bytes::gib(1).as_u64() / Bytes::kib(4).as_u64(),
+            Bytes::kib(4),
+            Nanos::from_micros(2),
+            Nanos::from_nanos(500),
+        )
+    }
 
     #[test]
     fn reads_scale_with_channel_waves() {
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn sits_between_ram_and_disk() {
         let mut ssd = Ssd::new(SsdConfig::consumer_sata());
-        let mut ram = RamDisk::default_1gib();
+        let mut ram = ram_1gib();
         let req = IoRequest::read(1000, 2);
         let ssd_lat = ssd.service(&req, Nanos::ZERO);
         let ram_lat = ram.service(&req, Nanos::ZERO);
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn ramdisk_is_constant_time() {
-        let mut ram = RamDisk::default_1gib();
+        let mut ram = ram_1gib();
         let a = ram.service(&IoRequest::read(0, 2), Nanos::ZERO);
         let b = ram.service(&IoRequest::read(ram.capacity_blocks() - 2, 2), Nanos::ZERO);
         assert_eq!(a, b);

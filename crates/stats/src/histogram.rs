@@ -140,22 +140,6 @@ impl Log2Histogram {
         Some(bucket_midpoint(BUCKETS - 1))
     }
 
-    /// Mean latency estimated from bucket midpoints.
-    ///
-    /// Returns `None` on an empty histogram. The estimate is within a
-    /// factor of sqrt(2) of the true mean by construction, which is
-    /// adequate for the order-of-magnitude reasoning the paper calls for.
-    pub fn approx_mean(&self) -> Option<Nanos> {
-        if self.total == 0 {
-            return None;
-        }
-        let mut acc = 0.0;
-        for k in 0..BUCKETS {
-            acc += self.counts[k] as f64 * bucket_midpoint(k).as_nanos() as f64;
-        }
-        Some(Nanos::from_nanos((acc / self.total as f64) as u64))
-    }
-
     /// The span, in orders of magnitude (base 10), between the smallest
     /// and largest observed latency buckets.
     ///
@@ -184,26 +168,6 @@ impl Log2Histogram {
             l1 += (self.fraction(k) - other.fraction(k)).abs();
         }
         l1 / 2.0
-    }
-
-    /// Earth-mover's distance between the two bucket distributions,
-    /// measured in buckets (i.e. factors of two of latency).
-    ///
-    /// Unlike [`Log2Histogram::total_variation_distance`], this respects
-    /// adjacency: mass shifted by one bucket costs 1, by ten buckets
-    /// costs 10 — so "everything got 2x slower" reads as distance ~1.
-    pub fn earth_movers_distance(&self, other: &Log2Histogram) -> f64 {
-        if self.total == 0 || other.total == 0 {
-            return 0.0;
-        }
-        // 1-D EMD: cumulative difference walk.
-        let mut carried = 0.0;
-        let mut emd = 0.0;
-        for k in 0..BUCKETS {
-            carried += self.fraction(k) - other.fraction(k);
-            emd += carried.abs();
-        }
-        emd
     }
 
     /// Renders the histogram as ASCII art over buckets `[lo, hi)`,
@@ -354,14 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_mean_is_order_correct() {
-        let mut h = Log2Histogram::new();
-        h.record_n(Nanos::from_nanos(4096), 1000);
-        let m = h.approx_mean().unwrap().as_nanos() as f64;
-        assert!((m / 4096.0) > 0.9 && (m / 4096.0) < 1.5, "mean {m}");
-    }
-
-    #[test]
     fn span_matches_paper_claim() {
         // In-memory peak at ~4 us, disk peak at ~16 ms: > 3 orders.
         let mut h = Log2Histogram::new();
@@ -411,24 +367,14 @@ mod tests {
     }
 
     #[test]
-    fn emd_respects_adjacency() {
+    fn tv_distance_ignores_adjacency() {
+        // A shift by one bucket is as far as a shift by ten.
         let mut base = Log2Histogram::new();
         base.record_n(Nanos::from_nanos(4096), 100); // bucket 12
         let mut near = Log2Histogram::new();
         near.record_n(Nanos::from_nanos(8192), 100); // bucket 13
         let mut far = Log2Histogram::new();
         far.record_n(Nanos::from_millis(8), 100); // bucket 22
-        let d_near = base.earth_movers_distance(&near);
-        let d_far = base.earth_movers_distance(&far);
-        assert!(
-            (d_near - 1.0).abs() < 1e-12,
-            "adjacent shift should be 1: {d_near}"
-        );
-        assert!(
-            (d_far - 10.0).abs() < 1e-12,
-            "ten-bucket shift should be 10: {d_far}"
-        );
-        // TV distance cannot tell these apart; EMD can.
         assert_eq!(
             base.total_variation_distance(&near),
             base.total_variation_distance(&far)

@@ -115,11 +115,6 @@ impl Decision {
             Decision::Converged(ci) | Decision::Exhausted(ci) => Some(*ci),
         }
     }
-
-    /// True when the decision says to stop collecting runs.
-    pub fn is_stop(&self) -> bool {
-        !matches!(self, Decision::Continue)
-    }
 }
 
 /// Evaluates `rule` against the steady-state samples collected so far.
@@ -254,13 +249,11 @@ mod tests {
     #[test]
     fn decision_accessors() {
         assert_eq!(Decision::Continue.interval(), None);
-        assert!(!Decision::Continue.is_stop());
         let ci = Interval {
             lo: 1.0,
             point: 2.0,
             hi: 3.0,
         };
         assert_eq!(Decision::Converged(ci).interval(), Some(ci));
-        assert!(Decision::Exhausted(ci).is_stop());
     }
 }

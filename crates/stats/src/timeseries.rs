@@ -110,15 +110,6 @@ impl WindowedSeries {
         }
         self.done
     }
-
-    /// Finishes and returns only `(seconds, ops_per_sec)` pairs — the
-    /// Figure 2 data shape.
-    pub fn finish_throughput(self) -> Vec<(f64, f64)> {
-        self.finish()
-            .into_iter()
-            .map(|w| (w.start.as_secs_f64(), w.ops_per_sec))
-            .collect()
-    }
 }
 
 /// One timeline sample of a set of named gauges.
@@ -277,17 +268,6 @@ mod tests {
         let w = s.finish();
         assert_eq!(w[0].histogram.mode_bucket(), Some(22));
         assert_eq!(w[1].histogram.mode_bucket(), Some(11));
-    }
-
-    #[test]
-    fn finish_throughput_shape() {
-        let mut s = WindowedSeries::new(Nanos::from_secs(10));
-        s.record(Nanos::from_secs(3), Nanos::from_micros(1));
-        s.record(Nanos::from_secs(13), Nanos::from_micros(1));
-        let pts = s.finish_throughput();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].0, 0.0);
-        assert_eq!(pts[1].0, 10.0);
     }
 
     #[test]
