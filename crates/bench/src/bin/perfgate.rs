@@ -76,10 +76,11 @@ use rb_simcore::units::Bytes;
 use rb_simdisk::device::{BlockDevice, IoRequest};
 use rb_simdisk::hdd::{Hdd, HddConfig};
 use rb_simfs::alloc::{BitmapAllocator, Run};
-use rb_simfs::ext3::{Ext3Config, Ext3Fs};
+use rb_simfs::ext2::{Ext2Config, Ext2Fs};
 use rb_simfs::intern::PathSpec;
 use rb_simfs::vfs::FileSystem;
 use rb_stats::histogram::Log2Histogram;
+use rb_stats::summary::percentile_sorted;
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
@@ -90,17 +91,6 @@ struct Scenario {
     name: &'static str,
     unit: &'static str,
     run: Box<dyn FnMut() -> u64>,
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = p * (sorted.len() - 1) as f64;
-    let lo = idx.floor() as usize;
-    let hi = idx.ceil() as usize;
-    let frac = idx - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// The golden v2 trace spatially scaled to `clones` copies (the replay
@@ -201,8 +191,8 @@ const NAMESPACE_FILES: usize = 1000;
 /// A fresh 1 GiB ext3 holding `/d` with `NAMESPACE_FILES` files, the
 /// files' interned paths, and one more interned name in `/d` that does
 /// not exist yet.
-fn namespace_fs() -> (Ext3Fs, Vec<PathSpec>, PathSpec) {
-    let mut fs = Ext3Fs::new(Ext3Config::for_blocks(262_144));
+fn namespace_fs() -> (Ext2Fs, Vec<PathSpec>, PathSpec) {
+    let mut fs = Ext2Fs::new(Ext2Config::ext3_for_blocks(262_144));
     fs.mkdir("/d").expect("mkdir /d");
     let files: Vec<PathSpec> = (0..NAMESPACE_FILES)
         .map(|i| fs.intern_path(&format!("/d/f{i}")).expect("intern"))
@@ -891,8 +881,8 @@ fn main() {
         }
         let mut sorted = walls_ms.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        let median = percentile(&sorted, 0.5);
-        let iqr = percentile(&sorted, 0.75) - percentile(&sorted, 0.25);
+        let median = percentile_sorted(&sorted, 0.5);
+        let iqr = percentile_sorted(&sorted, 0.75) - percentile_sorted(&sorted, 0.25);
         let per_sec = if median > 0.0 {
             units as f64 / (median / 1e3)
         } else {

@@ -15,7 +15,6 @@ use rb_simcache::writeback::WritebackConfig;
 use rb_simcore::units::{Bytes, PAGE_SIZE};
 use rb_simdisk::hdd::{Hdd, HddConfig};
 use rb_simfs::ext2::{Ext2Config, Ext2Fs};
-use rb_simfs::ext3::{Ext3Config, Ext3Fs};
 use rb_simfs::stack::{StackConfig, StorageStack};
 use rb_simfs::vfs::FileSystem;
 use rb_simfs::xfs::{XfsConfig, XfsFs};
@@ -66,7 +65,7 @@ impl FsKind {
     pub fn format(self, device_blocks: u64) -> Box<dyn FileSystem> {
         match self {
             FsKind::Ext2 => Box::new(Ext2Fs::new(Ext2Config::for_blocks(device_blocks))),
-            FsKind::Ext3 => Box::new(Ext3Fs::new(Ext3Config::for_blocks(device_blocks))),
+            FsKind::Ext3 => Box::new(Ext2Fs::new(Ext2Config::ext3_for_blocks(device_blocks))),
             FsKind::Xfs => Box::new(XfsFs::new(XfsConfig::for_blocks(device_blocks))),
         }
     }

@@ -967,7 +967,8 @@ impl<'a> Run<'a> {
             let rngs = (0..config.processes.max(1))
                 .map(|p| run_rng.fork(&format!("proc{p}")))
                 .collect();
-            (rngs, config.cores)
+            // At least one core, as the scheduler's `CoreSet` has.
+            (rngs, config.cores.max(1))
         };
         let workers = rngs.len() as u32;
         let start = target.now();
@@ -1866,6 +1867,27 @@ mod tests {
         let trace = rec.trace.expect("span trace");
         assert_eq!(trace.seen, rec.ops);
         trace.validate_nesting().expect("well-nested trace");
+    }
+
+    /// `cores: 0` runs on one core, as the scheduler clamps it, with the
+    /// flight recorder on or off: both record the same ops and windows,
+    /// and the snapshot reports the one core.
+    #[test]
+    fn zero_cores_run_on_one_with_metrics_on() {
+        let w = personalities::fileserver(50);
+        let mut cfg = quick_cfg(2, 9);
+        cfg.processes = 2;
+        cfg.cores = 0;
+        let blind = Engine::run(&mut testbed::paper_ext2(Bytes::gib(1), 0), &w, &cfg).unwrap();
+        cfg.obs.metrics = true;
+        let rec = Engine::run(&mut testbed::paper_ext2(Bytes::gib(1), 0), &w, &cfg).unwrap();
+        assert!(rec.ops > 0);
+        assert_eq!(rec.ops, blind.ops);
+        assert_eq!(rec.windows, blind.windows);
+        let m = rec.metrics.expect("metrics snapshot");
+        assert_eq!(m.sched.cores, 1);
+        assert_eq!(m.sched.core_busy.len(), 1);
+        assert_eq!(m.sched.completed, rec.ops);
     }
 
     #[test]

@@ -1,14 +1,25 @@
 //! Ext2-like file system: block groups, bitmaps, inode tables, indirect
-//! blocks.
+//! blocks; formatted with a journal, ext3.
 //!
 //! The paper's case-study system. Placement policy: inodes go to their
 //! parent directory's block group (directories to the emptiest group),
 //! and data blocks are allocated first-fit starting from the inode's
 //! group — the classic BSD FFS/ext2 clustering heuristic that keeps
 //! related data together until fragmentation sets in.
+//!
+//! ext3 is this layout plus an ordered-mode journal
+//! ([`Ext2Config::ext3_for_blocks`]). Every metadata mutation also
+//! writes a transaction to a contiguous journal region (descriptor
+//! block + journaled metadata copies + commit block) before the in-place
+//! metadata writes are allowed out — the JBD write pattern. Reads are
+//! untouched, so in read-only experiments ext3 differs from ext2 only
+//! through its larger default miss-fetch clustering; under
+//! metadata-heavy workloads the journal roughly doubles metadata write
+//! traffic but makes it sequential.
 
 use crate::alloc::{BitmapAllocator, Run};
 use crate::intern::{PathSpec, Symbol};
+use crate::journal::Journal;
 use crate::tree::{Tree, DIRENT_SIZE};
 use crate::vfs::{Extent, FileAttr, FileSystem, InodeNo, MetaIo};
 use rb_simcore::error::{SimError, SimResult};
@@ -25,6 +36,8 @@ pub struct Ext2Config {
     pub inodes_per_group: u64,
     /// Demand-miss fetch granularity in pages.
     pub cluster_pages: u64,
+    /// Journal size in blocks: 0 formats ext2, anything else ext3.
+    pub journal_blocks: u64,
 }
 
 impl Ext2Config {
@@ -35,6 +48,31 @@ impl Ext2Config {
             blocks_per_group: 8192,
             inodes_per_group: 2048,
             cluster_pages: 2,
+            journal_blocks: 0,
+        }
+    }
+
+    /// Defaults matching an ext3 on the given device size: the ext2
+    /// layout with 4-page miss clustering and a journal of up to 8,192
+    /// blocks (32 MiB).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rb_simfs::ext2::{Ext2Config, Ext2Fs};
+    /// use rb_simfs::vfs::FileSystem;
+    ///
+    /// let mut fs = Ext2Fs::new(Ext2Config::ext3_for_blocks(65536));
+    /// assert_eq!(fs.name(), "ext3");
+    /// let (_, meta) = fs.create("/f").unwrap();
+    /// // Creation is journaled: descriptor + copies + commit.
+    /// assert!(meta.journal_writes.len() >= 3);
+    /// ```
+    pub fn ext3_for_blocks(total_blocks: u64) -> Self {
+        Ext2Config {
+            cluster_pages: 4,
+            journal_blocks: 8192.min(total_blocks / 8).max(64),
+            ..Ext2Config::for_blocks(total_blocks)
         }
     }
 }
@@ -77,10 +115,13 @@ pub struct Ext2Fs {
     group_free: Vec<u64>,
     /// Inodes allocated per group.
     group_inodes: Vec<u64>,
+    /// The journal, when formatted as ext3.
+    journal: Option<Journal>,
 }
 
 impl Ext2Fs {
-    /// Formats a new file system ("mkfs").
+    /// Formats a new file system ("mkfs"), with its journal in the
+    /// middle of the device when `config.journal_blocks` is not 0.
     ///
     /// # Panics
     ///
@@ -102,9 +143,13 @@ impl Ext2Fs {
             alloc,
             group_free,
             group_inodes: vec![0; groups as usize],
+            journal: None,
         };
         // The root sits in group 0, where a fresh inode starts.
         fs.group_inodes[0] = 1;
+        if fs.config.journal_blocks > 0 {
+            fs.journal = Some(fs.reserve_journal());
+        }
         fs
     }
 
@@ -118,20 +163,32 @@ impl Ext2Fs {
         self.group_free.len() as u64
     }
 
-    /// Reserves the free blocks of `start..end` for an embedded journal
-    /// (ext3 mkfs support), returning how many it took.
-    pub(crate) fn reserve_journal(&mut self, start: BlockNo, end: BlockNo) -> u64 {
-        let mut taken = 0;
-        let mut b = start;
-        while b < end.min(self.config.total_blocks) {
+    /// Reserves the journal where mkfs.ext3 tends to land it on a fresh
+    /// disk: the first `journal_blocks` free blocks from mid-device on
+    /// (at most half the device), skipping the group metadata in their
+    /// way.
+    ///
+    /// The ring runs contiguously from the first of them, so when they
+    /// skip a group's metadata, the ring's last positions land on that
+    /// metadata and the blocks reserved past it are never written.
+    fn reserve_journal(&mut self) -> Journal {
+        let total = self.config.total_blocks;
+        let jlen = self.config.journal_blocks.min(total / 2);
+        let first = self.alloc.next_free(total / 2, total);
+        let (mut b, mut reserved) = (first, 0);
+        while reserved < jlen && b < total {
             let g = self.group_of_block(b);
-            let group_end = ((g + 1) * self.config.blocks_per_group).min(end);
-            let n = self.alloc.reserve_free(b, group_end);
+            let end = ((g + 1) * self.config.blocks_per_group)
+                .min(b + (jlen - reserved))
+                .min(total);
+            let n = self.alloc.reserve_free(b, end);
             self.group_free[g as usize] = self.group_free[g as usize].saturating_sub(n);
-            taken += n;
-            b = group_end;
+            reserved += n;
+            b = end;
         }
-        taken
+        let start = if reserved > 0 { first } else { total / 2 };
+        // A descriptor and a commit block frame each transaction.
+        Journal::new(start, reserved, 2)
     }
 
     /// Underlying allocator (test and aging access).
@@ -163,11 +220,9 @@ impl Ext2Fs {
     /// Checks, in order: namespace reachability and parent-pointer
     /// agreement, block-pointer bounds, bitmap agreement (every owned
     /// block marked allocated), double ownership, and the free-count
-    /// identity `free = total − mkfs metadata − extra_reserved − data`.
-    /// `extra_reserved` is blocks reserved outside mkfs metadata and
-    /// file data — ext3 passes its journal region. Returns the first
-    /// violation found.
-    pub fn fsck(&self, extra_reserved: u64) -> Result<(), String> {
+    /// identity `free = total − mkfs metadata − journal − data`. Returns
+    /// the first violation found.
+    pub fn fsck(&self) -> Result<(), String> {
         self.tree.check_reachable()?;
         let total = self.config.total_blocks;
         let mut owned = rb_simcore::fnv::FnvHashSet::default();
@@ -202,7 +257,7 @@ impl Ext2Fs {
         }
         let expected_free = total
             .saturating_sub(self.meta_reserved_blocks())
-            .saturating_sub(extra_reserved)
+            .saturating_sub(self.journal.as_ref().map_or(0, |j| j.blocks))
             .saturating_sub(data_blocks);
         if self.alloc.free_blocks() != expected_free {
             return Err(format!(
@@ -307,11 +362,12 @@ impl Ext2Fs {
         Some(phys)
     }
 
-    /// Ensures the directory has enough data blocks for its entries.
-    fn ensure_dir_blocks(&mut self, dir: InodeNo, meta: &mut MetaIo) -> SimResult<()> {
+    /// Grows a directory to the data blocks its entries need once one
+    /// more is added.
+    fn grow_dir_for_entry(&mut self, dir: InodeNo, meta: &mut MetaIo) -> SimResult<()> {
         let node = self.tree.get(dir)?;
         // 64 B per entry, 64 entries per 4 KiB block.
-        let needed = node.size.as_u64().div_ceil(DIRENTS_PER_BLOCK * DIRENT_SIZE);
+        let needed = (node.size.as_u64() + DIRENT_SIZE).div_ceil(DIRENTS_PER_BLOCK * DIRENT_SIZE);
         let have = node.blocks();
         if needed > have {
             let goal = node
@@ -358,31 +414,46 @@ impl Ext2Fs {
         self.charge_lookup(traversed, &comps[..comps.len() - 1], meta);
     }
 
+    /// Ends a mutation: logs its metadata writes when formatted as ext3.
+    fn commit(&mut self, meta: &mut MetaIo) {
+        if let Some(journal) = &mut self.journal {
+            journal.commit(meta);
+        }
+    }
+
     /// Creates a file or a directory at `spec`: the node goes to the
     /// group [`Ext2Fs::pick_group`] chooses, and the parent directory
-    /// grows a block when its entries need one.
+    /// first grows a block when its entries need one, so a device too
+    /// full for that block changes nothing.
     fn make_node(&mut self, spec: &PathSpec, is_dir: bool) -> SimResult<(InodeNo, MetaIo)> {
         let (parent, name, traversed) = self.tree.resolve_new_spec(spec)?;
         let mut meta = MetaIo::default();
         self.charge_parent_lookup(&traversed, spec, &mut meta);
+        // Before the growth: a directory goes to the group with the
+        // most free blocks, and the growth can change which that is.
         let group = self.pick_group(parent, is_dir);
+        self.grow_dir_for_entry(parent, &mut meta)?;
         let ino = self.tree.insert_child_sym(parent, name, is_dir)?;
         self.tree.get_mut(ino)?.group = group;
         self.group_inodes[group as usize] += 1;
-        self.ensure_dir_blocks(parent, &mut meta)?;
         meta.writes.push(self.inode_bitmap_block(group));
         meta.writes.push(self.inode_table_block(ino));
         meta.writes.push(self.inode_table_block(parent));
         if let Some(b) = self.dirent_block_sym(parent, name) {
             meta.writes.push(b);
         }
+        self.commit(&mut meta);
         Ok((ino, meta))
     }
 }
 
 impl FileSystem for Ext2Fs {
     fn name(&self) -> &'static str {
-        "ext2"
+        if self.journal.is_some() {
+            "ext3"
+        } else {
+            "ext2"
+        }
     }
 
     fn block_size(&self) -> Bytes {
@@ -426,12 +497,8 @@ impl FileSystem for Ext2Fs {
         if let Some(b) = self.dirent_block_sym(parent, name) {
             meta.writes.push(b);
         }
+        self.commit(&mut meta);
         Ok((ino, meta))
-    }
-
-    fn rmdir_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
-        // Same machinery; remove_child enforces emptiness.
-        self.unlink_spec(spec)
     }
 
     fn readdir_spec(&mut self, spec: &PathSpec) -> SimResult<(u64, MetaIo)> {
@@ -521,6 +588,7 @@ impl FileSystem for Ext2Fs {
             self.free_indirect(&surplus, &mut meta)?;
         }
         self.tree.get_mut(ino)?.size = size;
+        self.commit(&mut meta);
         Ok(meta)
     }
 
@@ -541,19 +609,22 @@ impl FileSystem for Ext2Fs {
     }
 
     fn crash_plan(&self) -> rb_faults::RecoveryPlan {
-        // No journal: recovery is an fsck pass over every group's
-        // metadata (bitmaps + inode tables) — capacity-proportional,
-        // where journal replay below is log-proportional.
-        rb_faults::RecoveryPlan {
-            scan_start: 0,
-            scan_blocks: self.meta_reserved_blocks().max(1),
-            replay_writes: 0,
-            mechanism: "fsck-scan",
+        // ext3 replays its journal. Without one, recovery is an fsck
+        // pass over every group's metadata (bitmaps + inode tables):
+        // capacity-proportional, where journal replay is log-proportional.
+        match &self.journal {
+            Some(journal) => journal.recovery_plan(),
+            None => rb_faults::RecoveryPlan {
+                scan_start: 0,
+                scan_blocks: self.meta_reserved_blocks().max(1),
+                replay_writes: 0,
+                mechanism: "fsck-scan",
+            },
         }
     }
 
     fn check_consistency(&self) -> Result<(), String> {
-        self.fsck(0)
+        self.fsck()
     }
 }
 
@@ -585,7 +656,7 @@ mod tests {
         for i in 0..6 {
             f.unlink(&format!("/d/f{i}")).unwrap();
         }
-        f.fsck(0).expect("consistent after churn");
+        f.fsck().expect("consistent after churn");
         use crate::vfs::FileSystem as _;
         let plan = f.crash_plan();
         assert_eq!(plan.mechanism, "fsck-scan");
@@ -749,6 +820,212 @@ mod tests {
                         assert!(seen.insert(b), "seed {seed}: block {b} mapped twice");
                     }
                     l += e.len;
+                }
+            }
+        }
+    }
+
+    /// A create whose parent directory needs a block the full device
+    /// lacks fails with `NoSpace` and changes nothing: the namespace, the
+    /// groups' inode counts and fsck's walk stay as they were, so its
+    /// retry fails the same way. On ext2 and on ext3.
+    #[test]
+    fn create_without_room_for_a_directory_block_changes_nothing() {
+        for config in [
+            Ext2Config::for_blocks(1024),
+            Ext2Config::ext3_for_blocks(1024),
+        ] {
+            let mut f = Ext2Fs::new(config);
+            let name = f.name();
+            f.mkdir("/d").unwrap();
+            let (ino, _) = f.create("/fill").unwrap();
+            // The rest of the device, less the file's indirect block.
+            let free = f.allocator().free_blocks();
+            f.set_size(ino, Bytes::kib(4) * (free - 1)).unwrap();
+            assert_eq!(f.allocator().free_blocks(), 0, "{name}");
+            let (nodes, inodes) = (f.tree.len(), f.group_inodes.clone());
+            for attempt in 0..2 {
+                let created = f.create("/d/x0");
+                assert!(
+                    matches!(created, Err(SimError::NoSpace)),
+                    "{name}, attempt {attempt}: {created:?}"
+                );
+                assert!(f.lookup("/d/x0").is_err(), "{name}: /d/x0 resolves");
+                assert_eq!(f.readdir("/d").unwrap().0, 0, "{name}");
+                assert_eq!(f.tree.len(), nodes, "{name}");
+                assert_eq!(f.group_inodes, inodes, "{name}");
+                f.fsck().expect(name);
+            }
+        }
+    }
+
+    fn ext3() -> Ext2Fs {
+        Ext2Fs::new(Ext2Config::ext3_for_blocks(65536))
+    }
+
+    /// The journal's ring as a block range.
+    fn journal_region(f: &Ext2Fs) -> std::ops::Range<BlockNo> {
+        let j = f.journal.as_ref().expect("formatted with a journal");
+        j.start..j.start + j.blocks
+    }
+
+    #[test]
+    fn journal_region_reserved_contiguously() {
+        let journal = journal_region(&ext3());
+        assert!(journal.end - journal.start >= 64);
+        // Region sits near mid-device.
+        assert!(journal.start >= 65536 / 2);
+        assert!(journal.start < 65536 / 2 + 16384);
+    }
+
+    #[test]
+    fn mutations_are_journaled() {
+        let mut f = ext3();
+        let (ino, meta) = f.create("/f").unwrap();
+        assert_eq!(meta.journal_writes.len(), meta.writes.len() + 2);
+        let m2 = f.set_size(ino, Bytes::mib(1)).unwrap();
+        assert!(!m2.journal_writes.is_empty());
+        // Journal writes land inside the journal region.
+        let journal = journal_region(&f);
+        for b in &m2.journal_writes {
+            assert!(journal.contains(b), "journal write {b} outside region");
+        }
+    }
+
+    #[test]
+    fn reads_are_not_journaled() {
+        let mut f = ext3();
+        f.create("/f").unwrap();
+        let (_, meta) = f.lookup("/f").unwrap();
+        assert!(meta.journal_writes.is_empty());
+        let (_, meta) = f.readdir("/").unwrap();
+        assert!(meta.journal_writes.is_empty());
+    }
+
+    #[test]
+    fn journal_wraps_around() {
+        let mut f = ext3();
+        let journal = journal_region(&f);
+        let per_txn = 6; // create: ~4 writes + 2
+        let txns = (journal.end - journal.start) / per_txn + 10;
+        for i in 0..txns {
+            f.create(&format!("/f{i}")).unwrap();
+        }
+        // Head stayed within the region (no panic, wrapped).
+        let (_, meta) = f.create("/last").unwrap();
+        for b in &meta.journal_writes {
+            assert!(journal.contains(b));
+        }
+    }
+
+    #[test]
+    fn consistency_accounts_for_journal() {
+        let mut f = ext3();
+        for i in 0..16 {
+            let (ino, _) = f.create(&format!("/f{i}")).unwrap();
+            f.set_size(ino, Bytes::mib(1)).unwrap();
+        }
+        f.unlink("/f0").unwrap();
+        f.check_consistency().expect("consistent after churn");
+        let plan = f.crash_plan();
+        let journal = journal_region(&f);
+        assert_eq!(plan.mechanism, "journal-replay");
+        assert_eq!(plan.scan_start, journal.start);
+        assert_eq!(plan.scan_blocks, journal.end - journal.start);
+    }
+
+    #[test]
+    fn data_layout_matches_ext2_policy() {
+        let mut f = ext3();
+        let (ino, _) = f.create("/big").unwrap();
+        f.set_size(ino, Bytes::mib(4)).unwrap();
+        let e = f.map(ino, 0, 1024).unwrap();
+        assert!(e.len >= 256, "ext3 data extents fragmented: {}", e.len);
+        assert_eq!(f.name(), "ext3");
+        assert_eq!(f.cluster_pages(), 4);
+    }
+
+    /// The journal is the first `journal_blocks` free blocks from
+    /// mid-device on, as reserving them block by block finds them, on
+    /// devices from one block to 1 GiB, whole groups and partial ones.
+    #[test]
+    fn journal_is_the_first_free_blocks_from_mid_device() {
+        for total in [
+            1, 2, 130, 1_000, 8_192, 8_259, 16_384, 16_450, 65_536, 70_001, 262_144,
+        ] {
+            let config = Ext2Config::ext3_for_blocks(total);
+            let f = Ext2Fs::new(config.clone());
+            let mut bitmap = Ext2Fs::new(Ext2Config {
+                journal_blocks: 0,
+                ..config.clone()
+            })
+            .allocator()
+            .clone();
+            let jlen = config.journal_blocks.min(total / 2);
+            let (mut start, mut reserved, mut first) = (total / 2, 0, None);
+            while reserved < jlen && start < total {
+                if !bitmap.is_allocated(start) {
+                    bitmap.reserve(start).unwrap();
+                    first.get_or_insert(start);
+                    reserved += 1;
+                }
+                start += 1;
+            }
+            let journal = journal_region(&f);
+            assert_eq!(journal.start, first.unwrap_or(total / 2), "{total} blocks");
+            assert_eq!(
+                journal.end - journal.start,
+                reserved.max(1),
+                "{total} blocks"
+            );
+            assert_eq!(
+                f.used(),
+                Bytes::kib(4) * (total - bitmap.free_blocks()),
+                "{total} blocks"
+            );
+            for b in 0..total {
+                assert_eq!(
+                    f.allocator().is_allocated(b),
+                    bitmap.is_allocated(b),
+                    "{total} blocks: block {b}"
+                );
+            }
+            f.check_consistency().expect("consistent");
+        }
+    }
+
+    /// Seeded sequences of up to 39 creates, unlinks and resizes over 20
+    /// names: every journal write of every transaction lands inside the
+    /// journal region. The journal is the smallest the config allows (64
+    /// blocks), so most sequences wrap it. A failure names its seed.
+    #[test]
+    fn ext3_journal_containment() {
+        use rb_simcore::rng::Rng;
+        for seed in 0..64 {
+            let mut rng = Rng::new(seed);
+            let mut f = Ext2Fs::new(Ext2Config {
+                journal_blocks: 64,
+                ..Ext2Config::ext3_for_blocks(32_768)
+            });
+            let journal = journal_region(&f);
+            let mut live = std::collections::HashSet::new();
+            for _ in 0..1 + rng.below(39) {
+                let n = rng.below(20);
+                let path = format!("/p{n}");
+                let meta = match rng.below(3) {
+                    0 if live.insert(n) => f.create(&path).ok().map(|(_, m)| m),
+                    1 if live.remove(&n) => f.unlink(&path).ok(),
+                    2 if live.contains(&n) => {
+                        let (ino, _) = f.lookup(&path).unwrap();
+                        f.set_size(ino, Bytes::kib(4) * rng.below(256)).ok()
+                    }
+                    _ => None,
+                };
+                for b in meta.iter().flat_map(|m| m.journal_writes.iter()) {
+                    assert!(
+                        journal.contains(b),
+                        "seed {seed}: journal write {b} outside {journal:?}"
+                    );
                 }
             }
         }

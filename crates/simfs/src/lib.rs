@@ -1,11 +1,14 @@
 //! # rb-simfs — simulated file systems and the storage stack
 //!
 //! Three file-system models over the simulated disk — ext2-like (block
-//! groups, bitmaps, indirect blocks), ext3-like (ext2 + ordered-mode
-//! journal) and xfs-like (allocation groups, extents, log) — plus the
-//! [`stack::StorageStack`] composing file system, page cache and device
-//! into the full storage hierarchy the paper calls "middleware with
-//! layers above and below".
+//! groups, bitmaps, indirect blocks), ext3-like (the ext2 layout
+//! formatted with an ordered-mode journal,
+//! [`ext2::Ext2Config::ext3_for_blocks`]) and xfs-like (allocation
+//! groups, extents, log) — plus the [`stack::StorageStack`] composing
+//! file system, page cache and device into the full storage hierarchy
+//! the paper calls "middleware with layers above and below". ext3's
+//! journal and xfs's log are one ring type, which differs only in the
+//! blocks framing each transaction.
 //!
 //! File systems here are *layout engines*: they decide where bytes live
 //! and which metadata blocks an operation touches; all data movement runs
@@ -30,8 +33,8 @@
 pub mod aging;
 pub mod alloc;
 pub mod ext2;
-pub mod ext3;
 pub mod intern;
+mod journal;
 #[cfg(test)]
 mod oracle;
 mod slab;
@@ -45,7 +48,6 @@ pub mod prelude {
     pub use crate::aging::{age_filesystem, AgingConfig, AgingReport};
     pub use crate::alloc::{BitmapAllocator, ExtentAllocator, Run};
     pub use crate::ext2::{Ext2Config, Ext2Fs};
-    pub use crate::ext3::{Ext3Config, Ext3Fs};
     pub use crate::intern::{Interner, PathId, PathSpec, Symbol};
     pub use crate::stack::{Fd, StackConfig, StackStats, StorageStack, META_FILE};
     pub use crate::tree::{Inode, Tree, ROOT_INO};

@@ -738,7 +738,6 @@ impl std::fmt::Debug for StorageStack {
 mod tests {
     use super::*;
     use crate::ext2::{Ext2Config, Ext2Fs};
-    use crate::ext3::{Ext3Config, Ext3Fs};
     use crate::xfs::{XfsConfig, XfsFs};
     use rb_simdisk::hdd::{Hdd, HddConfig};
 
@@ -880,7 +879,7 @@ mod tests {
 
     #[test]
     fn journaled_create_writes_sequential_journal() {
-        let mut s = stack_with(Box::new(Ext3Fs::new(Ext3Config::for_blocks(262_144))));
+        let mut s = stack_with(Box::new(Ext2Fs::new(Ext2Config::ext3_for_blocks(262_144))));
         let w0 = s.disk_stats().writes;
         let id = s.resolve_path("/f").unwrap();
         s.create_id_at(id, Nanos::ZERO).unwrap();

@@ -1002,7 +1002,6 @@ mod tests {
     #[test]
     fn memory_follows_live_inodes() {
         use crate::ext2::{Ext2Config, Ext2Fs};
-        use crate::ext3::{Ext3Config, Ext3Fs};
         use crate::vfs::FileSystem;
         use crate::xfs::{XfsConfig, XfsFs};
         fn churn<F: FileSystem>(mut fs: F, tree: impl Fn(&F) -> &Tree) {
@@ -1026,7 +1025,10 @@ mod tests {
             assert_eq!(tree(&fs).len(), 1, "{name}: only the root is left");
         }
         churn(Ext2Fs::new(Ext2Config::for_blocks(262_144)), Ext2Fs::tree);
-        churn(Ext3Fs::new(Ext3Config::for_blocks(262_144)), Ext3Fs::tree);
+        churn(
+            Ext2Fs::new(Ext2Config::ext3_for_blocks(262_144)),
+            Ext2Fs::tree,
+        );
         churn(XfsFs::new(XfsConfig::for_blocks(262_144)), XfsFs::tree);
     }
 

@@ -114,8 +114,12 @@ pub trait FileSystem {
     /// cached pages without a second path walk.
     fn unlink_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)>;
 
-    /// Removes an empty directory at a pre-interned path.
-    fn rmdir_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)>;
+    /// Removes an empty directory at a pre-interned path. The default is
+    /// [`FileSystem::unlink_spec`], which the namespace already refuses
+    /// for a directory that is not empty.
+    fn rmdir_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
+        self.unlink_spec(spec)
+    }
 
     /// Counts a directory's entries, charging the same metadata reads a
     /// full listing would (the counted readdir form — no name
@@ -313,8 +317,8 @@ mod tests {
 
     #[test]
     fn ext3_matches_model() {
-        use crate::ext3::{Ext3Config, Ext3Fs};
-        check_against_model(|| Box::new(Ext3Fs::new(Ext3Config::for_blocks(32_768))));
+        use crate::ext2::{Ext2Config, Ext2Fs};
+        check_against_model(|| Box::new(Ext2Fs::new(Ext2Config::ext3_for_blocks(32_768))));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::alloc::{ExtentAllocator, Run};
 use crate::intern::PathSpec;
+use crate::journal::Journal;
 use crate::tree::Tree;
 use crate::vfs::{Extent, FileAttr, FileSystem, InodeNo, MetaIo};
 use rb_simcore::error::{SimError, SimResult};
@@ -83,9 +84,8 @@ pub struct XfsFs {
     ags: Vec<AllocGroup>,
     /// Round-robin cursor for directory placement.
     next_dir_ag: u64,
-    /// Log region (in AG 0).
-    log_start: BlockNo,
-    log_head: u64,
+    /// The log, in AG 0 right after its headers.
+    log: Journal,
 }
 
 /// Blocks reserved per AG for headers (superblock, free-space btree
@@ -143,19 +143,14 @@ impl XfsFs {
             tree: Tree::new(),
             ags,
             next_dir_ag: 1,
-            log_start,
-            log_head: 0,
+            // A commit record frames each transaction.
+            log: Journal::new(log_start, log_blocks, 1),
         }
     }
 
     /// Number of allocation groups.
     pub fn ag_count(&self) -> u64 {
         self.ags.len() as u64
-    }
-
-    /// Start of the log region (device block).
-    pub fn log_start(&self) -> BlockNo {
-        self.log_start
     }
 
     /// Shared namespace.
@@ -257,21 +252,6 @@ impl XfsFs {
         }
     }
 
-    /// Appends a log transaction covering `meta`'s writes.
-    fn log(&mut self, mut meta: MetaIo) -> MetaIo {
-        if meta.writes.is_empty() {
-            return meta;
-        }
-        let count = meta.writes.len() as u64 + 1; // records + commit
-        let log_len = self.config.log_blocks.max(1);
-        for i in 0..count {
-            let pos = (self.log_head + i) % log_len;
-            meta.journal_writes.push(self.log_start + pos);
-        }
-        self.log_head = (self.log_head + count) % log_len;
-        meta
-    }
-
     fn charge_lookup(&self, traversed: &[InodeNo], meta: &mut MetaIo) {
         for ino in traversed {
             meta.reads.push(self.inode_table_block(*ino));
@@ -289,17 +269,17 @@ impl XfsFs {
         self.tree.get_mut(ino)?.group = ag;
         meta.writes.push(self.inode_table_block(ino));
         meta.writes.push(self.inode_table_block(parent));
-        Ok((ino, self.log(meta)))
+        self.log.commit(&mut meta);
+        Ok((ino, meta))
     }
 
     /// Blocks mkfs reserved inside AG `g` (headers, inode chunk, and for
     /// AG 0 the log region) — the clamping mirrors [`XfsFs::new`].
     fn ag_reserved_blocks(&self, g: u64) -> u64 {
-        let ag_size = self.config.total_blocks / self.ag_count();
         let len = self.ags[g as usize].alloc.total();
         let mut reserved = (AG_HEADER_BLOCKS + AG_INODE_BLOCKS).min(len);
         if g == 0 {
-            reserved += self.config.log_blocks.min(ag_size / 2).max(1);
+            reserved += self.log.blocks;
         }
         reserved
     }
@@ -397,11 +377,8 @@ impl FileSystem for XfsFs {
         meta.writes.push(self.inode_table_block(parent));
         meta.writes
             .push(self.inode_table_block_in(node.group, node.ino));
-        Ok((node.ino, self.log(meta)))
-    }
-
-    fn rmdir_spec(&mut self, spec: &PathSpec) -> SimResult<(InodeNo, MetaIo)> {
-        self.unlink_spec(spec)
+        self.log.commit(&mut meta);
+        Ok((node.ino, meta))
     }
 
     fn readdir_spec(&mut self, spec: &PathSpec) -> SimResult<(u64, MetaIo)> {
@@ -451,7 +428,8 @@ impl FileSystem for XfsFs {
             self.charge_freespace(&freed, &mut meta);
         }
         self.tree.get_mut(ino)?.size = size;
-        Ok(self.log(meta))
+        self.log.commit(&mut meta);
+        Ok(meta)
     }
 
     fn map(&self, ino: InodeNo, logical: u64, max: u64) -> SimResult<Extent> {
@@ -472,16 +450,7 @@ impl FileSystem for XfsFs {
     }
 
     fn crash_plan(&self) -> rb_faults::RecoveryPlan {
-        // Log recovery: scan the log region (the same modulo `log()`
-        // cycles through) and replay roughly half of it — one commit
-        // record per transaction frames the metadata records.
-        let log_len = self.config.log_blocks.max(1);
-        rb_faults::RecoveryPlan {
-            scan_start: self.log_start,
-            scan_blocks: log_len,
-            replay_writes: log_len / 2,
-            mechanism: "journal-replay",
-        }
+        self.log.recovery_plan()
     }
 
     fn check_consistency(&self) -> Result<(), String> {
@@ -562,11 +531,35 @@ mod tests {
             let (_, meta) = f.create(&format!("/f{i}")).unwrap();
             for b in &meta.journal_writes {
                 assert!(
-                    (f.log_start()..f.log_start() + f.config.log_blocks).contains(b),
+                    (f.log.start..f.log.start + f.config.log_blocks).contains(b),
                     "log write {b} escaped"
                 );
             }
         }
+    }
+
+    /// A log asked for beyond half of AG 0 is clamped at format, and the
+    /// ring covers the blocks reserved: 512 of the 1,024 asked, 260-771.
+    /// 400 creates write 1,200 log blocks, so the ring wraps, and none
+    /// lands in AG 0's free space or AG 1's headers past it.
+    #[test]
+    fn clamped_log_wraps_inside_its_reservation() {
+        let mut f = XfsFs::new(XfsConfig {
+            total_blocks: 8_192,
+            allocation_groups: 8,
+            log_blocks: 1_024,
+            cluster_pages: 16,
+        });
+        let log = 260..772;
+        for i in 0..400 {
+            let (_, meta) = f.create(&format!("/f{i}")).unwrap();
+            for b in &meta.journal_writes {
+                assert!(log.contains(b), "create {i}: log write {b} outside {log:?}");
+            }
+        }
+        let plan = f.crash_plan();
+        assert_eq!((plan.scan_start, plan.scan_blocks), (260, 512));
+        f.fsck().expect("consistent");
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub mod prelude {
     pub use crate::moments::Moments;
     pub use crate::peaks::{bimodal_balance, classify_modality, find_peaks, Modality, Peak};
     pub use crate::sequential::{evaluate, Decision, StoppingRule};
-    pub use crate::summary::{
-        percentile, percentile_sorted, try_percentile, try_percentile_sorted, EmptySample, Summary,
-    };
+    pub use crate::summary::{percentile_sorted, Summary};
     pub use crate::timeseries::{tail_mean_ops_per_sec, Window, WindowedSeries};
 }

@@ -7,51 +7,24 @@
 
 use crate::moments::Moments;
 
-/// The error returned by the checked percentile forms on an empty
-/// sample: there is no value to report, and silently answering `0.0`
-/// (or `NaN`) poisons downstream aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmptySample;
-
-impl std::fmt::Display for EmptySample {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("percentile of an empty sample")
-    }
-}
-
-impl std::error::Error for EmptySample {}
-
-/// Linear-interpolated percentile of a sample.
+/// Linear-interpolated percentile of an already sorted sample
+/// (ascending).
 ///
 /// Uses the common "linear between closest ranks" definition (R-7, the
-/// default of R and NumPy). The input need not be sorted. Returns `None`
-/// on an empty sample; `q` is clamped to `[0, 1]`.
+/// default of R and NumPy); `q` is clamped to `[0, 1]`. A
+/// single-element sample returns that element at every `q`, and an
+/// empty one returns 0.0.
 ///
 /// # Examples
 ///
 /// ```
-/// use rb_stats::summary::percentile;
+/// use rb_stats::summary::percentile_sorted;
 ///
 /// let xs = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(percentile(&xs, 0.5), Some(2.5));
-/// assert_eq!(percentile(&xs, 0.0), Some(1.0));
-/// assert_eq!(percentile(&xs, 1.0), Some(4.0));
+/// assert_eq!(percentile_sorted(&xs, 0.5), 2.5);
+/// assert_eq!(percentile_sorted(&xs, 0.0), 1.0);
+/// assert_eq!(percentile_sorted(&xs, 1.0), 4.0);
 /// ```
-pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    Some(percentile_sorted(&sorted, q))
-}
-
-/// Percentile of an already sorted sample (ascending).
-///
-/// # Panics
-///
-/// Does not panic; an empty slice returns 0.0 (callers should prefer
-/// [`percentile`] for the `Option` form).
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     match sorted.len() {
         0 => 0.0,
@@ -64,34 +37,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
             let frac = rank - lo as f64;
             sorted[lo] + (sorted[hi] - sorted[lo]) * frac
         }
-    }
-}
-
-/// Checked percentile: like [`percentile`] but an empty sample is an
-/// explicit [`EmptySample`] error instead of a silent sentinel, so it
-/// composes with `?` in reporting pipelines. A single-element sample
-/// returns that element at every `q` — `p999` of one observation is
-/// that observation.
-///
-/// # Examples
-///
-/// ```
-/// use rb_stats::summary::{try_percentile, EmptySample};
-///
-/// assert_eq!(try_percentile(&[7.25], 0.999), Ok(7.25));
-/// assert_eq!(try_percentile(&[], 0.5), Err(EmptySample));
-/// ```
-pub fn try_percentile(xs: &[f64], q: f64) -> Result<f64, EmptySample> {
-    percentile(xs, q).ok_or(EmptySample)
-}
-
-/// Checked percentile of an already sorted sample (ascending): the
-/// `Result` form of [`percentile_sorted`].
-pub fn try_percentile_sorted(sorted: &[f64], q: f64) -> Result<f64, EmptySample> {
-    if sorted.is_empty() {
-        Err(EmptySample)
-    } else {
-        Ok(percentile_sorted(sorted, q))
     }
 }
 
@@ -172,50 +117,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_empty_is_none() {
-        assert_eq!(percentile(&[], 0.5), None);
+    fn percentile_of_empty_sample_is_zero() {
+        assert_eq!(percentile_sorted(&[], 0.5), 0.0);
     }
 
     #[test]
     fn percentile_single() {
-        assert_eq!(percentile(&[7.0], 0.0), Some(7.0));
-        assert_eq!(percentile(&[7.0], 1.0), Some(7.0));
+        assert_eq!(percentile_sorted(&[7.0], 0.0), 7.0);
+        assert_eq!(percentile_sorted(&[7.0], 1.0), 7.0);
     }
 
     #[test]
     fn percentile_interpolates() {
         let xs = [10.0, 20.0, 30.0, 40.0, 50.0];
-        assert_eq!(percentile(&xs, 0.5), Some(30.0));
-        assert_eq!(percentile(&xs, 0.25), Some(20.0));
+        assert_eq!(percentile_sorted(&xs, 0.5), 30.0);
+        assert_eq!(percentile_sorted(&xs, 0.25), 20.0);
         // Between ranks: 0.1 * 4 = rank 0.4 -> 10 + 0.4*10 = 14.
-        assert!((percentile(&xs, 0.1).unwrap() - 14.0).abs() < 1e-9);
+        assert!((percentile_sorted(&xs, 0.1) - 14.0).abs() < 1e-9);
     }
 
+    /// [`Summary`] sorts its sample before it reads percentiles off it.
     #[test]
     fn percentile_unsorted_input() {
         let xs = [50.0, 10.0, 40.0, 20.0, 30.0];
-        assert_eq!(percentile(&xs, 0.5), Some(30.0));
-    }
-
-    #[test]
-    fn try_percentile_empty_is_an_error() {
-        assert_eq!(try_percentile(&[], 0.5), Err(EmptySample));
-        assert_eq!(try_percentile_sorted(&[], 0.99), Err(EmptySample));
-        assert_eq!(EmptySample.to_string(), "percentile of an empty sample");
+        assert_eq!(Summary::from_sample(&xs).unwrap().median, 30.0);
     }
 
     #[test]
     fn single_sample_p999_is_that_sample() {
-        assert_eq!(try_percentile(&[7.25], 0.999), Ok(7.25));
-        assert_eq!(try_percentile_sorted(&[7.25], 0.999), Ok(7.25));
-        assert_eq!(percentile(&[7.25], 0.999), Some(7.25));
+        assert_eq!(percentile_sorted(&[7.25], 0.999), 7.25);
     }
 
     #[test]
     fn percentile_clamps_q() {
         let xs = [1.0, 2.0];
-        assert_eq!(percentile(&xs, -3.0), Some(1.0));
-        assert_eq!(percentile(&xs, 9.0), Some(2.0));
+        assert_eq!(percentile_sorted(&xs, -3.0), 1.0);
+        assert_eq!(percentile_sorted(&xs, 9.0), 2.0);
     }
 
     #[test]
