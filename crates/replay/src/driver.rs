@@ -263,16 +263,10 @@ impl Plan {
         // Edge slots are `2 * i + k`; no trace that fits in memory
         // comes near the bound.
         assert!(n < (NONE / 2) as usize, "trace too long for u32 indices");
-        let ids = trace.stream_ids();
-        let stream_index: FnvHashMap<u32, u32> = ids
-            .iter()
-            .enumerate()
-            .map(|(s, &id)| (id, s as u32))
-            .collect();
         let mut plan = Plan {
             stream: Vec::with_capacity(n),
             queue: Vec::new(),
-            start: vec![0; ids.len() + 1],
+            start: Vec::new(),
             cursor: Vec::new(),
             path: Vec::with_capacity(n),
             deps: Vec::with_capacity(n),
@@ -283,6 +277,12 @@ impl Plan {
         let mut last_on_path: FnvHashMap<&str, u32> =
             FnvHashMap::with_capacity_and_hasher(n, Default::default());
         let mut paths = 0;
+        // Streams are first numbered in order of first use, each with
+        // its id and its entry count; only these distinct ids are
+        // sorted below.
+        let mut first_use: FnvHashMap<u32, u32> = FnvHashMap::default();
+        let mut ids: Vec<u32> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
         for (i, e) in entries.iter().enumerate() {
             let path = e.op.path();
             let cross_stream =
@@ -308,9 +308,13 @@ impl Plan {
                     pending += 1;
                 }
             }
-            let s = stream_index[&e.stream];
+            let s = *first_use.entry(e.stream).or_insert_with(|| {
+                ids.push(e.stream);
+                counts.push(0);
+                (ids.len() - 1) as u32
+            });
+            counts[s as usize] += 1;
             plan.stream.push(s);
-            plan.start[s as usize + 1] += 1;
             plan.path.push(match prev {
                 Some(j) => plan.path[j as usize],
                 None => {
@@ -321,17 +325,26 @@ impl Plan {
             plan.deps.push(deps);
             plan.pending.push(pending);
         }
-        // The per-stream counts become offsets, and a second pass lays
-        // each stream's entries out in trace order.
-        for s in 1..plan.start.len() {
-            plan.start[s] += plan.start[s - 1];
+        // A stream's dense index is its id's position among the sorted
+        // ids, and the counts in that order become offsets. A second
+        // pass renumbers each entry's stream and lays each stream's
+        // entries out in trace order.
+        let mut by_id: Vec<u32> = (0..ids.len() as u32).collect();
+        by_id.sort_unstable_by_key(|&s| ids[s as usize]);
+        let mut dense = vec![0; ids.len()];
+        plan.start = Vec::with_capacity(ids.len() + 1);
+        plan.start.push(0);
+        for (d, &s) in by_id.iter().enumerate() {
+            dense[s as usize] = d as u32;
+            plan.start.push(plan.start[d] + counts[s as usize]);
         }
         plan.cursor = plan.start[..ids.len()].to_vec();
         let mut fill = plan.cursor.clone();
         plan.queue = vec![0; n];
-        for (i, &s) in plan.stream.iter().enumerate() {
-            plan.queue[fill[s as usize] as usize] = i as u32;
-            fill[s as usize] += 1;
+        for (i, s) in plan.stream.iter_mut().enumerate() {
+            *s = dense[*s as usize];
+            plan.queue[fill[*s as usize] as usize] = i as u32;
+            fill[*s as usize] += 1;
         }
         plan
     }
@@ -425,11 +438,19 @@ impl Plan {
 /// The ranking puts the runnable heads that share the earliest due
 /// time first, in stream-index order — the order the merge draws from.
 /// Rank `r` is bit `r % 64` of `words[r / 64]`, and a Fenwick tree over
-/// the words counts the set bits: 513 nodes for a 21,503-entry trace. A
-/// descent to the first runnable rank gives that due time, a prefix
-/// count gives how many heads share it, and a second descent finds the
-/// drawn one, each descent ending in a select within one word, so each
-/// pick costs O(log n) instead of a scan of every stream.
+/// the words counts the set bits: 513 nodes for a 21,503-entry trace.
+/// When every entry shares one due time (always under afap), every
+/// runnable head is a candidate: a running count says how many, and one
+/// descent finds the drawn one. Otherwise a descent to the first
+/// runnable rank gives the earliest due time, a prefix count gives how
+/// many heads share it, and a second descent finds the drawn one. Each
+/// descent ends in a select within one word, so each pick costs
+/// O(log n) instead of a scan of every stream.
+///
+/// A removed head's decrement of the tree waits until the next pick
+/// reads the tree, and an insert into the same word cancels it. Under
+/// afap a stream's entries hold consecutive ranks, so the head that
+/// replaces a finished one usually lands in its word.
 struct ReadySet {
     /// Each entry's rank.
     rank: Vec<u32>,
@@ -437,12 +458,19 @@ struct ReadySet {
     entry: Vec<u32>,
     /// For each rank, one past the last rank with the same due time.
     tie_end: Vec<u32>,
+    /// True when every entry shares one due time.
+    one_tie: bool,
+    /// How many entries are runnable.
+    runnable: u32,
     /// The runnable ranks, one bit each.
     words: Vec<u64>,
     /// Fenwick tree over the words, 1-based and padded to a power of
     /// two: `tree[k]` counts the runnable ranks in words
-    /// `(k - lowbit(k), k]`.
+    /// `(k - lowbit(k), k]`, less one in word `unsettled`.
     tree: Vec<u32>,
+    /// The word whose removed rank the tree still counts, or
+    /// `usize::MAX`.
+    unsettled: usize,
 }
 
 /// The position of the `nth` set bit (0-based) of `word`, which has
@@ -486,9 +514,12 @@ impl ReadySet {
         ReadySet {
             rank,
             entry,
+            one_tie: tie_end.first().is_none_or(|&end| end as usize == n),
             tie_end,
+            runnable: 0,
             words: vec![0; words],
             tree: vec![0; words.next_power_of_two() + 1],
+            unsettled: usize::MAX,
         }
     }
 
@@ -501,16 +532,31 @@ impl ReadySet {
         }
     }
 
+    /// Applies the decrement a removal left pending, if any.
+    fn settle(&mut self) {
+        if self.unsettled != usize::MAX {
+            self.add(self.unsettled, -1);
+            self.unsettled = usize::MAX;
+        }
+    }
+
     fn insert(&mut self, i: usize) {
-        let r = self.rank[i] as usize;
-        self.words[r / 64] |= 1 << (r % 64);
-        self.add(r / 64, 1);
+        let (w, bit) = (self.rank[i] as usize / 64, self.rank[i] % 64);
+        self.words[w] |= 1 << bit;
+        self.runnable += 1;
+        if self.unsettled == w {
+            self.unsettled = usize::MAX;
+        } else {
+            self.add(w, 1);
+        }
     }
 
     fn remove(&mut self, i: usize) {
-        let r = self.rank[i] as usize;
-        self.words[r / 64] &= !(1 << (r % 64));
-        self.add(r / 64, -1);
+        self.settle();
+        let (w, bit) = (self.rank[i] as usize / 64, self.rank[i] % 64);
+        self.words[w] &= !(1 << bit);
+        self.runnable -= 1;
+        self.unsettled = w;
     }
 
     /// How many runnable entries rank below `end`.
@@ -550,13 +596,23 @@ impl ReadySet {
     /// The merge's pick: the runnable entries sharing the earliest due
     /// time are the candidates, and the RNG draws one of them, in
     /// stream-index order, only when there is more than one.
-    fn pick(&self, rng: &mut Rng) -> usize {
-        let first = self.nth(0);
-        let candidates = self.count_below(self.tie_end[first as usize]);
-        let rank = if candidates == 1 {
-            first
+    fn pick(&mut self, rng: &mut Rng) -> usize {
+        self.settle();
+        let draw = |candidates: u32, rng: &mut Rng| {
+            if candidates == 1 {
+                0
+            } else {
+                rng.below(u64::from(candidates)) as u32
+            }
+        };
+        let rank = if self.one_tie {
+            self.nth(draw(self.runnable, rng))
         } else {
-            self.nth(rng.below(u64::from(candidates)) as u32)
+            let first = self.nth(0);
+            match draw(self.count_below(self.tie_end[first as usize]), rng) {
+                0 => first,
+                nth => self.nth(nth),
+            }
         };
         self.entry[rank as usize] as usize
     }
@@ -938,6 +994,24 @@ mod tests {
         let dirs = 1 + rng.below(4);
         let files = 1 + rng.below(6);
         let instants = 1 + rng.below(6);
+        let trace = random_entries(&mut rng, [streams, dirs, files, instants], id_stride, len);
+        if scaled {
+            let clones = 2 + rng.below(3) as u32;
+            Transform::Scale { clones }.apply(&trace).expect("scale")
+        } else {
+            trace
+        }
+    }
+
+    /// `len` random entries on `streams` streams (ids `id_stride`
+    /// apart) over `dirs` directories of `files` files each, at one of
+    /// `instants` instants 250 µs apart: the body of [`random_trace`].
+    fn random_entries(
+        rng: &mut Rng,
+        [streams, dirs, files, instants]: [u64; 4],
+        id_stride: u32,
+        len: usize,
+    ) -> Trace {
         let mut entries = Vec::with_capacity(len);
         for _ in 0..len {
             let dir = format!("/d{}", rng.below(dirs));
@@ -967,15 +1041,9 @@ mod tests {
                 op,
             });
         }
-        let trace = Trace {
+        Trace {
             version: TraceVersion::V2,
             entries,
-        };
-        if scaled {
-            let clones = 2 + rng.below(3) as u32;
-            Transform::Scale { clones }.apply(&trace).expect("scale")
-        } else {
-            trace
         }
     }
 
@@ -997,6 +1065,50 @@ mod tests {
                         "case {case} ({} entries, {} streams) timing {timing} seed {seed}",
                         trace.len(),
                         trace.stream_ids().len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_matches_the_scan_oracle_across_many_words() {
+        // Ready sets of dozens of words: deep descents, and heads that
+        // move across word boundaries. Golden v2 scaled ×64 and ×256
+        // (1.3k and 5.4k entries on 128 and 512 streams), 2,400 random
+        // entries on 256 streams at six instants, and the same entries
+        // at one instant, so that a timed policy also sees a single
+        // tie group.
+        let golden = Trace::from_text(include_str!("../../../examples/golden_v2.trace"))
+            .expect("golden trace parses");
+        let wide = random_entries(&mut Rng::new(0x5EED_1000), [256, 16, 32, 6], 2, 2400);
+        let mut one_instant = wide.clone();
+        for e in &mut one_instant.entries {
+            e.at = Nanos::from_millis(5);
+        }
+        let scaled = |clones| Transform::Scale { clones }.apply(&golden).expect("scale");
+        let cases = [
+            ("golden x64", scaled(64)),
+            ("golden x256", scaled(256)),
+            ("wide", wide),
+            ("wide at one instant", one_instant),
+        ];
+        for (name, trace) in cases {
+            assert!(
+                trace.len() >= 1300 && trace.stream_ids().len() >= 128,
+                "{name}"
+            );
+            for timing in [
+                Timing::Afap,
+                Timing::Faithful,
+                Timing::Scaled { factor: 4.0 },
+            ] {
+                for seed in [0, 1, u64::MAX] {
+                    assert_eq!(
+                        schedule(&trace, timing, seed),
+                        schedule_by_scan(&trace, timing, seed),
+                        "{name} ({} entries) timing {timing} seed {seed}",
+                        trace.len()
                     );
                 }
             }
