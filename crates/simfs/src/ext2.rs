@@ -350,15 +350,15 @@ impl Ext2Fs {
         self.free_runs(&runs, meta)
     }
 
-    /// Directory data block holding the entry for `name` (hash-probed).
-    fn dirent_block(&self, dir: InodeNo, name: &str) -> Option<BlockNo> {
+    /// Directory data block holding the entry for `name`: the block the
+    /// name's FNV-1a hash picks among the directory's blocks.
+    fn dirent_block(&self, dir: InodeNo, name: Symbol) -> Option<BlockNo> {
         let node = self.tree.get(dir).ok()?;
         let nblocks = node.blocks();
         if nblocks == 0 {
             return None;
         }
-        let h = rb_simcore::fnv::fnv1a(rb_simcore::fnv::FNV_OFFSET, name.as_bytes());
-        let (phys, _) = node.map_block(h % nblocks)?;
+        let (phys, _) = node.map_block(self.tree.name_hash(name) % nblocks)?;
         Some(phys)
     }
 
@@ -387,11 +387,6 @@ impl Ext2Fs {
             .div_ceil(PTRS_PER_BLOCK)
     }
 
-    /// [`Ext2Fs::dirent_block`] for an interned component.
-    fn dirent_block_sym(&self, dir: InodeNo, name: Symbol) -> Option<BlockNo> {
-        self.dirent_block(dir, self.tree.name(name))
-    }
-
     /// Charges inode-table reads for a resolution chain plus one dirent
     /// block probe per directory step.
     fn charge_lookup(&self, traversed: &[InodeNo], comps: &[Symbol], meta: &mut MetaIo) {
@@ -401,7 +396,7 @@ impl Ext2Fs {
         // traversed = [root, d1, ..., target]; component i is looked up in
         // traversed[i].
         for (i, &name) in comps.iter().enumerate() {
-            if let Some(b) = self.dirent_block_sym(traversed[i], name) {
+            if let Some(b) = self.dirent_block(traversed[i], name) {
                 meta.reads.push(b);
             }
         }
@@ -439,7 +434,7 @@ impl Ext2Fs {
         meta.writes.push(self.inode_bitmap_block(group));
         meta.writes.push(self.inode_table_block(ino));
         meta.writes.push(self.inode_table_block(parent));
-        if let Some(b) = self.dirent_block_sym(parent, name) {
+        if let Some(b) = self.dirent_block(parent, name) {
             meta.writes.push(b);
         }
         self.commit(&mut meta);
@@ -494,7 +489,7 @@ impl FileSystem for Ext2Fs {
         self.group_inodes[group as usize] = self.group_inodes[group as usize].saturating_sub(1);
         meta.writes.push(self.inode_bitmap_block(group));
         meta.writes.push(self.inode_table_block(parent));
-        if let Some(b) = self.dirent_block_sym(parent, name) {
+        if let Some(b) = self.dirent_block(parent, name) {
             meta.writes.push(b);
         }
         self.commit(&mut meta);
@@ -1029,5 +1024,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stored_name_hashes_are_the_byte_hashes() {
+        use rb_simcore::fnv::{fnv1a, FNV_OFFSET};
+        let mut f = fs();
+        f.mkdir("/d").unwrap();
+        // 300 entries of 64 B fill five directory blocks.
+        let mut names = Vec::new();
+        for i in 0..300 {
+            let spec = f.intern_path(&format!("/d/entry-{i}")).unwrap();
+            f.create_spec(&spec).unwrap();
+            names.push(spec.split_last().unwrap().0);
+        }
+        let mut syms = names.clone();
+        syms.push(f.tree.intern("d"));
+        syms.push(f.tree.intern("never-created"));
+        for &sym in &syms {
+            let name = f.tree.name(sym);
+            assert_eq!(
+                f.tree.name_hash(sym),
+                fnv1a(FNV_OFFSET, name.as_bytes()),
+                "{name}"
+            );
+        }
+        let (dir, _) = f.lookup("/d").unwrap();
+        let node = f.tree.get(dir).unwrap();
+        assert_eq!(node.blocks(), 5);
+        let mut blocks = std::collections::BTreeSet::new();
+        for &sym in &names {
+            let h = fnv1a(FNV_OFFSET, f.tree.name(sym).as_bytes());
+            let by_bytes = node.map_block(h % node.blocks()).unwrap().0;
+            assert_eq!(
+                f.dirent_block(dir, sym),
+                Some(by_bytes),
+                "{}",
+                f.tree.name(sym)
+            );
+            blocks.insert(by_bytes);
+        }
+        assert_eq!(blocks.len(), 5, "the names spread over every block");
     }
 }

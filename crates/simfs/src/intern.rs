@@ -24,7 +24,7 @@
 //! output, so hashes, timings and reports are byte-identical to the
 //! string-resolution implementation it replaced.
 
-use rb_simcore::fnv::FnvHashMap;
+use rb_simcore::fnv::{fnv1a, FnvHashMap, FNV_OFFSET};
 
 /// An interned path component (directory-entry name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,10 +38,12 @@ impl Symbol {
 }
 
 /// A component-string interner: `&str` → [`Symbol`] with O(1)
-/// resolution back to the name.
+/// resolution back to the name and to the name's FNV-1a hash.
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     names: Vec<Box<str>>,
+    /// `fnv1a(FNV_OFFSET, name)` of each name, by symbol.
+    hashes: Vec<u64>,
     index: FnvHashMap<Box<str>, Symbol>,
 }
 
@@ -68,6 +70,7 @@ impl Interner {
         }
         let sym = Symbol(self.names.len() as u32);
         self.names.push(name.into());
+        self.hashes.push(fnv1a(FNV_OFFSET, name.as_bytes()));
         self.index.insert(name.into(), sym);
         sym
     }
@@ -86,6 +89,16 @@ impl Interner {
     /// this interner's table).
     pub fn resolve(&self, sym: Symbol) -> &str {
         &self.names[sym.index()]
+    }
+
+    /// The FNV-1a hash of the name behind a symbol, byte for byte
+    /// `fnv1a(FNV_OFFSET, name)`, taken once when it was interned.
+    ///
+    /// # Panics
+    ///
+    /// As [`Interner::resolve`].
+    pub(crate) fn hash(&self, sym: Symbol) -> u64 {
+        self.hashes[sym.index()]
     }
 }
 

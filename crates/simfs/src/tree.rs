@@ -265,6 +265,12 @@ impl Tree {
         self.interner.resolve(sym)
     }
 
+    /// The FNV-1a hash of an interned component's name (see
+    /// [`Interner::hash`]).
+    pub(crate) fn name_hash(&self, sym: Symbol) -> u64 {
+        self.interner.hash(sym)
+    }
+
     /// Interns a component name (see [`Interner::intern`]).
     pub fn intern(&mut self, name: &str) -> Symbol {
         self.interner.intern(name)
