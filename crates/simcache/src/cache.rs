@@ -300,6 +300,10 @@ impl PageCache {
             let Some(victim) = self.policy.evict(&mut self.slots) else {
                 break;
             };
+            // The policy tracks exactly the indexed pages: `admit`
+            // indexes a page as it hands it over, and every path that
+            // unindexes one (this loop, `drop_slot`'s callers,
+            // `invalidate_all`) also takes it from the policy.
             let slot = self
                 .unindex(victim)
                 .expect("the policy evicts resident pages");

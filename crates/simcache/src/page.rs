@@ -71,6 +71,9 @@ impl Slots {
                 s
             }
             None => {
+                // Unreachable in practice: the slab grows only past its
+                // peak of resident pages, and 2^32 - 1 of them need a
+                // cache above 16 TiB holding 128 GiB of 32-byte slots.
                 let s = SlotId::try_from(self.slots.len())
                     .ok()
                     .filter(|&s| s != NIL)

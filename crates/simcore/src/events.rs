@@ -213,7 +213,9 @@ impl CoreSet {
     /// (utilization accounting, trace track ids).
     pub fn claim_indexed(&mut self, now: Nanos, work: Nanos) -> (u32, Nanos) {
         // peek_mut re-sifts once on drop: one O(log cores) pass per
-        // claim instead of a pop + push pair.
+        // claim instead of a pop + push pair. The heap is never empty:
+        // `new` fills it with at least one token, and a claim only
+        // replaces the top one.
         let mut top = self.free.peek_mut().expect("at least one core");
         let Reverse((free_at, core)) = *top;
         let start = free_at.max(now);

@@ -109,6 +109,8 @@ impl TieredDevice {
         self.next_stamp += 1;
         self.stamp_of.insert(block, s);
         self.by_stamp.insert(s, block);
+        // `by_stamp` holds one stamp per block of `stamp_of`, so it is
+        // non-empty whenever `stamp_of` is over the capacity.
         while self.stamp_of.len() as u64 > self.config.cache_blocks {
             let (&stamp, &victim) = self.by_stamp.iter().next().expect("non-empty");
             self.by_stamp.remove(&stamp);

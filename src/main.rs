@@ -529,8 +529,8 @@ fn cmd_sweep(opts: &Opts) -> Result<(), String> {
     if no_cache && resume {
         return Err("--no-cache contradicts --resume (resuming is cache hits)".into());
     }
-    if resume {
-        let dir = std::path::Path::new(store_dir.expect("checked: resume requires store"));
+    if let (true, Some(dir)) = (resume, store_dir) {
+        let dir = std::path::Path::new(dir);
         if !rb_core::store::ResultStore::exists(dir) {
             return Err(format!(
                 "nothing to resume: {} holds no result store",
