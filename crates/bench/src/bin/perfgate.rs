@@ -26,7 +26,8 @@
 //! each replacement policy, a histogram record, a page-cache hit at
 //! Figure 1's cliff size, ext3 namespace ops in a 1,000-entry
 //! directory, 2-block allocations on a fragmented 1 GiB ext2 bitmap,
-//! and the replay's seeded merge of a 21,503-entry trace), in unit
+//! the replay's seeded merge of a 21,503-entry trace, the scheduler's
+//! event queue holding 10 events, and a Zipf draw), in unit
 //! `calls`, so each row also records ns/call as median and IQR. They
 //! price the layers an end-to-end run folds into its callers: the page
 //! cache is a concrete type inside the storage stack, so no outside
@@ -69,6 +70,7 @@ use rb_simcache::cache::{CacheConfig, PageCache};
 use rb_simcache::policy::PolicyKind;
 use rb_simcache::readahead::ReadaheadConfig;
 use rb_simcache::writeback::WritebackConfig;
+use rb_simcore::dist::Zipf;
 use rb_simcore::events::EventQueue;
 use rb_simcore::rng::Rng;
 use rb_simcore::time::Nanos;
@@ -204,6 +206,9 @@ fn namespace_fs() -> (Ext2Fs, Vec<PathSpec>, PathSpec) {
     (fs, files, spare)
 }
 
+/// Events the event-queue row keeps pending.
+const QUEUE_PENDING: usize = 10;
+
 /// Live 2-block allocations the bitmap row keeps before it frees the
 /// oldest.
 const BITMAP_LIVE: usize = 4096;
@@ -227,7 +232,7 @@ fn fragmented_bitmap() -> BitmapAllocator {
 
 /// Scenario names, in run order (the parent dispatches children by
 /// name without constructing the scenarios themselves).
-const SCENARIO_NAMES: [&str; 23] = [
+const SCENARIO_NAMES: [&str; 25] = [
     "fig1-quick",
     "sweep-4x4",
     "replay-x32",
@@ -251,6 +256,8 @@ const SCENARIO_NAMES: [&str; 23] = [
     "layer/fs-namespace",
     "layer/bitmap-alloc",
     "layer/replay-merge",
+    "layer/event-queue",
+    "layer/zipf",
 ];
 
 /// The warm pass of `sweep-warm` must be at least this many times
@@ -615,6 +622,26 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     let trace = scaled_golden(1024);
     all.push(layer("layer/replay-merge", 20, move || {
         schedule(&trace, Timing::Afap, 0).len() as u64
+    }));
+    // The scheduler's event queue at a varmail-shaped depth: 10 events
+    // pending (8 workers, a tick and a sample), each with a 48-byte
+    // payload, the size of `sched`'s events. A call pops the earliest
+    // event and schedules its successor up to 1 µs later.
+    let mut queue = EventQueue::with_capacity(QUEUE_PENDING);
+    for i in 0..QUEUE_PENDING as u64 {
+        queue.schedule(Nanos::from_nanos(i), [i; 6]);
+    }
+    all.push(layer("layer/event-queue", 10_000_000, move || {
+        let (at, mut event) = queue.pop().expect("the pump keeps its events pending");
+        event[1] = event[1].wrapping_add(1);
+        let gap = 1 + (event[1].wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54);
+        queue.schedule(at + Nanos::from_nanos(gap), event);
+        event[0]
+    }));
+    // A skewed sampler over 1,000 items at webserver's theta.
+    let (zipf, mut rng) = (Zipf::new(1000, 0.99), Rng::new(10));
+    all.push(layer("layer/zipf", 10_000_000, move || {
+        zipf.sample(&mut rng) as u64
     }));
     all
 }
